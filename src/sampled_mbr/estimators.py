@@ -1,7 +1,7 @@
 """Expected-loss values and gradients for lattice distributions.
 
-Exact oracles enumerate paths (or run a single first-order backward pass
-for edge-additive losses); the sampled estimators approximate the same
+Exact oracles enumerate paths (or follow the backward pass with one
+first-order suffix pass for edge-additive losses); the sampled estimators approximate the same
 quantities from Monte Carlo paths, with an optional variance-reduction
 baseline that is exactly invariant to additive loss shifts.
 """
@@ -15,12 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .compose import path_occupancy
-from .errors import DegenerateLatticeError
-from .fst import NEG_INF, Path, Wfst, enumerate_paths, topological_order
-from .losses import ShiftedLoss
-from .sampling import SampleStream, sample_paths
-
-MAX_RECORDED_LOSSES = 1_000_000
+from .fst import NEG_INF, Wfst, enumerated_distribution, topological_order
+from .sampling import SampleStream, backward, sample_paths
 
 
 @dataclass(eq=False)
@@ -31,30 +27,13 @@ class MbrEstimate:
     gradient: np.ndarray
     num_samples: int
     per_sample_losses: np.ndarray
-    loss_mean: float
     loss_variance: float
     seed: int
 
 
-def _enumerated_distribution(
-    fst: Wfst, max_paths: int
-) -> tuple[list[Path], np.ndarray]:
-    """All paths with their normalized probabilities."""
-    paths = enumerate_paths(fst, max_paths)
-    if not paths:
-        raise DegenerateLatticeError("no complete path")
-    log_weights = np.array([p.log_weight for p in paths])
-    m = log_weights.max()
-    if m == NEG_INF:
-        raise DegenerateLatticeError("all paths have zero weight")
-    probs = np.exp(log_weights - m)
-    probs /= probs.sum()
-    return paths, probs
-
-
 def expected_loss_exact(fst: Wfst, loss, max_paths: int = 10_000) -> float:
     """Expected path loss by full enumeration of the lattice."""
-    paths, probs = _enumerated_distribution(fst, max_paths)
+    paths, probs = enumerated_distribution(fst, max_paths)
     return float(sum(p * loss(fst, path) for path, p in zip(paths, probs)))
 
 
@@ -72,7 +51,7 @@ def expected_loss_gradient_exact(
     loss and the occupancy matrix; both expectations are taken exactly
     over the enumerated paths.
     """
-    paths, probs = _enumerated_distribution(fst, max_paths)
+    paths, probs = enumerated_distribution(fst, max_paths)
     losses = np.array([loss(fst, p) for p in paths])
     gammas = np.stack(
         [path_occupancy(fst, p, num_frames, num_symbols) for p in paths]
@@ -86,13 +65,14 @@ def expected_loss_gradient_exact(
 def expected_additive_loss(
     fst: Wfst, edge_losses: Mapping[int, float] | Sequence[float] | np.ndarray
 ) -> tuple[float, float]:
-    """Expected value of an edge-additive loss in one backward pass.
+    """Expected value of an edge-additive loss from the backward weights.
 
     ``edge_losses`` maps edge id to a per-edge loss term whose sum along a
-    path equals the path loss.  The pass carries (log-weight, expected
-    suffix loss) pairs, a first-order expectation-semiring accumulation
-    kept in normalized form so only ratios of weights are exponentiated.
-    Returns (log partition function, expected loss).
+    path equals the path loss.  After ``backward``, one more reverse
+    topological pass accumulates each state's expected suffix loss, a
+    first-order expectation-semiring value kept in normalized form so only
+    ratios of weights are exponentiated.  Returns (log partition function,
+    expected loss).
     """
     if isinstance(edge_losses, Mapping):
         costs = np.zeros(fst.num_edges)
@@ -105,32 +85,19 @@ def expected_additive_loss(
                 f"edge losses have shape {costs.shape}, "
                 f"expected ({fst.num_edges},)"
             )
-    order = topological_order(fst)
-    beta = np.full(fst.num_states, NEG_INF)
+    beta = backward(fst)
     suffix = np.zeros(fst.num_states)
-    beta[fst.final] = 0.0
-    for q in reversed(order):
-        if q == fst.final:
+    for q in reversed(topological_order(fst)):
+        if beta[q] == NEG_INF:
             continue
-        ids = fst.out_edge_ids(q)
-        if not ids:
-            continue
-        vals = [fst.edges[k].log_weight + beta[fst.edges[k].dst] for k in ids]
-        m = max(vals)
-        if m == NEG_INF:
-            continue
-        beta[q] = m + math.log(sum(math.exp(v - m) for v in vals))
         total = 0.0
-        for k, v in zip(ids, vals):
+        for k in fst.out_edge_ids(q):
+            e = fst.edges[k]
+            v = e.log_weight + beta[e.dst]
             if v == NEG_INF:
                 continue
-            dst = fst.edges[k].dst
-            total += math.exp(v - beta[q]) * (costs[k] + suffix[dst])
+            total += math.exp(v - beta[q]) * (costs[k] + suffix[e.dst])
         suffix[q] = total
-    if beta[fst.initial] == NEG_INF:
-        raise DegenerateLatticeError(
-            "no positive-weight path from the initial state"
-        )
     return float(beta[fst.initial]), float(suffix[fst.initial])
 
 
@@ -196,43 +163,10 @@ def sampled_estimate(
         expected_loss=mean,
         gradient=gradient,
         num_samples=count,
-        per_sample_losses=losses[:MAX_RECORDED_LOSSES],
-        loss_mean=mean,
+        per_sample_losses=losses,
         loss_variance=variance,
         seed=stream.seed,
     )
-
-
-def loss_shift_check(
-    fst: Wfst,
-    loss,
-    num_frames: int,
-    num_symbols: int,
-    num_samples: int,
-    seed: int,
-    shift: float,
-    variance_reduction: bool = True,
-) -> bool:
-    """True iff shifting the loss by a constant leaves the gradient bits unchanged."""
-    base = sampled_estimate(
-        fst,
-        loss,
-        num_frames,
-        num_symbols,
-        num_samples,
-        SampleStream(seed),
-        variance_reduction=variance_reduction,
-    )
-    moved = sampled_estimate(
-        fst,
-        ShiftedLoss(loss, shift),
-        num_frames,
-        num_symbols,
-        num_samples,
-        SampleStream(seed),
-        variance_reduction=variance_reduction,
-    )
-    return base.gradient.tobytes() == moved.gradient.tobytes()
 
 
 def estimate_report(estimate: MbrEstimate) -> dict:
@@ -242,7 +176,7 @@ def estimate_report(estimate: MbrEstimate) -> dict:
         "gradient": [float(g) for g in estimate.gradient.ravel()],
         "gradient_shape": list(estimate.gradient.shape),
         "num_samples": estimate.num_samples,
-        "loss_mean": estimate.loss_mean,
+        "loss_mean": estimate.expected_loss,
         "loss_variance": estimate.loss_variance,
         "seed": estimate.seed,
     }

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     CyclicFstError,
@@ -183,27 +182,6 @@ def format_fst_text(fst: Wfst) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_symbol_table(text: str) -> dict[str, int]:
-    """Parse ``token id`` lines mapping vocabulary strings to label ids."""
-    table: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise FstParseError("expected `token id`", lineno)
-        token = tokens[0]
-        label = _parse_label(tokens[1], lineno)
-        if token in table:
-            raise FstParseError(f"duplicate token {token!r}", lineno)
-        table[token] = label
-    return table
-
-
-def format_symbol_table(table: dict[str, int]) -> str:
-    return "".join(f"{token} {label}\n" for token, label in table.items())
-
-
 def _parse_state(token: str, lineno: int) -> int:
     try:
         value = int(token)
@@ -237,12 +215,6 @@ def _parse_log_weight(token: str, lineno: int) -> float:
 # ---------------------------------------------------------------------------
 # Path operations
 # ---------------------------------------------------------------------------
-
-
-def make_path(fst: Wfst, edge_ids: Sequence[int]) -> Path:
-    """Build a validated Path from edge ids, summing log-weights in order."""
-    log_weight = path_log_weight(fst, Path(tuple(edge_ids), 0.0))
-    return Path(tuple(edge_ids), log_weight)
 
 
 def path_log_weight(fst: Wfst, path: Path) -> float:
@@ -381,6 +353,26 @@ def enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
     return results
 
 
+def enumerated_distribution(
+    fst: Wfst, max_paths: int
+) -> tuple[list[Path], np.ndarray]:
+    """Every path (as from enumerate_paths) with its normalized probability.
+
+    Raises DegenerateLatticeError when there is no complete path or the
+    total weight is zero.
+    """
+    paths = enumerate_paths(fst, max_paths)
+    if not paths:
+        raise DegenerateLatticeError("no complete path")
+    log_weights = np.array([p.log_weight for p in paths])
+    m = log_weights.max()
+    if m == NEG_INF:
+        raise DegenerateLatticeError("all paths have zero weight")
+    probs = np.exp(log_weights - m)
+    probs /= probs.sum()
+    return paths, probs
+
+
 def path_distribution(
     fst: Wfst, max_paths: int = 10_000
 ) -> dict[tuple[int, ...], float]:
@@ -389,17 +381,8 @@ def path_distribution(
     P(y) sums the normalized weights of all paths whose output projection
     equals y.  Raises DegenerateLatticeError when the total weight is zero.
     """
-    paths = enumerate_paths(fst, max_paths)
-    if not paths:
-        raise DegenerateLatticeError("no complete path")
-    log_weights = np.array([p.log_weight for p in paths])
-    log_z = logsumexp(log_weights)
-    if log_z == NEG_INF:
-        raise DegenerateLatticeError("all paths have zero weight")
-    probs = np.exp(log_weights - log_z)
-    probs /= probs.sum()
     dist: dict[tuple[int, ...], float] = {}
-    for path, p in zip(paths, probs):
+    for path, p in zip(*enumerated_distribution(fst, max_paths)):
         words = path_output_labels(fst, path)
         dist[words] = dist.get(words, 0.0) + float(p)
     return dist

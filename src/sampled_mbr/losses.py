@@ -47,29 +47,6 @@ def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
     return prev[-1]
 
 
-def frame_error(path_gammas: np.ndarray, ref: Sequence[int]) -> int:
-    """Number of frames whose occupied symbol differs from the reference.
-
-    ``path_gammas`` is a (T, Q) one-hot occupancy matrix; ``ref`` is the
-    length-T reference symbol sequence (1-based).
-    """
-    gamma = np.asarray(path_gammas)
-    if gamma.ndim != 2 or gamma.shape[0] != len(ref):
-        raise DimensionMismatchError(
-            f"occupancy has {gamma.shape[0] if gamma.ndim == 2 else '?'} "
-            f"rows, reference has {len(ref)} frames"
-        )
-    num_symbols = gamma.shape[1]
-    hits = 0
-    for t, q in enumerate(ref):
-        if not 1 <= q <= num_symbols:
-            raise DimensionMismatchError(
-                f"reference symbol {q} outside 1..{num_symbols}"
-            )
-        hits += int(gamma[t, q - 1])
-    return len(ref) - hits
-
-
 def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
     """Per-edge loss whose path sums equal the path's frame error.
 
@@ -121,8 +98,6 @@ def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
 class WordEditLoss:
     """Edit distance between a path's output words and a reference transcript."""
 
-    kind = "word-edit"
-
     def __init__(self, reference: Sequence[int]):
         reference = tuple(int(w) for w in reference)
         if any(w == EPSILON for w in reference):
@@ -135,8 +110,6 @@ class WordEditLoss:
 
 class FrameErrorLoss:
     """Count of frames where a path's input symbol differs from an alignment."""
-
-    kind = "frame-error"
 
     def __init__(self, alignment: Sequence[int]):
         alignment = tuple(int(q) for q in alignment)
@@ -158,8 +131,6 @@ class FrameErrorLoss:
 
 class ShiftedLoss:
     """A base loss plus a constant offset (for shift-invariance checks)."""
-
-    kind = "custom"
 
     def __init__(self, base, offset: float):
         self.base = base

@@ -38,16 +38,11 @@ def backward(fst: Wfst) -> np.ndarray:
     beta = np.full(fst.num_states, NEG_INF)
     beta[fst.final] = 0.0
     for q in reversed(order):
-        if q == fst.final:
-            continue
         ids = fst.out_edge_ids(q)
-        if not ids:
-            continue
-        vals = [fst.edges[k].log_weight + beta[fst.edges[k].dst] for k in ids]
-        m = max(vals)
-        if m == NEG_INF:
-            continue
-        beta[q] = m + math.log(sum(math.exp(v - m) for v in vals))
+        if ids:
+            beta[q] = _log_sum(
+                [fst.edges[k].log_weight + beta[fst.edges[k].dst] for k in ids]
+            )
     if beta[fst.initial] == NEG_INF:
         raise DegenerateLatticeError(
             "no positive-weight path from the initial state"
@@ -55,9 +50,12 @@ def backward(fst: Wfst) -> np.ndarray:
     return beta
 
 
-def log_total_weight(fst: Wfst) -> float:
-    """Log of the lattice partition function (sum of all path weights)."""
-    return float(backward(fst)[fst.initial])
+def _log_sum(vals: list[float]) -> float:
+    """Max-subtracted log of the sum of exp(vals); -inf when all are -inf."""
+    m = max(vals)
+    if m == NEG_INF:
+        return NEG_INF
+    return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
 def reweight_stochastic(fst: Wfst, beta: np.ndarray | None = None) -> Wfst:
@@ -94,12 +92,9 @@ def stochasticity_deviation(fst: Wfst) -> float:
         ids = fst.out_edge_ids(q)
         if not ids:
             continue
-        vals = [fst.edges[k].log_weight for k in ids]
-        m = max(vals)
-        if m == NEG_INF:
-            continue
-        total = m + math.log(sum(math.exp(v - m) for v in vals))
-        worst = max(worst, abs(total))
+        total = _log_sum([fst.edges[k].log_weight for k in ids])
+        if total != NEG_INF:
+            worst = max(worst, abs(total))
     return worst
 
 
@@ -122,18 +117,6 @@ class SampleStream:
             raise ValueError("sample index must be nonnegative")
         key = (self.seed << 64) | index
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
-    """One ancestral draw from an already-stochastic acyclic transducer.
-
-    At each state a single uniform selects the outgoing edge by inverse
-    CDF over the edge probabilities in edge-id order.  The returned
-    log-weight sums the (stochastic) edge weights, i.e. it is the log
-    probability of the draw.
-    """
-    cache: dict[int, _Cdf] = {}
-    return _walk(fst, None, rng, cache)
 
 
 def sample_paths(
@@ -164,17 +147,14 @@ def sample_paths(
     return out
 
 
-def _state_cdf(fst: Wfst, beta: np.ndarray | None, state: int) -> _Cdf:
-    """Cumulative out-edge probabilities, reweighting on the fly if beta given."""
+def _state_cdf(fst: Wfst, beta: np.ndarray, state: int) -> _Cdf:
+    """Cumulative out-edge probabilities, reweighted on the fly by beta."""
     cum: list[float] = []
     total = 0.0
     last_positive = -1
     for idx, k in enumerate(fst.out_edge_ids(state)):
         e = fst.edges[k]
-        if beta is None:
-            w = e.log_weight
-        else:
-            w = e.log_weight + beta[e.dst] - beta[state]
+        w = e.log_weight + beta[e.dst] - beta[state]
         p = math.exp(w) if math.isfinite(w) else 0.0
         if p > 0.0:
             last_positive = idx
@@ -185,7 +165,7 @@ def _state_cdf(fst: Wfst, beta: np.ndarray | None, state: int) -> _Cdf:
 
 def _walk(
     fst: Wfst,
-    beta: np.ndarray | None,
+    beta: np.ndarray,
     rng: np.random.Generator,
     cache: dict[int, _Cdf],
 ) -> Path:

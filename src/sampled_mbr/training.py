@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import build_score_fst, compose, path_occupancy
+from .compose import build_score_fst, compose
 from .errors import (
     DimensionMismatchError,
     FstParseError,
@@ -27,7 +27,7 @@ from .estimators import (
     expected_loss_gradient_exact,
     sampled_estimate,
 )
-from .fst import EPSILON, Edge, Wfst, enumerate_paths
+from .fst import EPSILON, Edge, Wfst, enumerate_paths, path_input_labels
 from .losses import FrameErrorLoss, WordEditLoss
 from .sampling import SampleStream
 
@@ -162,7 +162,6 @@ def train_step(
             gradient=gradient,
             num_samples=0,
             per_sample_losses=np.array([]),
-            loss_mean=value,
             loss_variance=0.0,
             seed=stream.seed,
         )
@@ -270,11 +269,8 @@ class EnumeratedObjective:
         paths = enumerate_paths(lattice, max_paths)
         loss = make_loss(loss_kind, utterance)
         self.losses = np.array([loss(lattice, p) for p in paths])
-        rows = []
-        for p in paths:
-            occ = path_occupancy(lattice, p, num_frames, num_symbols)
-            rows.append(occ.argmax(axis=1))
-        self.symbols = np.array(rows, dtype=np.intp)  # (num_paths, T)
+        labels = [path_input_labels(lattice, p) for p in paths]
+        self.symbols = np.array(labels, dtype=np.intp) - 1  # (num_paths, T)
         # Per-path decoder contribution: total weight minus the (zero)
         # score part at z0.
         self.offsets = np.array([p.log_weight for p in paths])

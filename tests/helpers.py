@@ -1,10 +1,87 @@
 """Shared fixtures and generators for the test suite."""
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
-from sampled_mbr import Edge, Wfst, build_score_fst, compose
+from sampled_mbr import (
+    Edge,
+    Path,
+    SampleStream,
+    ShiftedLoss,
+    Wfst,
+    backward,
+    build_score_fst,
+    compose,
+    path_log_weight,
+    sampled_estimate,
+)
+
+
+def make_path(fst: Wfst, edge_ids) -> Path:
+    """Build a validated Path from edge ids, summing log-weights in order."""
+    log_weight = path_log_weight(fst, Path(tuple(edge_ids), 0.0))
+    return Path(tuple(edge_ids), log_weight)
+
+
+def log_total_weight(fst: Wfst) -> float:
+    """Log of the lattice partition function (sum of all path weights)."""
+    return float(backward(fst)[fst.initial])
+
+
+def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
+    """One ancestral draw from an already-stochastic acyclic transducer.
+
+    At each state one uniform picks the outgoing edge by inverse CDF over
+    the edge probabilities in edge-id order, never choosing a trailing
+    zero-probability edge.  The returned log-weight sums the stochastic
+    edge weights, i.e. it is the log probability of the draw.
+    """
+    ids: list[int] = []
+    log_weight = 0.0
+    state = fst.initial
+    while state != fst.final:
+        out = fst.out_edge_ids(state)
+        probs = [
+            math.exp(w) if math.isfinite(w) else 0.0
+            for w in (fst.edges[k].log_weight for k in out)
+        ]
+        cum = list(accumulate(probs))
+        idx = bisect_right(cum, rng.random() * cum[-1])
+        idx = min(idx, max(i for i, p in enumerate(probs) if p > 0.0))
+        e = fst.edges[out[idx]]
+        ids.append(out[idx])
+        log_weight += e.log_weight
+        state = e.dst
+    return Path(tuple(ids), log_weight)
+
+
+def loss_shift_check(
+    fst: Wfst,
+    loss,
+    num_frames: int,
+    num_symbols: int,
+    num_samples: int,
+    seed: int,
+    shift: float,
+    variance_reduction: bool = True,
+) -> bool:
+    """True iff shifting the loss by a constant leaves the gradient bits unchanged."""
+    gradients = [
+        sampled_estimate(
+            fst,
+            current,
+            num_frames,
+            num_symbols,
+            num_samples,
+            SampleStream(seed),
+            variance_reduction=variance_reduction,
+        ).gradient.tobytes()
+        for current in (loss, ShiftedLoss(loss, shift))
+    ]
+    return gradients[0] == gradients[1]
 
 
 def two_path_fixture() -> Wfst:

@@ -30,7 +30,6 @@ from sampled_mbr import (
     expected_loss_exact,
     expected_loss_gradient_exact,
     format_fst_text,
-    loss_shift_check,
     reweight_stochastic,
     run_experiment,
     sample_paths,
@@ -39,6 +38,7 @@ from sampled_mbr import (
 from sampled_mbr.cli import main as cli_main
 
 from helpers import (
+    loss_shift_check,
     random_acyclic_wfst,
     random_parallel_fixture,
     random_task,

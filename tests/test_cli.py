@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sampled_mbr
 from sampled_mbr import chain_decoder_graph, format_fst_text
 from sampled_mbr.cli import main
 
@@ -362,3 +366,20 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exit_info:
         main([])
     assert exit_info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# package import
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(sampled_mbr.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sampled_mbr; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -15,8 +15,6 @@ from sampled_mbr import (
     build_score_fst,
     compose,
     enumerate_paths,
-    log_total_weight,
-    make_path,
     parse_logits_csv,
     path_distribution,
     path_occupancy,
@@ -24,7 +22,13 @@ from sampled_mbr import (
 )
 from sampled_mbr.compose import format_logits_csv
 
-from helpers import identity_decoder, uniform_lattice, word_chain_decoder
+from helpers import (
+    identity_decoder,
+    log_total_weight,
+    make_path,
+    uniform_lattice,
+    word_chain_decoder,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from sampled_mbr import (
     enumerate_paths,
     format_fst_text,
     is_acyclic,
-    make_path,
     parse_fst_text,
     path_distribution,
     path_input_labels,
@@ -28,9 +27,7 @@ from sampled_mbr import (
     path_output_labels,
     topological_order,
 )
-from sampled_mbr.fst import format_symbol_table, parse_symbol_table
-
-from helpers import random_acyclic_wfst, two_path_fixture
+from helpers import make_path, random_acyclic_wfst, two_path_fixture
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +129,6 @@ def test_round_trip_bit_equality():
         again = parse_fst_text(format_fst_text(fst))
         assert again == fst
         assert parse_fst_text(format_fst_text(again)) == again
-
-
-def test_symbol_table_round_trip():
-    table = {"yes": 1, "no": 2, "maybe": 30}
-    assert parse_symbol_table(format_symbol_table(table)) == table
-    with pytest.raises(FstParseError):
-        parse_symbol_table("yes 1\nyes 2\n")
-    with pytest.raises(FstParseError):
-        parse_symbol_table("yes one\n")
 
 
 # ---------------------------------------------------------------------------

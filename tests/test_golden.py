@@ -38,8 +38,8 @@ GOLDEN = {
     },
     "sample": {
         "hist.txt": (
-            "82faadd82061babf193dbfc011d3f748"
-            "18a0e421cf17afe015de47a103e6c6e3"
+            "bfcef850d3e0354af1f76de37edf64ec"
+            "4683927178f6c6aba1366d2c853d4b25"
         ),
     },
     "train": {

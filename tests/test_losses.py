@@ -1,4 +1,4 @@
-"""Edit distance, frame error, and per-edge loss annotation."""
+"""Edit distance, per-edge loss annotation, and loss callables."""
 
 import math
 
@@ -18,12 +18,11 @@ from sampled_mbr import (
     edge_loss_annotation,
     edit_distance,
     enumerate_paths,
-    frame_error,
-    make_path,
     parse_label_sequence,
-    path_occupancy,
 )
 from sampled_mbr.losses import format_label_sequence
+
+from helpers import make_path
 
 
 # ---------------------------------------------------------------------------
@@ -99,34 +98,6 @@ def _oracle(x, y, memo=None):
 
 
 # ---------------------------------------------------------------------------
-# Frame error
-# ---------------------------------------------------------------------------
-
-
-def _one_hot(labels, num_symbols):
-    gamma = np.zeros((len(labels), num_symbols))
-    for t, q in enumerate(labels):
-        gamma[t, q - 1] = 1.0
-    return gamma
-
-
-def test_frame_error_zero_on_match():
-    assert frame_error(_one_hot((1, 2, 1), 2), (1, 2, 1)) == 0
-
-
-def test_frame_error_counts_mismatches():
-    assert frame_error(_one_hot((1, 2, 1), 2), (1, 1, 1)) == 1
-    assert frame_error(_one_hot((2, 2, 2, 2, 2), 2), (1, 1, 1, 1, 1)) == 5
-
-
-def test_frame_error_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        frame_error(_one_hot((1, 2), 2), (1, 2, 1))
-    with pytest.raises(DimensionMismatchError):
-        frame_error(_one_hot((1, 2), 2), (1, 3))  # symbol outside 1..Q
-
-
-# ---------------------------------------------------------------------------
 # Edge annotation
 # ---------------------------------------------------------------------------
 
@@ -155,8 +126,6 @@ def test_annotation_sums_match_frame_error_per_path():
     for path in enumerate_paths(fst, 200):
         total = sum(costs[k] for k in path.edges)
         assert total == loss(fst, path)
-        gamma = path_occupancy(fst, path, 4, 3)
-        assert total == frame_error(gamma, ref)
 
 
 def test_annotation_gives_zero_to_epsilon_edges():

@@ -13,16 +13,16 @@ from sampled_mbr import (
     Wfst,
     backward,
     enumerate_paths,
-    log_total_weight,
     path_output_labels,
     reweight_stochastic,
-    sample_path,
     sample_paths,
     stochasticity_deviation,
 )
 
 from helpers import (
+    log_total_weight,
     random_acyclic_wfst,
+    sample_path,
     two_path_fixture,
     uniform_lattice,
 )
