@@ -178,11 +178,15 @@ def _load_loss(args):
     return WordEditLoss(labels)
 
 
-def cmd_estimate(args) -> int:
+def _check_samples_and_seed(args):
     if args.samples < 1:
         raise UsageError("--samples must be positive")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
+    if not 0 <= args.seed < 1 << 64:
+        raise UsageError("--seed must be in 0..2^64-1")
+
+
+def cmd_estimate(args) -> int:
+    _check_samples_and_seed(args)
     lattice, z = _load_lattice(args)
     loss = _load_loss(args)
     num_frames, num_symbols = z.shape
@@ -256,10 +260,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
+    _check_samples_and_seed(args)
     lattice, _ = _load_lattice(args)
     paths = sample_paths(lattice, args.seed, args.samples)
     counts: dict[tuple[int, ...], int] = {}

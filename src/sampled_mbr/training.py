@@ -489,6 +489,10 @@ def parse_config(text: str) -> tuple[TrainConfig, TaskConfig]:
 
 
 def _validate_configs(train_config: TrainConfig, task_config: TaskConfig):
+    if not 0 <= train_config.seed < 1 << 64:
+        raise FstParseError("seed must be in 0..2^64-1")
+    if task_config.task_seed is not None and task_config.task_seed < 0:
+        raise FstParseError("task_seed must be nonnegative")
     if train_config.steps < 0:
         raise FstParseError("steps must be nonnegative")
     if train_config.samples_per_step < 1:

@@ -93,10 +93,13 @@ def test_estimate_rejects_bad_counts(tmp_path, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: usage:")
-    rc = main([
-        "estimate", "--fst", fst, "--logits", z, "--ref", ref, "--seed", "-1",
-    ])
-    assert rc == 2
+    for seed in ("-1", str(2**64)):
+        rc = main([
+            "estimate", "--fst", fst, "--logits", z, "--ref", ref,
+            "--seed", seed,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: usage:")
 
 
 def test_estimate_frame_loss_length_mismatch(tmp_path, capsys):
@@ -218,6 +221,13 @@ def test_sample_renders_empty_word_sequence_as_dash(tmp_path, capsys):
     assert lines[0].split("\t")[1] == "1.0"
 
 
+def test_sample_rejects_seed_beyond_64_bits(tmp_path, capsys):
+    fst, z, _ = _files(tmp_path)
+    rc = main(["sample", "--fst", fst, "--logits", z, "--seed", str(2**64)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: usage:")
+
+
 def test_sample_rerun_is_byte_identical(tmp_path):
     fst, z, _ = _files(tmp_path)
     out_a = tmp_path / "a.txt"
@@ -298,6 +308,18 @@ def test_train_zero_steps(tmp_path, capsys):
 def test_train_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "config.txt"
     config.write_text("optimizer = adam\n")
+    curve = tmp_path / "curve.csv"
+    rc = main(["train", "--config", str(config), "--curve", str(curve)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: parse:")
+
+
+@pytest.mark.parametrize(
+    "line", [f"seed = {2**64}", "seed = -1", "task_seed = -1"]
+)
+def test_train_rejects_out_of_range_seeds(tmp_path, capsys, line):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY_CONFIG.replace("seed = 0", line))
     curve = tmp_path / "curve.csv"
     rc = main(["train", "--config", str(config), "--curve", str(curve)])
     assert rc == 2
