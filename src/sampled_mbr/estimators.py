@@ -1,9 +1,10 @@
 """Expected-loss values and gradients for lattice distributions.
 
 Exact oracles enumerate paths (or follow the backward pass with one
-first-order suffix pass for edge-additive losses); the sampled estimators approximate the same
-quantities from Monte Carlo paths, with an optional variance-reduction
-baseline that is exactly invariant to additive loss shifts.
+first-order suffix pass for edge-additive losses); the sampled estimators
+approximate the same quantities from Monte Carlo paths, with an optional
+variance-reduction baseline that is exactly invariant to additive loss
+shifts.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ def expected_additive_loss(
                 f"edge losses have shape {costs.shape}, "
                 f"expected ({fst.num_edges},)"
             )
-    beta = backward(fst)
-    suffix = np.zeros(fst.num_states)
+    # Python floats: element access is faster than on numpy arrays and the
+    # double arithmetic, hence every bit, is the same.
+    beta = backward(fst).tolist()
+    costs = costs.tolist()
+    suffix = [0.0] * fst.num_states
     for q in reversed(topological_order(fst)):
         if beta[q] == NEG_INF:
             continue
@@ -98,7 +102,7 @@ def expected_additive_loss(
                 continue
             total += math.exp(v - beta[q]) * (costs[k] + suffix[e.dst])
         suffix[q] = total
-    return float(beta[fst.initial]), float(suffix[fst.initial])
+    return beta[fst.initial], suffix[fst.initial]
 
 
 def sampled_estimate(
