@@ -19,15 +19,7 @@ import numpy as np
 
 from . import __version__
 from .compose import build_score_fst, compose, parse_logits_csv
-from .errors import (
-    DegenerateLatticeError,
-    DimensionMismatchError,
-    FstParseError,
-    InvalidFstError,
-    PathOverflowError,
-    SampledMbrError,
-    UsageError,
-)
+from .errors import SampledMbrError, UsageError
 from .estimators import (
     estimate_report,
     expected_loss_exact,
@@ -64,22 +56,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SampledMbrError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
-
-
-def _exit_code(exc: SampledMbrError) -> int:
-    if isinstance(exc, (UsageError, FstParseError, InvalidFstError)):
-        return 2
-    if isinstance(exc, DimensionMismatchError):
-        return 3
-    if isinstance(exc, DegenerateLatticeError):
-        return 4
-    if isinstance(exc, PathOverflowError):
-        return 5
-    return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -268,7 +248,8 @@ def cmd_sample(args) -> int:
         words = path_output_labels(lattice, path)
         counts[words] = counts.get(words, 0) + 1
     exact: dict[tuple[int, ...], float] | None = None
-    if is_acyclic(lattice) and count_paths(lattice) <= INSPECT_PATH_BOUND:
+    # sample_paths has already rejected a cyclic lattice.
+    if count_paths(lattice) <= INSPECT_PATH_BOUND:
         exact = path_distribution(lattice, INSPECT_PATH_BOUND)
     lines = []
     keys = sorted(set(counts) | set(exact or {}))

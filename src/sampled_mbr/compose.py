@@ -115,45 +115,34 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     final_pair = (a.final, b.final)
     if final_pair not in state_id:
         return empty_wfst()
-    return _connect(len(state_id), edges, 0, state_id[final_pair])
+    return _connect(len(state_id), edges, state_id[final_pair])
 
 
-def _connect(num_states: int, edges: list[Edge], initial: int, final: int) -> Wfst:
-    """Keep only states both reachable from initial and coreachable to final."""
-    forward = _closure(num_states, edges, {initial}, reverse=False)
-    backward = _closure(num_states, edges, {final}, reverse=True)
-    alive = forward & backward
-    if initial not in alive or final not in alive:
-        return empty_wfst()
+def _connect(num_states: int, edges: list[Edge], final: int) -> Wfst:
+    """Keep only the states that reach ``final``.
+
+    The composition's BFS discovered every state from state 0, so all are
+    accessible and one reverse sweep from ``final`` trims the rest.  State
+    0 reaches ``final`` and keeps id 0; an edge whose target reaches
+    ``final`` has a source that does too.
+    """
+    preds: list[list[int]] = [[] for _ in range(num_states)]
+    for e in edges:
+        preds[e.dst].append(e.src)
+    alive = {final}
+    frontier = deque(alive)
+    while frontier:
+        for j in preds[frontier.popleft()]:
+            if j not in alive:
+                alive.add(j)
+                frontier.append(j)
     renumber = {old: new for new, old in enumerate(sorted(alive))}
     kept = [
         Edge(renumber[e.src], renumber[e.dst], e.ilabel, e.olabel, e.log_weight)
         for e in edges
-        if e.src in alive and e.dst in alive
+        if e.dst in alive
     ]
-    return Wfst(
-        len(alive), kept, final=renumber[final], initial=renumber[initial]
-    )
-
-
-def _closure(
-    num_states: int, edges: list[Edge], seeds: set[int], reverse: bool
-) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(num_states)]
-    for e in edges:
-        if reverse:
-            adj[e.dst].append(e.src)
-        else:
-            adj[e.src].append(e.dst)
-    seen = set(seeds)
-    frontier = deque(seeds)
-    while frontier:
-        q = frontier.popleft()
-        for j in adj[q]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen
+    return Wfst(len(alive), kept, final=renumber[final])
 
 
 def path_occupancy(

@@ -5,18 +5,21 @@ class SampledMbrError(Exception):
     """Base class for all errors raised by this package."""
 
     category = "error"
+    exit_code = 1
 
 
 class UsageError(SampledMbrError):
     """Invalid command-line flag combination or value."""
 
     category = "usage"
+    exit_code = 2
 
 
 class FstParseError(SampledMbrError):
     """Malformed FST, logits, reference, or config input."""
 
     category = "parse"
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -29,6 +32,7 @@ class InvalidFstError(SampledMbrError):
     """Structural invariant of a transducer is violated."""
 
     category = "invalid-fst"
+    exit_code = 2
 
 
 class InvalidPathError(SampledMbrError):
@@ -47,12 +51,14 @@ class PathOverflowError(SampledMbrError):
     """Number of paths exceeds the configured enumeration bound."""
 
     category = "overflow"
+    exit_code = 5
 
 
 class DegenerateLatticeError(SampledMbrError):
     """Total path weight is zero; no distribution can be formed."""
 
     category = "degenerate"
+    exit_code = 4
 
 
 class UnsupportedCompositionError(SampledMbrError):
@@ -71,6 +77,7 @@ class DimensionMismatchError(SampledMbrError):
     """Shapes or lengths of inputs do not agree."""
 
     category = "dimension"
+    exit_code = 3
 
 
 class NonFiniteGradientError(SampledMbrError):

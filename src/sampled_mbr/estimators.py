@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,28 +64,23 @@ def expected_loss_gradient_exact(
 
 
 def expected_additive_loss(
-    fst: Wfst, edge_losses: Mapping[int, float] | Sequence[float] | np.ndarray
+    fst: Wfst, edge_losses: Sequence[float] | np.ndarray
 ) -> tuple[float, float]:
     """Expected value of an edge-additive loss from the backward weights.
 
-    ``edge_losses`` maps edge id to a per-edge loss term whose sum along a
-    path equals the path loss.  After ``backward``, one more reverse
+    ``edge_losses`` holds, per edge id, a loss term whose sum along a path
+    equals the path loss.  After ``backward``, one more reverse
     topological pass accumulates each state's expected suffix loss, a
     first-order expectation-semiring value kept in normalized form so only
     ratios of weights are exponentiated.  Returns (log partition function,
     expected loss).
     """
-    if isinstance(edge_losses, Mapping):
-        costs = np.zeros(fst.num_edges)
-        for k, v in edge_losses.items():
-            costs[k] = v
-    else:
-        costs = np.asarray(edge_losses, dtype=float)
-        if costs.shape != (fst.num_edges,):
-            raise ValueError(
-                f"edge losses have shape {costs.shape}, "
-                f"expected ({fst.num_edges},)"
-            )
+    costs = np.asarray(edge_losses, dtype=float)
+    if costs.shape != (fst.num_edges,):
+        raise ValueError(
+            f"edge losses have shape {costs.shape}, "
+            f"expected ({fst.num_edges},)"
+        )
     # Python floats: element access is faster than on numpy arrays and the
     # double arithmetic, hence every bit, is the same.
     beta = backward(fst).tolist()

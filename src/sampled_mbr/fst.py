@@ -364,13 +364,20 @@ def enumerated_distribution(
     paths = enumerate_paths(fst, max_paths)
     if not paths:
         raise DegenerateLatticeError("no complete path")
-    log_weights = np.array([p.log_weight for p in paths])
+    return paths, normalized(np.array([p.log_weight for p in paths]))
+
+
+def normalized(log_weights: np.ndarray) -> np.ndarray:
+    """Probabilities proportional to exp(log_weights), max-subtracted.
+
+    Raises DegenerateLatticeError when every weight is zero (all -inf).
+    """
     m = log_weights.max()
     if m == NEG_INF:
         raise DegenerateLatticeError("all paths have zero weight")
     probs = np.exp(log_weights - m)
     probs /= probs.sum()
-    return paths, probs
+    return probs
 
 
 def path_distribution(

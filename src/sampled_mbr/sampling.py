@@ -58,7 +58,7 @@ def _log_sum(vals: list[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def reweight_stochastic(fst: Wfst, beta: np.ndarray | None = None) -> Wfst:
+def reweight_stochastic(fst: Wfst) -> Wfst:
     """Materialized copy whose out-weights sum to one at every live state.
 
     Each edge weight becomes w + beta[dst] - beta[src]; path probabilities
@@ -68,8 +68,7 @@ def reweight_stochastic(fst: Wfst, beta: np.ndarray | None = None) -> Wfst:
     this reweighting on the fly; the materialized form exists so tests can
     check stochasticity directly.
     """
-    if beta is None:
-        beta = backward(fst)
+    beta = backward(fst)
     edges = []
     for e in fst.edges:
         into, out_of = float(beta[e.dst]), float(beta[e.src])

@@ -27,9 +27,16 @@ from .estimators import (
     expected_loss_gradient_exact,
     sampled_estimate,
 )
-from .fst import EPSILON, Edge, Wfst, enumerate_paths, path_input_labels
+from .fst import (
+    EPSILON,
+    Edge,
+    Wfst,
+    enumerate_paths,
+    normalized,
+    path_input_labels,
+)
 from .losses import FrameErrorLoss, WordEditLoss
-from .sampling import SampleStream
+from .sampling import SampleStream, sample_paths
 
 # Word-edit training tolerates (and needs) a larger step size than
 # frame-error training; the frame-error default is a fifth of this.
@@ -43,10 +50,6 @@ class LinearModel:
 
     weights: np.ndarray  # (feature_dim, num_symbols)
     bias: np.ndarray  # (num_symbols,)
-
-    @property
-    def num_symbols(self) -> int:
-        return self.weights.shape[1]
 
 
 def init_model(feature_dim: int, num_symbols: int) -> LinearModel:
@@ -150,7 +153,7 @@ def train_step(
         stream = SampleStream(stream)
     z = forward(model, utterance.features)
     num_frames, num_symbols = z.shape
-    lattice = utterance_lattice(model, utterance)
+    lattice = compose(build_score_fst(z), utterance.decoder_graph)
     loss = make_loss(config.loss, utterance)
     if config.exact_gradients:
         value = expected_loss_exact(lattice, loss)
@@ -278,10 +281,7 @@ class EnumeratedObjective:
 
     def expected_loss(self, z: np.ndarray) -> float:
         log_w = self.offsets + z[self._frames, self.symbols].sum(axis=1)
-        m = log_w.max()
-        probs = np.exp(log_w - m)
-        probs /= probs.sum()
-        return float(probs @ self.losses)
+        return float(normalized(log_w) @ self.losses)
 
 
 def split_train_dev(
@@ -309,6 +309,8 @@ def run_experiment(
     a sampled dev estimate, and elapsed wall time.  With identical inputs
     the records are bit-identical except for wall time.
     """
+    if config.samples_per_step < 1:
+        raise ValueError("samples_per_step must be positive")
     train, dev = split_train_dev(dataset)
     feature_dim = dataset[0].features.shape[1]
     if num_symbols is None:
@@ -323,33 +325,25 @@ def run_experiment(
     dev_stream = SampleStream(config.seed + 1 if config.seed + 1 < 2**64 else 0)
     started = time.perf_counter()
     records: list[CurveRecord] = []
-    dev_evals = 0
 
     def record(step: int):
-        nonlocal dev_evals
-        exact = float(
-            np.mean([obj.expected_loss(forward(model, u.features))
-                     for obj, u in zip(objectives, dev)])
-        )
-        sampled = []
-        for d, utt in enumerate(dev):
+        # The dev curve reports values only; no gradient is formed here.
+        exact, sampled = [], []
+        for d, (objective, utt) in enumerate(zip(objectives, dev)):
             z = forward(model, utt.features)
+            exact.append(objective.expected_loss(z))
             lattice = compose(build_score_fst(z), utt.decoder_graph)
-            est = sampled_estimate(
-                lattice,
-                make_loss(config.loss, utt),
-                z.shape[0],
-                z.shape[1],
-                config.samples_per_step,
-                dev_stream,
-                start_index=(dev_evals * len(dev) + d)
-                * config.samples_per_step,
+            loss = make_loss(config.loss, utt)
+            start_index = (len(records) * len(dev) + d) * config.samples_per_step
+            paths = sample_paths(
+                lattice, dev_stream, config.samples_per_step, start_index
             )
-            sampled.append(est.expected_loss)
-        dev_evals += 1
+            sampled.append(float(np.mean([loss(lattice, p) for p in paths])))
         wall_ms = (time.perf_counter() - started) * 1000.0
         records.append(
-            CurveRecord(step, exact, float(np.mean(sampled)), wall_ms)
+            CurveRecord(
+                step, float(np.mean(exact)), float(np.mean(sampled)), wall_ms
+            )
         )
 
     record(0)

@@ -228,6 +228,18 @@ def test_sample_rejects_seed_beyond_64_bits(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: usage:")
 
 
+def test_sample_omits_exact_column_beyond_path_bound(tmp_path, capsys):
+    # 4^7 = 16,384 paths, more than INSPECT_PATH_BOUND.
+    decoder = format_fst_text(chain_decoder_graph(7, 4, 3))
+    logits = "0.0,0.0,0.0,0.0\n" * 7
+    fst, z, _ = _files(tmp_path, decoder=decoder, logits=logits)
+    rc = main(["sample", "--fst", fst, "--logits", z, "--samples", "50"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert all(len(line.split("\t")) == 2 for line in lines)
+    assert not any(line.startswith("tv_distance") for line in lines)
+
+
 def test_sample_rerun_is_byte_identical(tmp_path):
     fst, z, _ = _files(tmp_path)
     out_a = tmp_path / "a.txt"
@@ -370,6 +382,24 @@ def test_inspect_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: parse:")
     assert "line 1" in err
+
+
+# ---------------------------------------------------------------------------
+# error contract
+# ---------------------------------------------------------------------------
+
+# An epsilon-input self-loop at decoder state 1 survives composition.
+CYCLIC_DECODER = "0 1 1 1 0.0\n0 1 2 2 0.0\n1 1 0 3 -1.0\n1 2 0 0 0.0\n2\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "sample"])
+def test_cyclic_lattice_is_reported_with_exit_code_1(tmp_path, capsys, command):
+    fst, z, ref = _files(tmp_path, decoder=CYCLIC_DECODER)
+    args = [command, "--fst", fst, "--logits", z]
+    if command == "estimate":
+        args += ["--ref", ref]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: cyclic:")
 
 
 # ---------------------------------------------------------------------------

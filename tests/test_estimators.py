@@ -131,7 +131,7 @@ def test_additive_zero_losses():
 
 def test_additive_two_parallel_edges():
     lattice, _ = two_path_lattice()
-    log_z, value = expected_additive_loss(lattice, {1: 1.0})
+    log_z, value = expected_additive_loss(lattice, np.array([0.0, 1.0]))
     assert math.isclose(value, 0.6, rel_tol=1e-12)
     assert math.isclose(log_z, math.log(5), rel_tol=1e-12)
 

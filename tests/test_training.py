@@ -37,7 +37,7 @@ from sampled_mbr import (
     utterance_lattice,
     zero_wall_times,
 )
-from sampled_mbr.errors import DimensionMismatchError
+from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
 
 
 def _tiny_dataset(num_utterances=10, seed=3):
@@ -252,6 +252,19 @@ def test_enumerated_objective_matches_direct_enumeration():
         lattice = compose(build_score_fst(z), utt.decoder_graph)
         direct = expected_loss_exact(lattice, loss)
         assert math.isclose(objective.expected_loss(z), direct, rel_tol=1e-10)
+
+
+def test_enumerated_objective_zero_weight_is_degenerate():
+    utt = _tiny_dataset(num_utterances=1, seed=14)[0]
+    objective = EnumeratedObjective(utt, "word-edit", 2)
+    with pytest.raises(DegenerateLatticeError):
+        objective.expected_loss(np.full((3, 2), -np.inf))
+
+
+def test_run_experiment_rejects_zero_samples():
+    config = _tiny_config(steps=0, samples_per_step=0, exact_gradients=True)
+    with pytest.raises(ValueError):
+        run_experiment(_tiny_dataset(), config)
 
 
 def test_split_train_dev_proportions():
