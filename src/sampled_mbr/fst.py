@@ -60,7 +60,7 @@ class Wfst:
     safe to share across threads.
     """
 
-    __slots__ = ("num_states", "edges", "initial", "final", "_out")
+    __slots__ = ("num_states", "edges", "initial", "final", "_out", "_order")
 
     def __init__(
         self,
@@ -92,6 +92,9 @@ class Wfst:
         self.initial = initial
         self.final = final
         self._out = tuple(tuple(ids) for ids in out)
+        # Filled by the first successful topological_order call; threads
+        # that race to fill it store equal tuples.
+        self._order: tuple[int, ...] | None = None
 
     def out_edge_ids(self, state: int) -> tuple[int, ...]:
         """Ids of edges leaving ``state``, in edge-id order."""
@@ -264,12 +267,15 @@ def path_input_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def topological_order(fst: Wfst) -> list[int]:
+def topological_order(fst: Wfst) -> tuple[int, ...]:
     """States in a topological order of the edge relation.
 
     Raises CyclicFstError when no such order exists.  Isolated states are
-    included; the order among incomparable states follows state id.
+    included; the order among incomparable states follows state id.  The
+    order is computed once per transducer and cached on it.
     """
+    if fst._order is not None:
+        return fst._order
     indeg = [0] * fst.num_states
     for e in fst.edges:
         indeg[e.dst] += 1
@@ -285,7 +291,8 @@ def topological_order(fst: Wfst) -> list[int]:
                 queue.append(j)
     if len(order) != fst.num_states:
         raise CyclicFstError("transducer contains a cycle")
-    return order
+    fst._order = tuple(order)
+    return fst._order
 
 
 def is_acyclic(fst: Wfst) -> bool:

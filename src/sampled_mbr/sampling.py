@@ -4,8 +4,11 @@ Sampling runs in two stages: a backward pass computes, per state, the log
 total weight of all suffixes reaching the final state; edge probabilities
 at each visited state are then formed on the fly from those suffix weights
 and a path is drawn ancestrally from the initial state.  Randomness is
-counter-based: sample i depends only on (seed, i), never on how samples
-are batched, so runs are reproducible under any scheduling.
+counter-based: sample i walks the Philox4x64-10 stream keyed by
+(i, seed), for stream indices 0..2^64-1, so it depends only on (seed, i),
+never on how samples are batched, and runs are reproducible under any
+scheduling.  A vectorized numpy kernel computes the draws of many streams
+at once, bit for bit equal to numpy's own ``Philox`` generator.
 """
 
 from __future__ import annotations
@@ -98,11 +101,14 @@ def stochasticity_deviation(fst: Wfst) -> float:
 
 
 class SampleStream:
-    """Splittable source of per-sample random generators.
+    """Splittable source of per-sample random streams.
 
-    Sample index i gets its own counter-based generator keyed by
-    (seed, i), so the draw for index i is identical whether samples are
-    taken one at a time, in one big batch, or out of order.
+    Stream index i (0 <= i < 2^64) is the Philox4x64-10 counter-based
+    generator keyed by the words (i, seed), so the draws for index i are
+    identical whether samples are taken one at a time, in one big batch,
+    or out of order.  ``sample_paths`` computes those draws with a numpy
+    kernel; ``generator`` returns numpy's own generator for the same
+    stream, the reference the kernel is tested against.
     """
 
     def __init__(self, seed: int):
@@ -112,10 +118,60 @@ class SampleStream:
         self.seed = seed
 
     def generator(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError("sample index must be nonnegative")
+        if not 0 <= index < _TWO64:
+            raise ValueError("sample index must lie in 0..2^64-1")
         key = (self.seed << 64) | index
         return np.random.Generator(np.random.Philox(key=key))
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11) with numpy's constants: multipliers, key-schedule increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = 0xFFFFFFFF
+_MASK64 = _TWO64 - 1
+
+# Samples whose draws are computed together; bounds the draw array's memory.
+_CHUNK = 4096
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    lo_lo = x_lo * m_lo
+    hi_lo = x_hi * m_lo
+    # At most 2^64 - 1, so the uint64 sum cannot wrap.
+    cross = (lo_lo >> 32) + (hi_lo & _MASK32) + x_lo * m_hi
+    return x_hi * m_hi + (hi_lo >> 32) + (cross >> 32), x * m
+
+
+def _philox_uniforms(
+    seed: int, indices: np.ndarray, first_block: int, num_blocks: int
+) -> np.ndarray:
+    """Uniform draws in [0, 1) of blocks first_block.. of each stream index.
+
+    Row r holds draws 4*(first_block-1) .. 4*(first_block+num_blocks-1)-1
+    of stream ``indices[r]`` (a uint64 array): draw k is word k mod 4 of the
+    Philox4x64-10 block with counter (floor(k/4)+1, 0, 0, 0) and key
+    (index, seed), mapped to (word >> 11) * 2^-53.  These are bit for bit
+    the values ``SampleStream(seed).generator(index).random()`` returns.
+    """
+    x0 = np.arange(first_block, first_block + num_blocks, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+    k0 = indices[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = (
+            hi1 ^ x1 ^ (k0 + ((r * _PHILOX_W[0]) & _MASK64)),
+            lo1,
+            hi0 ^ x3 ^ ((seed + r * _PHILOX_W[1]) & _MASK64),
+            lo0,
+        )
+    words = np.stack((x0, x1, x2, x3), axis=-1)
+    return (words.reshape(len(indices), 4 * num_blocks) >> 11) * 2.0**-53
 
 
 def sample_paths(
@@ -128,21 +184,45 @@ def sample_paths(
 
     The backward pass runs once; edge probabilities are formed on the fly
     at each visited state, so the input transducer is never copied.
-    Sample i uses the generator for stream index start_index + i.  The
-    returned paths carry original-lattice log-weights (unnormalized).
+    Sample i walks the uniforms of stream index start_index + i, one per
+    edge, so every index must lie in 0..2^64-1.  The returned paths carry
+    original-lattice log-weights (unnormalized).
+
+    Draws are computed chunk by chunk with the Philox kernel, starting at
+    one block (four draws) per sample.  A path longer than its row doubles
+    the block count for the samples of the chunk not yet walked, and the
+    walk resumes with that sample, walked again over its longer row; later
+    chunks start at the grown count.
     """
     if isinstance(stream, int):
         stream = SampleStream(stream)
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
+    stop = start_index + num_samples
+    if start_index < 0 or stop > _TWO64:
+        raise ValueError("sample indices must lie in 0..2^64-1")
     beta = backward(fst)
     cache: dict[int, _Cdf] = {}
     out: list[Path] = []
-    for i in range(num_samples):
-        rng = stream.generator(start_index + i)
-        # _walk sums the input transducer's own weights, so the paths carry
-        # unnormalized scores even though selection uses beta on the fly.
-        out.append(_walk(fst, beta, rng, cache))
+    blocks = 1
+    for first in range(start_index, stop, _CHUNK):
+        count = min(_CHUNK, stop - first)
+        indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
+        draws = _philox_uniforms(stream.seed, indices, 1, blocks)
+        row = 0
+        while row < len(draws):
+            # _walk sums the input transducer's own weights, so the paths
+            # carry unnormalized scores even though selection uses beta.
+            path = _walk(fst, beta, draws[row].tolist(), cache)
+            if path is None:
+                indices, draws = indices[row:], draws[row:]
+                more = _philox_uniforms(stream.seed, indices, blocks + 1, blocks)
+                draws = np.concatenate((draws, more), axis=1)
+                blocks *= 2
+                row = 0
+                continue
+            out.append(path)
+            row += 1
     return out
 
 
@@ -165,13 +245,19 @@ def _state_cdf(fst: Wfst, beta: np.ndarray, state: int) -> _Cdf:
 def _walk(
     fst: Wfst,
     beta: np.ndarray,
-    rng: np.random.Generator,
+    draws: list[float],
     cache: dict[int, _Cdf],
-) -> Path:
+) -> Path | None:
+    """One path, taking one uniform from ``draws`` per edge.
+
+    Returns None when the draws run out before the final state.
+    """
     ids: list[int] = []
     log_weight = 0.0
     state = fst.initial
-    while state != fst.final:
+    for u in draws:
+        if state == fst.final:
+            break
         entry = cache.get(state)
         if entry is None:
             entry = _state_cdf(fst, beta, state)
@@ -181,8 +267,7 @@ def _walk(
             raise DegenerateLatticeError(
                 f"sampling reached dead-end state {state}"
             )
-        u = rng.random() * cum[-1]
-        idx = bisect_right(cum, u)
+        idx = bisect_right(cum, u * cum[-1])
         if idx > last_positive:
             idx = last_positive
         k = fst.out_edge_ids(state)[idx]
@@ -190,4 +275,6 @@ def _walk(
         ids.append(k)
         log_weight += e.log_weight
         state = e.dst
+    if state != fst.final:
+        return None
     return Path(tuple(ids), log_weight)

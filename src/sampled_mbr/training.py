@@ -127,14 +127,6 @@ def make_loss(kind: str, utterance: Utterance):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def utterance_lattice(model: LinearModel, utterance: Utterance) -> Wfst:
-    """Compose the current scores with the utterance's decoder graph."""
-    return compose(
-        build_score_fst(forward(model, utterance.features)),
-        utterance.decoder_graph,
-    )
-
-
 def train_step(
     model: LinearModel,
     utterance: Utterance,

@@ -8,13 +8,16 @@ import numpy as np
 
 from sampled_mbr import (
     Edge,
+    LinearModel,
     Path,
     SampleStream,
     ShiftedLoss,
+    Utterance,
     Wfst,
     backward,
     build_score_fst,
     compose,
+    forward,
     path_log_weight,
     sampled_estimate,
 )
@@ -56,6 +59,14 @@ def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
         log_weight += e.log_weight
         state = e.dst
     return Path(tuple(ids), log_weight)
+
+
+def utterance_lattice(model: LinearModel, utterance: Utterance) -> Wfst:
+    """Compose the current scores with the utterance's decoder graph."""
+    return compose(
+        build_score_fst(forward(model, utterance.features)),
+        utterance.decoder_graph,
+    )
 
 
 def loss_shift_check(

@@ -267,6 +267,17 @@ def test_enumerate_rejects_cycles():
         topological_order(fst)
 
 
+def test_topological_order_is_computed_once():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        fst = random_acyclic_wfst(rng)
+        order = topological_order(fst)
+        position = {q: i for i, q in enumerate(order)}
+        assert sorted(order) == list(range(fst.num_states))
+        assert all(position[e.src] < position[e.dst] for e in fst.edges)
+        assert topological_order(fst) is order
+
+
 def test_enumeration_matches_brute_force_recount():
     rng = np.random.default_rng(77)
     for _ in range(30):

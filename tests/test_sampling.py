@@ -12,12 +12,14 @@ from sampled_mbr import (
     SampleStream,
     Wfst,
     backward,
+    build_score_fst,
     enumerate_paths,
     path_output_labels,
     reweight_stochastic,
     sample_paths,
     stochasticity_deviation,
 )
+from sampled_mbr.sampling import _CHUNK, _philox_uniforms
 
 from helpers import (
     log_total_weight,
@@ -201,6 +203,40 @@ def test_stream_validation():
         SampleStream(1 << 64)
     with pytest.raises(ValueError):
         SampleStream(0).generator(-1)
+    # (seed << 64) | index would give (4, 2^64) the stream of (5, 0).
+    with pytest.raises(ValueError):
+        SampleStream(4).generator(1 << 64)
+
+
+def test_sample_paths_rejects_indices_beyond_64_bits():
+    fst = two_path_fixture()
+    top = (1 << 64) - 1
+    with pytest.raises(ValueError):
+        sample_paths(fst, 4, 2, start_index=top)
+    with pytest.raises(ValueError):
+        sample_paths(fst, 4, 1, start_index=-1)
+    last = sample_paths(fst, 4, 1, start_index=top)[0]
+    pushed = reweight_stochastic(fst)
+    assert last.edges == sample_path(pushed, SampleStream(4).generator(top)).edges
+
+
+def test_philox_kernel_matches_numpy_philox():
+    rng = np.random.default_rng(2011)
+    top = (1 << 64) - 1
+
+    def draw_words(size):
+        words = rng.integers(0, top, size, dtype=np.uint64, endpoint=True)
+        return [0, top] + [int(v) for v in words]
+
+    for seed in draw_words(8):
+        indices = draw_words(10)
+        words = np.array(indices, dtype=np.uint64)
+        draws = _philox_uniforms(seed, words, 1, 3)
+        tail = _philox_uniforms(seed, words, 2, 2)
+        for row, index in enumerate(indices):
+            expected = SampleStream(seed).generator(index).random(12)
+            assert draws[row].tolist() == expected.tolist()
+            assert tail[row].tolist() == expected[4:].tolist()
 
 
 def test_stream_is_schedule_independent():
@@ -239,6 +275,32 @@ def test_sample_paths_matches_sample_path_on_materialized_fst():
         assert math.isclose(
             single.log_weight, expected.log_weight - log_z, abs_tol=1e-10
         )
+
+
+def test_long_paths_match_sample_path_across_blocks():
+    # 12 edges per path: the walk outgrows one block (4 draws) and two.
+    fst = build_score_fst(np.random.default_rng(5).normal(size=(12, 3)))
+    stream = SampleStream(123)
+    pushed = reweight_stochastic(fst)
+    for i, path in enumerate(sample_paths(fst, stream, 30)):
+        assert len(path.edges) == 12
+        assert path.edges == sample_path(pushed, stream.generator(i)).edges
+
+
+def test_chunk_boundaries_redraw_identically():
+    # Half the mass skips straight to the final state, so paths of 1 and 10
+    # edges mix and the draw rows grow in the middle of a chunk.
+    chain = build_score_fst(np.zeros((10, 2)))
+    fst = Wfst(
+        chain.num_states,
+        chain.edges + (Edge(0, 10, 3, 3, 10 * math.log(2)),),
+        final=chain.final,
+    )
+    batch = sample_paths(fst, 77, 2 * _CHUNK + 1)
+    assert {len(p.edges) for p in batch} == {1, 10}
+    for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK):
+        again = sample_paths(fst, 77, 1, start_index=i)[0]
+        assert again == batch[i]
 
 
 def test_sampled_paths_carry_original_weights():

@@ -34,10 +34,11 @@ from sampled_mbr import (
     run_experiment,
     split_train_dev,
     train_step,
-    utterance_lattice,
     zero_wall_times,
 )
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
+
+from helpers import utterance_lattice
 
 
 def _tiny_dataset(num_utterances=10, seed=3):
