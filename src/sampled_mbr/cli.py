@@ -161,6 +161,10 @@ def _load_loss(args):
 def _check_samples_and_seed(args):
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    # Sample i walks stream index i; the plain estimator draws 2x --samples.
+    bits = 63 if getattr(args, "no_variance_reduction", False) else 64
+    if args.samples > 1 << bits:
+        raise UsageError(f"--samples must be at most 2^{bits}")
     if not 0 <= args.seed < 1 << 64:
         raise UsageError("--seed must be in 0..2^64-1")
 

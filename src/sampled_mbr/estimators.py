@@ -131,7 +131,9 @@ def sampled_estimate(
         stream = SampleStream(stream)
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
-    paths = sample_paths(fst, stream, num_samples, start_index)
+    batch = num_samples if variance_reduction else 2 * num_samples
+    paths = sample_paths(fst, stream, batch, start_index)
+    paths, baseline_paths = paths[:num_samples], paths[num_samples:]
     losses = np.array([loss(fst, p) for p in paths])
     gammas = np.stack(
         [path_occupancy(fst, p, num_frames, num_symbols) for p in paths]
@@ -145,9 +147,6 @@ def sampled_estimate(
             centered = shifted - shifted.mean()
             gradient = np.tensordot(centered, gammas, axes=1) / (count - 1)
     else:
-        baseline_paths = sample_paths(
-            fst, stream, count, start_index + count
-        )
         baseline = np.mean(
             [
                 path_occupancy(fst, p, num_frames, num_symbols)

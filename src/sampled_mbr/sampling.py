@@ -148,17 +148,16 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _philox_uniforms(
-    seed: int, indices: np.ndarray, first_block: int, num_blocks: int
+    seed: int, indices: np.ndarray, num_blocks: int
 ) -> np.ndarray:
-    """Uniform draws in [0, 1) of blocks first_block.. of each stream index.
+    """The first 4*num_blocks uniforms in [0, 1) of each uint64 stream index.
 
-    Row r holds draws 4*(first_block-1) .. 4*(first_block+num_blocks-1)-1
-    of stream ``indices[r]`` (a uint64 array): draw k is word k mod 4 of the
-    Philox4x64-10 block with counter (floor(k/4)+1, 0, 0, 0) and key
-    (index, seed), mapped to (word >> 11) * 2^-53.  These are bit for bit
-    the values ``SampleStream(seed).generator(index).random()`` returns.
+    Row r, draw k is word k mod 4 of the Philox4x64-10 block with counter
+    (floor(k/4)+1, 0, 0, 0) and key (indices[r], seed), mapped to
+    (word >> 11) * 2^-53: bit for bit the values
+    ``SampleStream(seed).generator(indices[r]).random()`` returns.
     """
-    x0 = np.arange(first_block, first_block + num_blocks, dtype=np.uint64)[None, :]
+    x0 = np.arange(1, num_blocks + 1, dtype=np.uint64)[None, :]
     x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
     k0 = indices[:, None]
     for r in range(_PHILOX_ROUNDS):
@@ -188,11 +187,9 @@ def sample_paths(
     edge, so every index must lie in 0..2^64-1.  The returned paths carry
     original-lattice log-weights (unnormalized).
 
-    Draws are computed chunk by chunk with the Philox kernel, starting at
-    one block (four draws) per sample.  A path longer than its row doubles
-    the block count for the samples of the chunk not yet walked, and the
-    walk resumes with that sample, walked again over its longer row; later
-    chunks start at the grown count.
+    Draws are computed chunk by chunk, one Philox kernel call per chunk.
+    Each row holds at least one draw per edge of the longest
+    initial-to-final path, so every walk finishes within its row.
     """
     if isinstance(stream, int):
         stream = SampleStream(stream)
@@ -202,28 +199,28 @@ def sample_paths(
     if start_index < 0 or stop > _TWO64:
         raise ValueError("sample indices must lie in 0..2^64-1")
     beta = backward(fst)
+    blocks = max(1, math.ceil(_longest_path_edges(fst) / 4))
     cache: dict[int, _Cdf] = {}
     out: list[Path] = []
-    blocks = 1
     for first in range(start_index, stop, _CHUNK):
         count = min(_CHUNK, stop - first)
         indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
-        draws = _philox_uniforms(stream.seed, indices, 1, blocks)
-        row = 0
-        while row < len(draws):
-            # _walk sums the input transducer's own weights, so the paths
-            # carry unnormalized scores even though selection uses beta.
-            path = _walk(fst, beta, draws[row].tolist(), cache)
-            if path is None:
-                indices, draws = indices[row:], draws[row:]
-                more = _philox_uniforms(stream.seed, indices, blocks + 1, blocks)
-                draws = np.concatenate((draws, more), axis=1)
-                blocks *= 2
-                row = 0
-                continue
-            out.append(path)
-            row += 1
+        # _walk sums the input transducer's own weights, so the paths carry
+        # unnormalized scores even though selection uses beta.
+        for row in _philox_uniforms(stream.seed, indices, blocks):
+            out.append(_walk(fst, beta, row.tolist(), cache))
     return out
+
+
+def _longest_path_edges(fst: Wfst) -> float:
+    """Edge count of the longest initial-to-final path (-inf when none)."""
+    depth = [NEG_INF] * fst.num_states
+    depth[fst.final] = 0
+    for q in reversed(topological_order(fst)):
+        ids = fst.out_edge_ids(q)
+        if ids and q != fst.final:
+            depth[q] = 1 + max(depth[fst.edges[k].dst] for k in ids)
+    return depth[fst.initial]
 
 
 def _state_cdf(fst: Wfst, beta: np.ndarray, state: int) -> _Cdf:
@@ -247,10 +244,10 @@ def _walk(
     beta: np.ndarray,
     draws: list[float],
     cache: dict[int, _Cdf],
-) -> Path | None:
+) -> Path:
     """One path, taking one uniform from ``draws`` per edge.
 
-    Returns None when the draws run out before the final state.
+    ``draws`` must hold at least one uniform per edge of the longest path.
     """
     ids: list[int] = []
     log_weight = 0.0
@@ -275,6 +272,4 @@ def _walk(
         ids.append(k)
         log_weight += e.log_weight
         state = e.dst
-    if state != fst.final:
-        return None
     return Path(tuple(ids), log_weight)

@@ -9,6 +9,7 @@ training curves.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -485,11 +486,11 @@ def _validate_configs(train_config: TrainConfig, task_config: TaskConfig):
         raise FstParseError("samples_per_step must be positive")
     if train_config.eval_interval < 1:
         raise FstParseError("eval_interval must be positive")
-    if (
-        train_config.learning_rate is not None
-        and train_config.learning_rate < 0
-    ):
-        raise FstParseError("learning_rate must be nonnegative")
+    rate = train_config.learning_rate
+    if rate is not None and not (math.isfinite(rate) and rate >= 0):
+        raise FstParseError("learning_rate must be finite and nonnegative")
+    if not math.isfinite(task_config.noise):
+        raise FstParseError("noise must be finite")
     if task_config.vocab_size > task_config.clusters:
         raise FstParseError("vocab_size cannot exceed clusters")
     for name in ("vocab_size", "frames", "clusters", "feature_dim"):

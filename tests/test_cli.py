@@ -102,6 +102,25 @@ def test_estimate_rejects_bad_counts(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: usage:")
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("estimate", ["--samples", str(2**64 + 1)]),
+        ("estimate", ["--no-variance-reduction", "--samples", str(2**63 + 1)]),
+        ("sample", ["--samples", str(2**64 + 1)]),
+    ],
+)
+def test_samples_beyond_stream_indices_are_usage_errors(
+    tmp_path, capsys, command, flags
+):
+    # The plain estimator draws a second batch, so 2x --samples indices.
+    fst, z, ref = _files(tmp_path)
+    refs = ["--ref", ref] if command == "estimate" else []
+    rc = main([command, "--fst", fst, "--logits", z, *refs, *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: usage:")
+
+
 def test_estimate_frame_loss_length_mismatch(tmp_path, capsys):
     fst, z, ref = _files(tmp_path, ref="1 2 1\n")
     rc = main([
@@ -336,6 +355,16 @@ def test_train_rejects_out_of_range_seeds(tmp_path, capsys, line):
     rc = main(["train", "--config", str(config), "--curve", str(curve)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: parse:")
+
+
+def test_train_rejects_nan_learning_rate(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY_CONFIG + "learning_rate = nan\n")
+    curve = tmp_path / "curve.csv"
+    rc = main(["train", "--config", str(config), "--curve", str(curve)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: parse:")
+    assert not curve.exists()
 
 
 # ---------------------------------------------------------------------------

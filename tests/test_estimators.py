@@ -22,6 +22,8 @@ from sampled_mbr import (
     expected_additive_loss,
     expected_loss_exact,
     expected_loss_gradient_exact,
+    path_occupancy,
+    sample_paths,
     sampled_estimate,
 )
 
@@ -219,6 +221,30 @@ def test_sampled_nonvr_gradient_unbiased_light():
     mean = grads.mean(axis=0)
     se = grads.std(axis=0, ddof=1) / math.sqrt(reps)
     assert (np.abs(mean - exact) <= 4 * se + 1e-12).all()
+
+
+def test_plain_estimator_baseline_is_the_next_batch_of_indices():
+    # Independent formula: paths [s, s+N) and baseline [s+N, s+2N), each
+    # drawn by its own sample_paths call; the batch crosses a chunk edge.
+    z = np.random.default_rng(8).normal(size=(5, 3))
+    fst = build_score_fst(z)
+    loss = FrameErrorLoss([1, 3, 2, 2, 1])
+    start, count = 4070, 13
+    est = sampled_estimate(
+        fst, loss, 5, 3, count, 21, start, variance_reduction=False
+    )
+    paths = sample_paths(fst, 21, count, start)
+    baseline_paths = sample_paths(fst, 21, count, start + count)
+    losses = np.array([loss(fst, p) for p in paths])
+    gammas = np.stack([path_occupancy(fst, p, 5, 3) for p in paths])
+    baseline = np.mean(
+        [path_occupancy(fst, p, 5, 3) for p in baseline_paths], axis=0
+    )
+    gradient = np.tensordot(losses, gammas - baseline, axes=1) / count
+    assert est.gradient.tobytes() == gradient.tobytes()
+    assert est.per_sample_losses.tobytes() == losses.tobytes()
+    assert est.expected_loss == float(losses.mean())
+    assert est.loss_variance == float(losses.var(ddof=1))
 
 
 def test_sampled_estimator_determinism_and_stream_reuse():

@@ -1,4 +1,4 @@
-"""Property tests: lattice passes against enumeration on random DAGs."""
+"""Property tests: lattice passes against reference code on random DAGs."""
 
 import math
 
@@ -6,10 +6,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampled_mbr import expected_additive_loss
+from sampled_mbr import (
+    SampleStream,
+    expected_additive_loss,
+    reweight_stochastic,
+    sample_paths,
+)
 from sampled_mbr.fst import enumerated_distribution
 
-from helpers import log_total_weight, random_acyclic_wfst
+from helpers import log_total_weight, random_acyclic_wfst, sample_path
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -32,3 +37,22 @@ def test_additive_matches_enumeration_on_random_dags(seed, data):
     )
     assert math.isclose(value, brute, rel_tol=1e-10, abs_tol=1e-12)
     assert log_z == log_total_weight(fst)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 20),
+)
+def test_sample_paths_match_reference_walk_on_random_dags(
+    seed, stream_seed, start
+):
+    # Mixed path lengths, -inf edges and dead ends: every row must hold
+    # enough draws for the longest path, and sample i must follow stream i.
+    fst = random_acyclic_wfst(np.random.default_rng(seed))
+    stream = SampleStream(stream_seed)
+    pushed = reweight_stochastic(fst)
+    for i, path in enumerate(sample_paths(fst, stream, 20, start)):
+        expected = sample_path(pushed, stream.generator(start + i))
+        assert path.edges == expected.edges

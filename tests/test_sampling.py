@@ -231,12 +231,10 @@ def test_philox_kernel_matches_numpy_philox():
     for seed in draw_words(8):
         indices = draw_words(10)
         words = np.array(indices, dtype=np.uint64)
-        draws = _philox_uniforms(seed, words, 1, 3)
-        tail = _philox_uniforms(seed, words, 2, 2)
+        draws = _philox_uniforms(seed, words, 3)
         for row, index in enumerate(indices):
             expected = SampleStream(seed).generator(index).random(12)
             assert draws[row].tolist() == expected.tolist()
-            assert tail[row].tolist() == expected[4:].tolist()
 
 
 def test_stream_is_schedule_independent():
@@ -289,7 +287,7 @@ def test_long_paths_match_sample_path_across_blocks():
 
 def test_chunk_boundaries_redraw_identically():
     # Half the mass skips straight to the final state, so paths of 1 and 10
-    # edges mix and the draw rows grow in the middle of a chunk.
+    # edges mix within every chunk; all rows are sized for the 10-edge paths.
     chain = build_score_fst(np.zeros((10, 2)))
     fst = Wfst(
         chain.num_states,

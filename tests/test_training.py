@@ -340,6 +340,10 @@ def test_parse_config_full():
         "vocab_size = 3\nclusters = 2",
         "samples_per_step = 0",
         "num_utterances = 0",
+        "learning_rate = nan",
+        "learning_rate = inf",
+        "noise = nan",
+        "noise = -inf",
     ],
 )
 def test_parse_config_rejects(text):
