@@ -1,7 +1,8 @@
 """Golden sha256 digests of the CLI's output files.
 
 Every subcommand runs on the inputs of acceptance criterion 10, and
-``estimate`` also runs on a T=50, Q=10 chain lattice.  A change that moves
+``estimate`` also runs on a T=50, Q=10 chain lattice, once per estimator
+and loss.  A change that moves
 any output bit fails here; such a change must refresh the digest in the
 commit that makes it and say why in CHANGES.md.  The digests hold for
 IEEE-754 doubles with numpy's default kernels on x86-64.
@@ -64,6 +65,18 @@ GOLDEN = {
             "1e563eb32e2fbcdde2cf59ec4560ea9e"
         ),
     },
+    "estimate-chain-plain": {
+        "chain-plain.json": (
+            "fa6e2b4d8c787a115dbeea6cbe5f245d"
+            "8db33f282fdb7ffe0b6aa2df8b672345"
+        ),
+    },
+    "estimate-chain-frame": {
+        "chain-frame.json": (
+            "0e12d8a0ad47dd45841ae8f341619515"
+            "e8862d70568b13c3867b6f2b92bc98bb"
+        ),
+    },
 }
 
 
@@ -79,6 +92,9 @@ def _inputs(tmp_path):
     files["chain_z.csv"] = format_logits_csv(rng.normal(size=(50, 10)))
     files["chain_ref.txt"] = " ".join(
         str(int(w)) for w in rng.integers(1, 7, size=30)
+    ) + "\n"
+    files["chain_align.txt"] = " ".join(
+        str(int(q)) for q in rng.integers(1, 11, size=50)
     ) + "\n"
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -112,6 +128,17 @@ def _argv(command, f, out):
             "estimate", "--fst", f["chain.fst"], "--logits", f["chain_z.csv"],
             "--ref", f["chain_ref.txt"], "--samples", "1000", "--seed", "3",
             "--out", out["chain.json"],
+        ],
+        "estimate-chain-plain": [
+            "estimate", "--fst", f["chain.fst"], "--logits", f["chain_z.csv"],
+            "--ref", f["chain_ref.txt"], "--samples", "1000", "--seed", "3",
+            "--no-variance-reduction", "--out", out["chain-plain.json"],
+        ],
+        "estimate-chain-frame": [
+            "estimate", "--fst", f["chain.fst"], "--logits", f["chain_z.csv"],
+            "--ref", f["chain_align.txt"], "--loss", "frame-error",
+            "--samples", "1000", "--seed", "3",
+            "--out", out["chain-frame.json"],
         ],
     }[command]
 
