@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import EPSILON, Edge, Path, Wfst, empty_wfst
+from .fst import EPSILON, Edge, Path, Wfst, empty_wfst, path_input_labels
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -146,35 +147,50 @@ def _connect(num_states: int, edges: list[Edge], final: int) -> Wfst:
 
 
 def path_occupancy(
-    fst: Wfst, path: Path, num_frames: int, num_symbols: int
+    fst: Wfst, paths: Sequence[Path], num_frames: int, num_symbols: int
 ) -> np.ndarray:
-    """(T, Q) indicator matrix of which symbol the path used at each frame.
+    """(N, T, Q) stack of which symbol each path used at each frame.
 
-    Frame t's row is one-hot at the t-th non-epsilon input label.  For a
-    lattice built from a (T, Q) score matrix this is the gradient of the
-    path's log-weight with respect to the scores.
+    Path n's frame t is one-hot at its t-th non-epsilon input label.  For
+    a lattice built from a (T, Q) score matrix this is the gradient of the
+    path's log-weight with respect to the scores.  Only the paths' own
+    edges are read, and the ones are set by one fancy-indexed assignment.
     """
-    gamma = np.zeros((num_frames, num_symbols))
-    t = 0
-    for k in path.edges:
-        label = fst.edges[k].ilabel
-        if label == EPSILON:
-            continue
-        if t >= num_frames:
-            raise DimensionMismatchError(
-                f"path consumes more than {num_frames} frames"
-            )
-        if not 1 <= label <= num_symbols:
-            raise DimensionMismatchError(
-                f"input label {label} outside 1..{num_symbols}"
-            )
-        gamma[t, label - 1] = 1.0
-        t += 1
-    if t != num_frames:
-        raise DimensionMismatchError(
-            f"path consumes {t} frames, expected {num_frames}"
-        )
+    rows = [path_input_labels(fst, p) for p in paths]
+    if any(len(labels) != num_frames for labels in rows):
+        _raise_occupancy_error(rows, num_frames, num_symbols)
+    try:
+        symbols = np.array(rows, dtype=np.intp).reshape(len(rows), num_frames)
+    except OverflowError:  # a label past the index range, hence past Q
+        _raise_occupancy_error(rows, num_frames, num_symbols)
+    # Labels are nonnegative and epsilons are dropped, so only Q can fail.
+    if symbols.size and symbols.max() > num_symbols:
+        _raise_occupancy_error(rows, num_frames, num_symbols)
+    gamma = np.zeros((len(rows), num_frames, num_symbols))
+    gamma[
+        np.arange(len(rows))[:, None], np.arange(num_frames), symbols - 1
+    ] = 1.0
     return gamma
+
+
+def _raise_occupancy_error(
+    rows: list[tuple[int, ...]], num_frames: int, num_symbols: int
+) -> NoReturn:
+    """The error of the first path whose labels do not fit (T, Q)."""
+    for labels in rows:
+        for t, label in enumerate(labels):
+            if t >= num_frames:
+                raise DimensionMismatchError(
+                    f"path consumes more than {num_frames} frames"
+                )
+            if not 1 <= label <= num_symbols:
+                raise DimensionMismatchError(
+                    f"input label {label} outside 1..{num_symbols}"
+                )
+        if len(labels) != num_frames:
+            raise DimensionMismatchError(
+                f"path consumes {len(labels)} frames, expected {num_frames}"
+            )
 
 
 def parse_logits_csv(text: str) -> np.ndarray:

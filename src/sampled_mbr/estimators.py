@@ -54,9 +54,7 @@ def expected_loss_gradient_exact(
     """
     paths, probs = enumerated_distribution(fst, max_paths)
     losses = np.array([loss(fst, p) for p in paths])
-    gammas = np.stack(
-        [path_occupancy(fst, p, num_frames, num_symbols) for p in paths]
-    )
+    gammas = path_occupancy(fst, paths, num_frames, num_symbols)
     mean_loss = float(probs @ losses)
     mean_gamma = np.tensordot(probs, gammas, axes=1)
     loss_gamma = np.tensordot(probs * losses, gammas, axes=1)
@@ -133,11 +131,9 @@ def sampled_estimate(
         raise ValueError("num_samples must be positive")
     batch = num_samples if variance_reduction else 2 * num_samples
     paths = sample_paths(fst, stream, batch, start_index)
-    paths, baseline_paths = paths[:num_samples], paths[num_samples:]
-    losses = np.array([loss(fst, p) for p in paths])
-    gammas = np.stack(
-        [path_occupancy(fst, p, num_frames, num_symbols) for p in paths]
-    )
+    losses = np.array([loss(fst, p) for p in paths[:num_samples]])
+    gammas = path_occupancy(fst, paths, num_frames, num_symbols)
+    gammas, baseline_gammas = gammas[:num_samples], gammas[num_samples:]
     count = num_samples
     if variance_reduction:
         if count == 1:
@@ -147,13 +143,7 @@ def sampled_estimate(
             centered = shifted - shifted.mean()
             gradient = np.tensordot(centered, gammas, axes=1) / (count - 1)
     else:
-        baseline = np.mean(
-            [
-                path_occupancy(fst, p, num_frames, num_symbols)
-                for p in baseline_paths
-            ],
-            axis=0,
-        )
+        baseline = baseline_gammas.mean(axis=0)
         gradient = np.tensordot(losses, gammas - baseline, axes=1) / count
     mean = float(losses.mean())
     variance = float(losses.var(ddof=1)) if count > 1 else 0.0

@@ -29,22 +29,46 @@ from .fst import (
 def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
     """Levenshtein distance with unit substitution/insertion/deletion costs.
 
-    Two-row dynamic program, O(len(hyp)*len(ref)) time and O(len(ref))
-    memory.  Symmetric in its arguments.
+    Bit-parallel global-distance recurrence (Myers, JACM 1999, in the form
+    of Hyyro 2001): one column of the DP per hypothesis word, held as
+    vertical +1/-1 delta bit vectors over the reference words, so each
+    step is a few integer operations on len(ref)-bit Python ints and long
+    references need no blocking.  Exact; symmetric in its arguments.
     """
-    if not ref:
+    return _distance(hyp, _match_masks(ref), len(ref))
+
+
+def _match_masks(ref: Sequence[int]) -> dict[int, int]:
+    """Per word, the bit vector of the reference positions holding it."""
+    peq: dict[int, int] = {}
+    for j, word in enumerate(ref):
+        peq[word] = peq.get(word, 0) | (1 << j)
+    return peq
+
+
+def _distance(hyp: Sequence[int], peq: dict[int, int], m: int) -> int:
+    """Edit distance of ``hyp`` to the length-``m`` reference behind ``peq``."""
+    if m == 0:
         return len(hyp)
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, 1):
-        cur = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (h != r),
-            )
-        prev = cur
-    return prev[-1]
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for word in hyp:
+        eq = peq.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 of a global distance grows by one per hypothesis word.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
@@ -96,16 +120,29 @@ def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
 
 
 class WordEditLoss:
-    """Edit distance between a path's output words and a reference transcript."""
+    """Edit distance between a path's output words and a reference transcript.
+
+    The reference's match masks are built once, and each distinct output
+    word tuple is scored once: the distance is memoized per tuple for the
+    life of the object.  The key is the words alone, so one loss object
+    may score paths of any lattice.
+    """
 
     def __init__(self, reference: Sequence[int]):
         reference = tuple(int(w) for w in reference)
         if any(w == EPSILON for w in reference):
             raise ValueError("reference transcript contains epsilon")
         self.reference = reference
+        self._peq = _match_masks(reference)
+        self._memo: dict[tuple[int, ...], float] = {}
 
     def __call__(self, fst: Wfst, path: Path) -> float:
-        return float(edit_distance(path_output_labels(fst, path), self.reference))
+        words = path_output_labels(fst, path)
+        value = self._memo.get(words)
+        if value is None:
+            value = float(_distance(words, self._peq, len(self.reference)))
+            self._memo[words] = value
+        return value
 
 
 class FrameErrorLoss:

@@ -132,19 +132,36 @@ _PHILOX_ROUNDS = 10
 _MASK32 = 0xFFFFFFFF
 _MASK64 = _TWO64 - 1
 
+# The kernel's constants as numpy scalars, so no ufunc converts a Python
+# int: each multiplier with its 32-bit halves, the shift and mask, and the
+# index-side round keys (r * W0) mod 2^64.
+_M_WORDS = tuple(
+    tuple(np.uint64(v) for v in (m, m & _MASK32, m >> 32)) for m in _PHILOX_M
+)
+_U32 = np.uint64(32)
+_U32_MASK = np.uint64(_MASK32)
+_INDEX_KEYS = tuple(
+    np.uint64((r * _PHILOX_W[0]) & _MASK64) for r in range(_PHILOX_ROUNDS)
+)
+
 # Samples whose draws are computed together; bounds the draw array's memory.
 _CHUNK = 4096
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = m & _MASK32, m >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
+def _mulhilo(
+    m_words: tuple[np.uint64, np.uint64, np.uint64], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit halves.
+
+    ``m_words`` is the multiplier m with its low and high 32-bit halves.
+    """
+    m, m_lo, m_hi = m_words
+    x_lo, x_hi = x & _U32_MASK, x >> _U32
     lo_lo = x_lo * m_lo
     hi_lo = x_hi * m_lo
     # At most 2^64 - 1, so the uint64 sum cannot wrap.
-    cross = (lo_lo >> 32) + (hi_lo & _MASK32) + x_lo * m_hi
-    return x_hi * m_hi + (hi_lo >> 32) + (cross >> 32), x * m
+    cross = (lo_lo >> _U32) + (hi_lo & _U32_MASK) + x_lo * m_hi
+    return x_hi * m_hi + (hi_lo >> _U32) + (cross >> _U32), x * m
 
 
 def _philox_uniforms(
@@ -160,13 +177,19 @@ def _philox_uniforms(
     x0 = np.arange(1, num_blocks + 1, dtype=np.uint64)[None, :]
     x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
     k0 = indices[:, None]
-    for r in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+    # Seed-side round keys are reduced as Python ints: numpy scalar
+    # arithmetic would warn on the wrap.
+    seed_keys = [
+        np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
+        for r in range(_PHILOX_ROUNDS)
+    ]
+    for index_key, seed_key in zip(_INDEX_KEYS, seed_keys):
+        hi0, lo0 = _mulhilo(_M_WORDS[0], x0)
+        hi1, lo1 = _mulhilo(_M_WORDS[1], x2)
         x0, x1, x2, x3 = (
-            hi1 ^ x1 ^ (k0 + ((r * _PHILOX_W[0]) & _MASK64)),
+            hi1 ^ x1 ^ (k0 + index_key),
             lo1,
-            hi0 ^ x3 ^ ((seed + r * _PHILOX_W[1]) & _MASK64),
+            hi0 ^ x3 ^ seed_key,
             lo0,
         )
     words = np.stack((x0, x1, x2, x3), axis=-1)

@@ -277,13 +277,17 @@ class EnumeratedObjective:
         return float(normalized(log_w) @ self.losses)
 
 
+def _dev_size(num_utterances: int) -> int:
+    return max(1, num_utterances // 10)
+
+
 def split_train_dev(
     dataset: Sequence[Utterance],
 ) -> tuple[list[Utterance], list[Utterance]]:
     """Deterministic 90/10 split by index (last tenth is dev)."""
     if not dataset:
         raise ValueError("dataset is empty")
-    num_dev = max(1, len(dataset) // 10)
+    num_dev = _dev_size(len(dataset))
     cut = len(dataset) - num_dev
     if cut == 0:
         cut = len(dataset)  # single-utterance corner: dev = train
@@ -498,6 +502,21 @@ def _validate_configs(train_config: TrainConfig, task_config: TaskConfig):
             raise FstParseError(f"{name} must be positive")
     if task_config.num_utterances < 1:
         raise FstParseError("num_utterances must be positive")
+    # Stream indices run 0..2^64-1.  Training reserves 2 x samples_per_step
+    # indices per step; every dev record draws samples_per_step per dev
+    # utterance, for the initial record and one per eval interval.
+    samples = train_config.samples_per_step
+    if train_config.steps * 2 * samples > 1 << 64:
+        raise FstParseError(
+            "steps x 2 x samples_per_step must be at most 2^64"
+        )
+    records = 1 - (-train_config.steps // train_config.eval_interval)
+    num_dev = _dev_size(task_config.num_utterances)
+    if records * num_dev * samples > 1 << 64:
+        raise FstParseError(
+            "dev records x dev utterances x samples_per_step must be at "
+            "most 2^64"
+        )
 
 
 def build_task(train_config: TrainConfig, task_config: TaskConfig):

@@ -7,6 +7,8 @@ from itertools import accumulate
 import numpy as np
 
 from sampled_mbr import (
+    EPSILON,
+    DimensionMismatchError,
     Edge,
     LinearModel,
     Path,
@@ -27,6 +29,50 @@ def make_path(fst: Wfst, edge_ids) -> Path:
     """Build a validated Path from edge ids, summing log-weights in order."""
     log_weight = path_log_weight(fst, Path(tuple(edge_ids), 0.0))
     return Path(tuple(edge_ids), log_weight)
+
+
+def dp_edit_distance(hyp, ref) -> int:
+    """Levenshtein distance by the two-row dynamic program (test oracle)."""
+    if not ref:
+        return len(hyp)
+    prev = list(range(len(ref) + 1))
+    for i, h in enumerate(hyp, 1):
+        cur = [i] + [0] * len(ref)
+        for j, r in enumerate(ref, 1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (h != r),
+            )
+        prev = cur
+    return prev[-1]
+
+
+def occupancy_matrix(
+    fst: Wfst, path: Path, num_frames: int, num_symbols: int
+) -> np.ndarray:
+    """One path's (T, Q) occupancy, built edge by edge (test oracle)."""
+    gamma = np.zeros((num_frames, num_symbols))
+    t = 0
+    for k in path.edges:
+        label = fst.edges[k].ilabel
+        if label == EPSILON:
+            continue
+        if t >= num_frames:
+            raise DimensionMismatchError(
+                f"path consumes more than {num_frames} frames"
+            )
+        if not 1 <= label <= num_symbols:
+            raise DimensionMismatchError(
+                f"input label {label} outside 1..{num_symbols}"
+            )
+        gamma[t, label - 1] = 1.0
+        t += 1
+    if t != num_frames:
+        raise DimensionMismatchError(
+            f"path consumes {t} frames, expected {num_frames}"
+        )
+    return gamma
 
 
 def log_total_weight(fst: Wfst) -> float:

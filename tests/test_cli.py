@@ -367,6 +367,26 @@ def test_train_rejects_nan_learning_rate(tmp_path, capsys):
     assert not curve.exists()
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "samples_per_step = 18446744073709551617\n",
+        "samples_per_step = 4611686018427387904\nsteps = 3\n",
+    ],
+)
+def test_train_rejects_stream_indices_past_2_64(tmp_path, capsys, lines):
+    # Rejected while parsing the config, before any path is drawn.
+    config = tmp_path / "config.txt"
+    config.write_text(lines)
+    curve = tmp_path / "curve.csv"
+    rc = main(["train", "--config", str(config), "--curve", str(curve)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:")
+    assert "Traceback" not in err
+    assert not curve.exists()
+
+
 # ---------------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------------

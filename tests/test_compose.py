@@ -211,13 +211,13 @@ def test_occupancy_basic():
         [Edge(0, 1, 1, 1, 0.0), Edge(1, 2, 2, 2, 0.0)],
         final=2,
     )
-    gamma = path_occupancy(fst, make_path(fst, [0, 1]), 2, 2)
+    gamma = path_occupancy(fst, [make_path(fst, [0, 1])], 2, 2)[0]
     assert gamma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_occupancy_single_frame_high_label():
     fst = Wfst(2, [Edge(0, 1, 3, 3, 0.0)], final=1)
-    gamma = path_occupancy(fst, make_path(fst, [0]), 1, 3)
+    gamma = path_occupancy(fst, [make_path(fst, [0])], 1, 3)[0]
     assert gamma.tolist() == [[0.0, 0.0, 1.0]]
 
 
@@ -231,7 +231,7 @@ def test_occupancy_skips_epsilon_inputs():
         ],
         final=3,
     )
-    gamma = path_occupancy(fst, make_path(fst, [0, 1, 2]), 2, 2)
+    gamma = path_occupancy(fst, [make_path(fst, [0, 1, 2])], 2, 2)[0]
     assert gamma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
@@ -239,11 +239,17 @@ def test_occupancy_frame_count_mismatch():
     fst = Wfst(2, [Edge(0, 1, 1, 1, 0.0)], final=1)
     path = make_path(fst, [0])
     with pytest.raises(DimensionMismatchError):
-        path_occupancy(fst, path, 2, 2)
+        path_occupancy(fst, [path], 2, 2)
     with pytest.raises(DimensionMismatchError):
-        path_occupancy(fst, path, 0, 2)
+        path_occupancy(fst, [path], 0, 2)
     with pytest.raises(DimensionMismatchError):
-        path_occupancy(fst, path, 1, 0)  # label outside 1..Q
+        path_occupancy(fst, [path], 1, 0)  # label outside 1..Q
+
+
+def test_occupancy_label_past_index_range():
+    fst = Wfst(2, [Edge(0, 1, 2**70, 1, 0.0)], final=1)
+    with pytest.raises(DimensionMismatchError, match="outside 1..3"):
+        path_occupancy(fst, [make_path(fst, [0])], 1, 3)
 
 
 def test_occupancy_rows_one_hot_on_lattice_paths():
@@ -251,7 +257,7 @@ def test_occupancy_rows_one_hot_on_lattice_paths():
     z = rng.normal(size=(3, 3))
     lattice = uniform_lattice(3, 3)
     for path in enumerate_paths(lattice, 100):
-        gamma = path_occupancy(lattice, path, 3, 3)
+        gamma = path_occupancy(lattice, [path], 3, 3)[0]
         assert gamma.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
         assert set(np.unique(gamma)) <= {0.0, 1.0}
 
@@ -264,7 +270,7 @@ def test_occupancy_is_exact_score_derivative():
     paths = enumerate_paths(lattice, 100)
     delta = 0.625  # exactly representable
     for path in paths[:4]:
-        gamma = path_occupancy(lattice, path, 2, 3)
+        gamma = path_occupancy(lattice, [path], 2, 3)[0]
         t, q = 1, 2
         bumped = z.copy()
         bumped[t, q - 1] += delta

@@ -22,7 +22,6 @@ from sampled_mbr import (
     expected_additive_loss,
     expected_loss_exact,
     expected_loss_gradient_exact,
-    path_occupancy,
     sample_paths,
     sampled_estimate,
 )
@@ -30,6 +29,7 @@ from sampled_mbr import (
 from helpers import (
     log_total_weight,
     loss_shift_check,
+    occupancy_matrix,
     two_path_lattice,
     uniform_lattice,
 )
@@ -236,9 +236,9 @@ def test_plain_estimator_baseline_is_the_next_batch_of_indices():
     paths = sample_paths(fst, 21, count, start)
     baseline_paths = sample_paths(fst, 21, count, start + count)
     losses = np.array([loss(fst, p) for p in paths])
-    gammas = np.stack([path_occupancy(fst, p, 5, 3) for p in paths])
+    gammas = np.stack([occupancy_matrix(fst, p, 5, 3) for p in paths])
     baseline = np.mean(
-        [path_occupancy(fst, p, 5, 3) for p in baseline_paths], axis=0
+        [occupancy_matrix(fst, p, 5, 3) for p in baseline_paths], axis=0
     )
     gradient = np.tensordot(losses, gammas - baseline, axes=1) / count
     assert est.gradient.tobytes() == gradient.tobytes()

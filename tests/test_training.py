@@ -344,11 +344,26 @@ def test_parse_config_full():
         "learning_rate = inf",
         "noise = nan",
         "noise = -inf",
+        # Stream indices past 2^64 - 1: both ranges, then each alone.
+        "samples_per_step = 18446744073709551617",
+        "samples_per_step = 4611686018427387904\nsteps = 3",
+        "samples_per_step = 4611686018427387904\nsteps = 3\n"
+        "num_utterances = 10",
+        "samples_per_step = 1152921504606846976\nsteps = 0",
     ],
 )
 def test_parse_config_rejects(text):
     with pytest.raises(FstParseError):
         parse_config(text)
+
+
+def test_parse_config_accepts_the_last_stream_index():
+    # One step reserves indices 0..2^64-1; two dev records of one dev
+    # utterance use the same count.
+    train_config, _ = parse_config(
+        f"samples_per_step = {2**63}\nsteps = 1\nnum_utterances = 1"
+    )
+    assert train_config.samples_per_step == 2**63
 
 
 def test_effective_learning_rate_per_loss():
