@@ -125,7 +125,9 @@ class WordEditLoss:
     The reference's match masks are built once, and each distinct output
     word tuple is scored once: the distance is memoized per tuple for the
     life of the object.  The key is the words alone, so one loss object
-    may score paths of any lattice.
+    may score paths of any lattice.  The CLI and training make one loss
+    per command, step or dev utterance, which bounds the memo by the
+    hypotheses those draw or enumerate.
     """
 
     def __init__(self, reference: Sequence[int]):

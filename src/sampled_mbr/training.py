@@ -278,6 +278,7 @@ class EnumeratedObjective:
 
 
 def _dev_size(num_utterances: int) -> int:
+    """Dev utterances split off a dataset of this size."""
     return max(1, num_utterances // 10)
 
 
