@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -27,6 +28,7 @@ from .estimators import (
     sampled_estimate,
 )
 from .fst import (
+    MAX_ENUMERATED_PATHS,
     Wfst,
     count_paths,
     is_acyclic,
@@ -45,7 +47,6 @@ from .training import (
     zero_wall_times,
 )
 
-INSPECT_PATH_BOUND = 10_000
 STOCHASTIC_TOLERANCE = 1e-9
 
 
@@ -202,8 +203,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.eps <= 0 or args.tol <= 0:
-        raise UsageError("--eps and --tol must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (args.eps, args.tol)):
+        raise UsageError("--eps and --tol must be finite and positive")
     decoder = parse_fst_text(FsPath(args.fst).read_text())
     z = parse_logits_csv(FsPath(args.logits).read_text())
     loss = _load_loss(args)
@@ -253,8 +254,8 @@ def cmd_sample(args) -> int:
         counts[words] = counts.get(words, 0) + 1
     exact: dict[tuple[int, ...], float] | None = None
     # sample_paths has already rejected a cyclic lattice.
-    if count_paths(lattice) <= INSPECT_PATH_BOUND:
-        exact = path_distribution(lattice, INSPECT_PATH_BOUND)
+    if count_paths(lattice) <= MAX_ENUMERATED_PATHS:
+        exact = path_distribution(lattice)
     lines = []
     keys = sorted(set(counts) | set(exact or {}))
     for words in keys:
@@ -277,9 +278,7 @@ def cmd_sample(args) -> int:
 def cmd_train(args) -> int:
     train_config, task_config = parse_config(FsPath(args.config).read_text())
     dataset = build_task(train_config, task_config)
-    records, model = run_experiment(
-        dataset, train_config, num_symbols=task_config.clusters
-    )
+    records, model = run_experiment(dataset, train_config)
     # Wall times vary run to run; zero them so identical configs give
     # byte-identical curve files.
     FsPath(args.curve).write_text(format_curve_csv(zero_wall_times(records)))
@@ -299,7 +298,7 @@ def cmd_inspect(args) -> int:
     paths: int | None = None
     if acyclic:
         total = count_paths(fst)
-        if total <= INSPECT_PATH_BOUND:
+        if total <= MAX_ENUMERATED_PATHS:
             paths = total
     deviation = stochasticity_deviation(fst)
     stochastic = deviation <= STOCHASTIC_TOLERANCE

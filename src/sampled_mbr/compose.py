@@ -48,20 +48,17 @@ def build_score_fst(log_scores: np.ndarray) -> Wfst:
 def compose(a: Wfst, b: Wfst) -> Wfst:
     """Compose two transducers, matching a's output tape to b's input tape.
 
-    Epsilon handling is one-sided: edges of ``b`` with epsilon input may
-    fire without consuming an edge of ``a`` only when ``a`` has no epsilon
-    output labels, and symmetrically for epsilon-output edges of ``a``.
-    When both sides carry epsilons on the shared tape the composition is
-    ambiguous under this scheme and UnsupportedCompositionError is raised.
+    ``a`` must have no epsilon output labels, as a score sausage from
+    build_score_fst has none; otherwise UnsupportedCompositionError is
+    raised.  Edges of ``b`` with epsilon input fire without consuming an
+    edge of ``a``.
 
     The result is trimmed to states on a complete path.  When no complete
     path exists the canonical two-state empty transducer is returned.
     """
-    a_has_oeps = any(e.olabel == EPSILON for e in a.edges)
-    b_has_ieps = any(e.ilabel == EPSILON for e in b.edges)
-    if a_has_oeps and b_has_ieps:
+    if any(e.olabel == EPSILON for e in a.edges):
         raise UnsupportedCompositionError(
-            "epsilons on both sides of the shared tape"
+            "left transducer has epsilon output labels"
         )
 
     # Index b's out-edges by input label for the match step.
@@ -88,13 +85,6 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
 
         for ka in a.out_edge_ids(qa):
             ea = a.edges[ka]
-            if ea.olabel == EPSILON:
-                # a moves alone; legal because b has no input epsilons.
-                dst = target((ea.dst, qb))
-                edges.append(
-                    Edge(src, dst, ea.ilabel, EPSILON, ea.log_weight)
-                )
-                continue
             for kb in b_by_label[qb].get(ea.olabel, ()):
                 eb = b.edges[kb]
                 dst = target((ea.dst, eb.dst))
@@ -220,9 +210,3 @@ def parse_logits_csv(text: str) -> np.ndarray:
         raise FstParseError("empty score matrix")
     return np.array(rows)
 
-
-def format_logits_csv(z: np.ndarray) -> str:
-    return "".join(
-        ",".join(repr(float(v)) for v in row) + "\n"
-        for row in np.asarray(z, dtype=float)
-    )

@@ -35,12 +35,6 @@ class InvalidFstError(SampledMbrError):
     exit_code = 2
 
 
-class InvalidPathError(SampledMbrError):
-    """Edge sequence does not form a path from the initial to the final state."""
-
-    category = "invalid-path"
-
-
 class CyclicFstError(SampledMbrError):
     """Operation requires an acyclic transducer."""
 

@@ -16,8 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .compose import path_occupancy
-from .fst import NEG_INF, Wfst, enumerated_distribution, topological_order
-from .sampling import SampleStream, backward, sample_paths
+from .fst import (
+    MAX_ENUMERATED_PATHS,
+    NEG_INF,
+    Wfst,
+    enumerated_distribution,
+    topological_order,
+)
+from .sampling import backward, sample_paths
 
 
 @dataclass(eq=False)
@@ -32,27 +38,26 @@ class MbrEstimate:
     seed: int
 
 
-def expected_loss_exact(fst: Wfst, loss, max_paths: int = 10_000) -> float:
-    """Expected path loss by full enumeration of the lattice."""
-    paths, probs = enumerated_distribution(fst, max_paths)
+def expected_loss_exact(fst: Wfst, loss) -> float:
+    """Expected path loss by full enumeration of the lattice.
+
+    Raises PathOverflowError past MAX_ENUMERATED_PATHS paths.
+    """
+    paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
     return float(sum(p * loss(fst, path) for path, p in zip(paths, probs)))
 
 
 def expected_loss_gradient_exact(
-    fst: Wfst,
-    loss,
-    num_frames: int,
-    num_symbols: int,
-    max_paths: int = 10_000,
+    fst: Wfst, loss, num_frames: int, num_symbols: int
 ) -> np.ndarray:
     """Exact gradient of the expected loss w.r.t. the (T, Q) score matrix.
 
     The expected loss of a globally normalized distribution has gradient
     E[L * dlogw/dz] - E[L] * E[dlogw/dz], a covariance between the scalar
     loss and the occupancy matrix; both expectations are taken exactly
-    over the enumerated paths.
+    over the enumerated paths, at most MAX_ENUMERATED_PATHS of them.
     """
-    paths, probs = enumerated_distribution(fst, max_paths)
+    paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
     losses = np.array([loss(fst, p) for p in paths])
     gammas = path_occupancy(fst, paths, num_frames, num_symbols)
     mean_loss = float(probs @ losses)
@@ -104,13 +109,14 @@ def sampled_estimate(
     num_frames: int,
     num_symbols: int,
     num_samples: int,
-    stream: SampleStream | int,
+    seed: int,
     start_index: int = 0,
     variance_reduction: bool = True,
 ) -> MbrEstimate:
     """Monte Carlo estimate of the expected loss and its score gradient.
 
-    The expected loss is the mean loss over ``num_samples`` sampled paths.
+    The expected loss is the mean loss over ``num_samples`` paths drawn by
+    sample_paths under ``seed`` from stream index ``start_index`` on.
     With variance reduction the gradient is I/(I-1) times the sample
     covariance between losses and occupancy matrices; the baseline is
     computed from min-shifted losses, which leaves the value unchanged in
@@ -125,12 +131,10 @@ def sampled_estimate(
     onward); independence keeps the estimate unbiased, at the cost of
     sensitivity to loss offsets.
     """
-    if isinstance(stream, int):
-        stream = SampleStream(stream)
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
     batch = num_samples if variance_reduction else 2 * num_samples
-    paths = sample_paths(fst, stream, batch, start_index)
+    paths = sample_paths(fst, seed, batch, start_index)
     losses = np.array([loss(fst, p) for p in paths[:num_samples]])
     gammas = path_occupancy(fst, paths, num_frames, num_symbols)
     gammas, baseline_gammas = gammas[:num_samples], gammas[num_samples:]
@@ -153,7 +157,7 @@ def sampled_estimate(
         num_samples=count,
         per_sample_losses=losses,
         loss_variance=variance,
-        seed=stream.seed,
+        seed=seed,
     )
 
 

@@ -19,13 +19,15 @@ from .errors import (
     DegenerateLatticeError,
     FstParseError,
     InvalidFstError,
-    InvalidPathError,
     PathOverflowError,
 )
 
 EPSILON = 0
 
 NEG_INF = float("-inf")
+
+# Enumeration bound of the exact oracles and of the CLI's exact columns.
+MAX_ENUMERATED_PATHS = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,27 +56,23 @@ class Path:
 class Wfst:
     """Immutable weighted transducer with a single final state.
 
+    The initial state is always state 0, as in the text format.
     Invariants enforced at construction: every edge references valid states,
     no edge leaves the final state, labels are nonnegative, and no weight is
     NaN or +inf (-inf encodes semiring zero and is legal).  Instances are
     safe to share across threads.
     """
 
-    __slots__ = ("num_states", "edges", "initial", "final", "_out", "_order")
+    __slots__ = ("num_states", "edges", "final", "_out", "_order")
 
-    def __init__(
-        self,
-        num_states: int,
-        edges: Iterable[Edge],
-        final: int,
-        initial: int = 0,
-    ):
+    initial = 0
+
+    def __init__(self, num_states: int, edges: Iterable[Edge], final: int):
         edges = tuple(edges)
         if num_states < 1:
             raise InvalidFstError("num_states must be at least 1")
-        for q, name in ((initial, "initial"), (final, "final")):
-            if not 0 <= q < num_states:
-                raise InvalidFstError(f"{name} state {q} out of range")
+        if not 0 <= final < num_states:
+            raise InvalidFstError(f"final state {final} out of range")
         for k, e in enumerate(edges):
             if not (0 <= e.src < num_states and 0 <= e.dst < num_states):
                 raise InvalidFstError(f"edge {k} references an unknown state")
@@ -89,7 +87,6 @@ class Wfst:
             out[e.src].append(k)
         self.num_states = num_states
         self.edges = edges
-        self.initial = initial
         self.final = final
         self._out = tuple(tuple(ids) for ids in out)
         # Filled by the first successful topological_order call; threads
@@ -109,18 +106,17 @@ class Wfst:
             return NotImplemented
         return (
             self.num_states == other.num_states
-            and self.initial == other.initial
             and self.final == other.final
             and self.edges == other.edges
         )
 
     def __hash__(self):
-        return hash((self.num_states, self.initial, self.final, self.edges))
+        return hash((self.num_states, self.final, self.edges))
 
     def __repr__(self):
         return (
             f"Wfst(num_states={self.num_states}, num_edges={len(self.edges)}, "
-            f"initial={self.initial}, final={self.final})"
+            f"final={self.final})"
         )
 
 
@@ -218,34 +214,6 @@ def _parse_log_weight(token: str, lineno: int) -> float:
 # ---------------------------------------------------------------------------
 # Path operations
 # ---------------------------------------------------------------------------
-
-
-def path_log_weight(fst: Wfst, path: Path) -> float:
-    """Left-to-right sum of the path's edge log-weights.
-
-    Validates incidence: consecutive edges must chain from the initial to
-    the final state.  An empty edge sequence is the empty path, legal only
-    when initial == final, with log-weight 0.
-    """
-    if not path.edges:
-        if fst.initial != fst.final:
-            raise InvalidPathError("empty path but initial != final")
-        return 0.0
-    total = 0.0
-    at = fst.initial
-    for k in path.edges:
-        if not 0 <= k < len(fst.edges):
-            raise InvalidPathError(f"unknown edge id {k}")
-        e = fst.edges[k]
-        if e.src != at:
-            raise InvalidPathError(
-                f"edge {k} starts at state {e.src}, expected {at}"
-            )
-        total += e.log_weight
-        at = e.dst
-    if at != fst.final:
-        raise InvalidPathError(f"path ends at state {at}, not final")
-    return total
 
 
 def path_output_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
@@ -387,16 +355,15 @@ def normalized(log_weights: np.ndarray) -> np.ndarray:
     return probs
 
 
-def path_distribution(
-    fst: Wfst, max_paths: int = 10_000
-) -> dict[tuple[int, ...], float]:
+def path_distribution(fst: Wfst) -> dict[tuple[int, ...], float]:
     """Globally normalized probability of each output-label sequence.
 
     P(y) sums the normalized weights of all paths whose output projection
-    equals y.  Raises DegenerateLatticeError when the total weight is zero.
+    equals y.  Raises DegenerateLatticeError when the total weight is zero
+    and PathOverflowError past MAX_ENUMERATED_PATHS paths.
     """
     dist: dict[tuple[int, ...], float] = {}
-    for path, p in zip(*enumerated_distribution(fst, max_paths)):
+    for path, p in zip(*enumerated_distribution(fst, MAX_ENUMERATED_PATHS)):
         words = path_output_labels(fst, path)
         dist[words] = dist.get(words, 0.0) + float(p)
     return dist

@@ -168,17 +168,6 @@ class FrameErrorLoss:
         )
 
 
-class ShiftedLoss:
-    """A base loss plus a constant offset (for shift-invariance checks)."""
-
-    def __init__(self, base, offset: float):
-        self.base = base
-        self.offset = float(offset)
-
-    def __call__(self, fst: Wfst, path: Path) -> float:
-        return self.base(fst, path) + self.offset
-
-
 def parse_label_sequence(text: str) -> tuple[int, ...]:
     """Whitespace-separated label ids (transcript or alignment file body)."""
     labels: list[int] = []
@@ -197,6 +186,3 @@ def parse_label_sequence(text: str) -> tuple[int, ...]:
             labels.append(value)
     return tuple(labels)
 
-
-def format_label_sequence(labels: Sequence[int]) -> str:
-    return " ".join(str(int(w)) for w in labels) + "\n"

@@ -19,7 +19,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import DegenerateLatticeError
-from .fst import NEG_INF, Edge, Path, Wfst, topological_order
+from .fst import NEG_INF, Path, Wfst, topological_order
 
 _TWO64 = 1 << 64
 
@@ -61,28 +61,6 @@ def _log_sum(vals: list[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def reweight_stochastic(fst: Wfst) -> Wfst:
-    """Materialized copy whose out-weights sum to one at every live state.
-
-    Each edge weight becomes w + beta[dst] - beta[src]; path probabilities
-    are preserved and every complete path's new log-weight equals its old
-    log-weight minus the log partition function.  Edges touching a state
-    that cannot reach the final keep semiring zero (-inf).  Sampling does
-    this reweighting on the fly; the materialized form exists so tests can
-    check stochasticity directly.
-    """
-    beta = backward(fst)
-    edges = []
-    for e in fst.edges:
-        into, out_of = float(beta[e.dst]), float(beta[e.src])
-        if math.isfinite(into) and math.isfinite(out_of):
-            w = e.log_weight + into - out_of
-        else:
-            w = NEG_INF
-        edges.append(Edge(e.src, e.dst, e.ilabel, e.olabel, w))
-    return Wfst(fst.num_states, edges, final=fst.final, initial=fst.initial)
-
-
 def stochasticity_deviation(fst: Wfst) -> float:
     """Max over live states of |log sum of outgoing weights|.
 
@@ -101,14 +79,14 @@ def stochasticity_deviation(fst: Wfst) -> float:
 
 
 class SampleStream:
-    """Splittable source of per-sample random streams.
+    """numpy's own generators for the sample streams of one seed.
 
     Stream index i (0 <= i < 2^64) is the Philox4x64-10 counter-based
     generator keyed by the words (i, seed), so the draws for index i are
     identical whether samples are taken one at a time, in one big batch,
     or out of order.  ``sample_paths`` computes those draws with a numpy
-    kernel; ``generator`` returns numpy's own generator for the same
-    stream, the reference the kernel is tested against.
+    kernel; ``generator`` returns numpy's generator for the same stream,
+    the reference the kernel is tested against.
     """
 
     def __init__(self, seed: int):
@@ -198,7 +176,7 @@ def _philox_uniforms(
 
 def sample_paths(
     fst: Wfst,
-    stream: SampleStream | int,
+    seed: int,
     num_samples: int,
     start_index: int = 0,
 ) -> list[Path]:
@@ -206,16 +184,17 @@ def sample_paths(
 
     The backward pass runs once; edge probabilities are formed on the fly
     at each visited state, so the input transducer is never copied.
-    Sample i walks the uniforms of stream index start_index + i, one per
-    edge, so every index must lie in 0..2^64-1.  The returned paths carry
+    Sample i walks the uniforms of stream index start_index + i under
+    ``seed``, one per edge, so the seed and every index must lie in
+    0..2^64-1 (ValueError otherwise).  The returned paths carry
     original-lattice log-weights (unnormalized).
 
     Draws are computed chunk by chunk, one Philox kernel call per chunk.
     Each row holds at least one draw per edge of the longest
     initial-to-final path, so every walk finishes within its row.
     """
-    if isinstance(stream, int):
-        stream = SampleStream(stream)
+    if not 0 <= seed < _TWO64:
+        raise ValueError("seed must fit in 64 bits")
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
     stop = start_index + num_samples
@@ -230,7 +209,7 @@ def sample_paths(
         indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
         # _walk sums the input transducer's own weights, so the paths carry
         # unnormalized scores even though selection uses beta.
-        for row in _philox_uniforms(stream.seed, indices, blocks):
+        for row in _philox_uniforms(seed, indices, blocks):
             out.append(_walk(fst, beta, row.tolist(), cache))
     return out
 

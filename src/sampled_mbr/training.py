@@ -37,12 +37,15 @@ from .fst import (
     path_input_labels,
 )
 from .losses import FrameErrorLoss, WordEditLoss
-from .sampling import SampleStream, sample_paths
+from .sampling import sample_paths
 
 # Word-edit training tolerates (and needs) a larger step size than
 # frame-error training; the frame-error default is a fifth of this.
 DEFAULT_EMBR_LEARNING_RATE = 1.0
 LEARNING_RATE_RATIO = 5.0
+
+# Enumeration bound of the dev curve's exact objective.
+DEV_PATH_BOUND = 100_000
 
 
 @dataclass
@@ -132,18 +135,17 @@ def train_step(
     model: LinearModel,
     utterance: Utterance,
     config: TrainConfig,
-    stream: SampleStream | int,
+    seed: int,
     start_index: int = 0,
 ) -> tuple[LinearModel, MbrEstimate]:
     """One SGD update from a fresh lattice built at the current parameters.
 
     The expected-loss gradient w.r.t. the scores chain-rules to the model:
     the weight gradient is features.T @ G and the bias gradient is the
-    column sum of G.  ``start_index`` selects the block of sample-stream
-    indices this step consumes, keeping multi-step runs schedule-free.
+    column sum of G.  Sampled steps draw under ``seed``; ``start_index``
+    selects the block of sample-stream indices this step consumes,
+    keeping multi-step runs schedule-free.
     """
-    if isinstance(stream, int):
-        stream = SampleStream(stream)
     z = forward(model, utterance.features)
     num_frames, num_symbols = z.shape
     lattice = compose(build_score_fst(z), utterance.decoder_graph)
@@ -159,7 +161,7 @@ def train_step(
             num_samples=0,
             per_sample_losses=np.array([]),
             loss_variance=0.0,
-            seed=stream.seed,
+            seed=seed,
         )
     else:
         estimate = sampled_estimate(
@@ -168,7 +170,7 @@ def train_step(
             num_frames,
             num_symbols,
             config.samples_per_step,
-            stream,
+            seed,
             start_index,
             config.variance_reduction,
         )
@@ -248,21 +250,15 @@ class EnumeratedObjective:
     """Reusable exact expected loss for one utterance.
 
     Lattice topology does not depend on the scores, so paths are
-    enumerated once; re-evaluating at new scores is a vectorized softmax
-    over cached per-path symbol sequences.
+    enumerated once, at most DEV_PATH_BOUND of them; re-evaluating at new
+    scores is a vectorized softmax over cached per-path symbol sequences.
     """
 
-    def __init__(
-        self,
-        utterance: Utterance,
-        loss_kind: str,
-        num_symbols: int,
-        max_paths: int = 100_000,
-    ):
+    def __init__(self, utterance: Utterance, loss_kind: str, num_symbols: int):
         num_frames = utterance.features.shape[0]
         z0 = np.zeros((num_frames, num_symbols))
         lattice = compose(build_score_fst(z0), utterance.decoder_graph)
-        paths = enumerate_paths(lattice, max_paths)
+        paths = enumerate_paths(lattice, DEV_PATH_BOUND)
         loss = make_loss(loss_kind, utterance)
         self.losses = np.array([loss(lattice, p) for p in paths])
         labels = [path_input_labels(lattice, p) for p in paths]
@@ -296,31 +292,28 @@ def split_train_dev(
 
 
 def run_experiment(
-    dataset: Sequence[Utterance],
-    config: TrainConfig,
-    num_symbols: int | None = None,
+    dataset: Sequence[Utterance], config: TrainConfig
 ) -> tuple[list[CurveRecord], LinearModel]:
     """Train on the 90% split, recording dev losses at a fixed interval.
 
-    Steps cycle through the training utterances in order, one utterance
-    per step.  Each record holds the exact (enumerated) dev expected loss,
-    a sampled dev estimate, and elapsed wall time.  With identical inputs
-    the records are bit-identical except for wall time.
+    The model scores as many symbols as the largest input label of the
+    decoder graphs.  Steps cycle through the training utterances in order,
+    one utterance per step.  Each record holds the exact (enumerated) dev
+    expected loss, a sampled dev estimate, and elapsed wall time.  With
+    identical inputs the records are bit-identical except for wall time.
     """
     if config.samples_per_step < 1:
         raise ValueError("samples_per_step must be positive")
     train, dev = split_train_dev(dataset)
     feature_dim = dataset[0].features.shape[1]
-    if num_symbols is None:
-        num_symbols = max(e.ilabel for u in dataset for e in u.decoder_graph.edges)
+    num_symbols = max(e.ilabel for u in dataset for e in u.decoder_graph.edges)
     model = init_model(feature_dim, num_symbols)
     objectives = [
         EnumeratedObjective(u, config.loss, num_symbols) for u in dev
     ]
-    step_stream = SampleStream(config.seed)
     # Dev-set sampling diagnostics draw from a disjoint key space so they
     # can never collide with training-sample indices.
-    dev_stream = SampleStream(config.seed + 1 if config.seed + 1 < 2**64 else 0)
+    dev_seed = config.seed + 1 if config.seed + 1 < 2**64 else 0
     started = time.perf_counter()
     records: list[CurveRecord] = []
 
@@ -334,7 +327,7 @@ def run_experiment(
             loss = make_loss(config.loss, utt)
             start_index = (len(records) * len(dev) + d) * config.samples_per_step
             paths = sample_paths(
-                lattice, dev_stream, config.samples_per_step, start_index
+                lattice, dev_seed, config.samples_per_step, start_index
             )
             sampled.append(float(np.mean([loss(lattice, p) for p in paths])))
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -349,7 +342,7 @@ def run_experiment(
         utterance = train[step % len(train)]
         start_index = step * 2 * config.samples_per_step
         model, _ = train_step(
-            model, utterance, config, step_stream, start_index
+            model, utterance, config, config.seed, start_index
         )
         done = step + 1
         if done % config.eval_interval == 0 or done == config.steps:
@@ -385,32 +378,6 @@ def format_model_text(model: LinearModel) -> str:
         lines.append(" ".join(repr(float(v)) for v in row))
     lines.append(" ".join(repr(float(v)) for v in model.bias))
     return "\n".join(lines) + "\n"
-
-
-def parse_model_text(text: str) -> LinearModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FstParseError("empty model file")
-    try:
-        feature_dim, num_symbols = map(int, lines[0].split())
-    except ValueError:
-        raise FstParseError("malformed model dims line", 1) from None
-    if len(lines) != feature_dim + 2:
-        raise FstParseError(
-            f"expected {feature_dim + 2} lines, found {len(lines)}"
-        )
-    rows = []
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            row = [float(v) for v in line.split()]
-        except ValueError:
-            raise FstParseError("malformed parameter row", lineno) from None
-        if len(row) != num_symbols:
-            raise FstParseError(
-                f"expected {num_symbols} values per row", lineno
-            )
-        rows.append(row)
-    return LinearModel(np.array(rows[:-1]), np.array(rows[-1]))
 
 
 _CONFIG_FIELDS = {

@@ -1,4 +1,4 @@
-"""Shared fixtures and generators for the test suite."""
+"""Shared fixtures, generators and reference code for the test suite."""
 
 import math
 from bisect import bisect_right
@@ -10,19 +10,49 @@ from sampled_mbr import (
     EPSILON,
     DimensionMismatchError,
     Edge,
+    FstParseError,
     LinearModel,
     Path,
-    SampleStream,
-    ShiftedLoss,
     Utterance,
     Wfst,
     backward,
     build_score_fst,
     compose,
     forward,
-    path_log_weight,
     sampled_estimate,
 )
+
+
+class InvalidPathError(ValueError):
+    """Edge sequence does not form a path from the initial to the final state."""
+
+
+def path_log_weight(fst: Wfst, path: Path) -> float:
+    """Left-to-right sum of the path's edge log-weights.
+
+    Validates incidence: consecutive edges must chain from the initial to
+    the final state.  An empty edge sequence is the empty path, legal only
+    when initial == final, with log-weight 0.
+    """
+    if not path.edges:
+        if fst.initial != fst.final:
+            raise InvalidPathError("empty path but initial != final")
+        return 0.0
+    total = 0.0
+    at = fst.initial
+    for k in path.edges:
+        if not 0 <= k < len(fst.edges):
+            raise InvalidPathError(f"unknown edge id {k}")
+        e = fst.edges[k]
+        if e.src != at:
+            raise InvalidPathError(
+                f"edge {k} starts at state {e.src}, expected {at}"
+            )
+        total += e.log_weight
+        at = e.dst
+    if at != fst.final:
+        raise InvalidPathError(f"path ends at state {at}, not final")
+    return total
 
 
 def make_path(fst: Wfst, edge_ids) -> Path:
@@ -73,6 +103,79 @@ def occupancy_matrix(
             f"path consumes {t} frames, expected {num_frames}"
         )
     return gamma
+
+
+def reweight_stochastic(fst: Wfst) -> Wfst:
+    """Materialized copy whose out-weights sum to one at every live state.
+
+    Each edge weight becomes w + beta[dst] - beta[src]; path probabilities
+    are preserved and every complete path's new log-weight equals its old
+    log-weight minus the log partition function.  Edges touching a state
+    that cannot reach the final keep semiring zero (-inf).  Sampling does
+    this reweighting on the fly; the materialized form lets tests check
+    stochasticity directly.
+    """
+    beta = backward(fst)
+    edges = []
+    for e in fst.edges:
+        into, out_of = float(beta[e.dst]), float(beta[e.src])
+        if math.isfinite(into) and math.isfinite(out_of):
+            w = e.log_weight + into - out_of
+        else:
+            w = float("-inf")
+        edges.append(Edge(e.src, e.dst, e.ilabel, e.olabel, w))
+    return Wfst(fst.num_states, edges, final=fst.final)
+
+
+class ShiftedLoss:
+    """A base loss plus a constant offset (for shift-invariance checks)."""
+
+    def __init__(self, base, offset: float):
+        self.base = base
+        self.offset = float(offset)
+
+    def __call__(self, fst: Wfst, path: Path) -> float:
+        return self.base(fst, path) + self.offset
+
+
+def format_logits_csv(z: np.ndarray) -> str:
+    """Score matrix as the CSV that parse_logits_csv reads, bit-exactly."""
+    return "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in np.asarray(z, dtype=float)
+    )
+
+
+def format_label_sequence(labels) -> str:
+    """Label ids as the text that parse_label_sequence reads."""
+    return " ".join(str(int(w)) for w in labels) + "\n"
+
+
+def parse_model_text(text: str) -> LinearModel:
+    """Read the text that format_model_text writes."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FstParseError("empty model file")
+    try:
+        feature_dim, num_symbols = map(int, lines[0].split())
+    except ValueError:
+        raise FstParseError("malformed model dims line", 1) from None
+    if len(lines) != feature_dim + 2:
+        raise FstParseError(
+            f"expected {feature_dim + 2} lines, found {len(lines)}"
+        )
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            row = [float(v) for v in line.split()]
+        except ValueError:
+            raise FstParseError("malformed parameter row", lineno) from None
+        if len(row) != num_symbols:
+            raise FstParseError(
+                f"expected {num_symbols} values per row", lineno
+            )
+        rows.append(row)
+    return LinearModel(np.array(rows[:-1]), np.array(rows[-1]))
 
 
 def log_total_weight(fst: Wfst) -> float:
@@ -133,7 +236,7 @@ def loss_shift_check(
             num_frames,
             num_symbols,
             num_samples,
-            SampleStream(seed),
+            seed,
             variance_reduction=variance_reduction,
         ).gradient.tobytes()
         for current in (loss, ShiftedLoss(loss, shift))

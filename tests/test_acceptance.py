@@ -14,8 +14,6 @@ import numpy as np
 
 from sampled_mbr import (
     FrameErrorLoss,
-    SampleStream,
-    ShiftedLoss,
     TaskConfig,
     TrainConfig,
     WordEditLoss,
@@ -30,7 +28,6 @@ from sampled_mbr import (
     expected_loss_exact,
     expected_loss_gradient_exact,
     format_fst_text,
-    reweight_stochastic,
     run_experiment,
     sample_paths,
     sampled_estimate,
@@ -38,10 +35,12 @@ from sampled_mbr import (
 from sampled_mbr.cli import main as cli_main
 
 from helpers import (
+    ShiftedLoss,
     loss_shift_check,
     random_acyclic_wfst,
     random_parallel_fixture,
     random_task,
+    reweight_stochastic,
     two_path_fixture,
     two_path_lattice,
     uniform_lattice,
@@ -197,12 +196,11 @@ def test_criterion_4_estimator_unbiasedness(capsys):
     assert np.allclose(exact_gradient, [[-0.24, 0.24]], atol=1e-12)
 
     reps = 1000
-    stream = SampleStream(2024)
     values = np.empty(reps)
     gradients = np.empty((reps, 1, 2))
     for rep in range(reps):
         estimate = sampled_estimate(
-            lattice, loss, 1, 2, 10, stream, start_index=rep * 10
+            lattice, loss, 1, 2, 10, 2024, start_index=rep * 10
         )
         values[rep] = estimate.expected_loss
         gradients[rep] = estimate.gradient
@@ -263,7 +261,7 @@ def test_criterion_6_variance_reduction(capsys):
     for rep in range(reps):
         start = rep * 2 * per_step
         centered[rep] = sampled_estimate(
-            lattice, loss, 1, 2, per_step, SampleStream(50), start
+            lattice, loss, 1, 2, per_step, 50, start
         ).gradient.ravel()
         plain[rep] = sampled_estimate(
             lattice,
@@ -271,7 +269,7 @@ def test_criterion_6_variance_reduction(capsys):
             1,
             2,
             per_step,
-            SampleStream(51),
+            51,
             start,
             variance_reduction=False,
         ).gradient.ravel()
@@ -372,18 +370,14 @@ def test_criterion_9_end_to_end_training(capsys):
     word_config = TrainConfig()
     task_config = TaskConfig()
     dataset = build_task(word_config, task_config)
-    word_records, _ = run_experiment(
-        dataset, word_config, num_symbols=task_config.clusters
-    )
+    word_records, _ = run_experiment(dataset, word_config)
     word_ok = (
         word_records[0].exact_expected_loss > 0
         and word_records[-1].exact_expected_loss
         < 0.5 * word_records[0].exact_expected_loss
     )
     frame_config = TrainConfig(loss="frame-error")
-    frame_records, _ = run_experiment(
-        dataset, frame_config, num_symbols=task_config.clusters
-    )
+    frame_records, _ = run_experiment(dataset, frame_config)
     frame_ok = (
         frame_records[-1].exact_expected_loss
         < frame_records[0].exact_expected_loss

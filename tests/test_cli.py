@@ -200,12 +200,18 @@ def test_gradcheck_overflow_on_large_lattice(tmp_path, capsys):
 
 
 def test_gradcheck_rejects_nonpositive_eps(tmp_path, capsys):
+    # Also non-finite --eps and --tol: NaN would reach the score matrix or
+    # fail every comparison, and inf would pass every comparison.
     fst, z, ref = _files(tmp_path)
-    rc = main([
-        "gradcheck", "--fst", fst, "--logits", z, "--ref", ref, "--eps", "0",
-    ])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: usage:")
+    for flag, value in [
+        ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--tol", "nan"), ("--tol", "inf"),
+    ]:
+        rc = main([
+            "gradcheck", "--fst", fst, "--logits", z, "--ref", ref, flag, value,
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: usage:")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +254,7 @@ def test_sample_rejects_seed_beyond_64_bits(tmp_path, capsys):
 
 
 def test_sample_omits_exact_column_beyond_path_bound(tmp_path, capsys):
-    # 4^7 = 16,384 paths, more than INSPECT_PATH_BOUND.
+    # 4^7 = 16,384 paths, more than fst.MAX_ENUMERATED_PATHS.
     decoder = format_fst_text(chain_decoder_graph(7, 4, 3))
     logits = "0.0,0.0,0.0,0.0\n" * 7
     fst, z, _ = _files(tmp_path, decoder=decoder, logits=logits)

@@ -20,9 +20,8 @@ from sampled_mbr import (
     path_occupancy,
     path_output_labels,
 )
-from sampled_mbr.compose import format_logits_csv
-
 from helpers import (
+    format_logits_csv,
     identity_decoder,
     log_total_weight,
     make_path,
@@ -145,18 +144,16 @@ def test_compose_epsilon_input_edges_in_decoder():
 
 
 def test_compose_epsilon_output_edges_on_left():
-    # left side emits its second frame silently; right side is epsilon-free
+    # The left side emits its second frame silently: rejected even though
+    # the right side is epsilon-free.
     a = Wfst(
         3,
         [Edge(0, 1, 1, 4, 0.0), Edge(1, 2, 2, 0, -0.5)],
         final=2,
     )
     b = Wfst(2, [Edge(0, 1, 4, 9, 0.25)], final=1)
-    result = compose(a, b)
-    paths = enumerate_paths(result, 10)
-    assert len(paths) == 1
-    assert path_output_labels(result, paths[0]) == (9,)
-    assert math.isclose(paths[0].log_weight, 0.0 + 0.25 - 0.5, rel_tol=1e-15)
+    with pytest.raises(UnsupportedCompositionError):
+        compose(a, b)
 
 
 def test_compose_prunes_dead_states():

@@ -12,8 +12,6 @@ from sampled_mbr import (
     Edge,
     FrameErrorLoss,
     PathOverflowError,
-    SampleStream,
-    ShiftedLoss,
     Wfst,
     WordEditLoss,
     build_score_fst,
@@ -27,6 +25,7 @@ from sampled_mbr import (
 )
 
 from helpers import (
+    ShiftedLoss,
     log_total_weight,
     loss_shift_check,
     occupancy_matrix,
@@ -66,9 +65,9 @@ def test_exact_value_zero_loss():
 
 
 def test_exact_value_errors():
-    big = uniform_lattice(4, 3)  # 81 paths
+    big = uniform_lattice(9, 3)  # 19,683 paths
     with pytest.raises(PathOverflowError):
-        expected_loss_exact(big, _loss_for_two_path(), max_paths=10)
+        expected_loss_exact(big, _loss_for_two_path())
     dead = Wfst(2, [Edge(0, 1, 1, 1, float("-inf"))], final=1)
     with pytest.raises(DegenerateLatticeError):
         expected_loss_exact(dead, _loss_for_two_path())
@@ -250,7 +249,7 @@ def test_plain_estimator_baseline_is_the_next_batch_of_indices():
 def test_sampled_estimator_determinism_and_stream_reuse():
     lattice, _ = two_path_lattice()
     loss = _loss_for_two_path()
-    a = sampled_estimate(lattice, loss, 1, 2, 64, SampleStream(9))
+    a = sampled_estimate(lattice, loss, 1, 2, 64, 9)
     b = sampled_estimate(lattice, loss, 1, 2, 64, 9)
     assert a.expected_loss == b.expected_loss
     assert a.gradient.tobytes() == b.gradient.tobytes()

@@ -13,10 +13,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from sampled_mbr import chain_decoder_graph, format_fst_text, format_logits_csv
+from sampled_mbr import chain_decoder_graph, format_fst_text
 from sampled_mbr.cli import main
 
-from helpers import word_chain_decoder
+from helpers import format_logits_csv, word_chain_decoder
 
 CONFIG = (
     "steps = 6\nsamples_per_step = 25\nseed = 1\neval_interval = 3\n"

@@ -10,7 +10,6 @@ from sampled_mbr import (
     Edge,
     FrameErrorLoss,
     FstParseError,
-    ShiftedLoss,
     UnsupportedTopologyError,
     Wfst,
     WordEditLoss,
@@ -20,9 +19,7 @@ from sampled_mbr import (
     enumerate_paths,
     parse_label_sequence,
 )
-from sampled_mbr.losses import format_label_sequence
-
-from helpers import make_path
+from helpers import ShiftedLoss, format_label_sequence, make_path
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from sampled_mbr import (
     expected_additive_loss,
     path_input_labels,
     path_occupancy,
-    reweight_stochastic,
     sample_paths,
 )
 from sampled_mbr.fst import enumerated_distribution
@@ -29,6 +28,7 @@ from helpers import (
     log_total_weight,
     occupancy_matrix,
     random_acyclic_wfst,
+    reweight_stochastic,
     sample_path,
 )
 
@@ -81,7 +81,7 @@ def test_sample_paths_match_reference_walk_on_random_dags(
     fst = random_acyclic_wfst(np.random.default_rng(seed))
     stream = SampleStream(stream_seed)
     pushed = reweight_stochastic(fst)
-    for i, path in enumerate(sample_paths(fst, stream, 20, start)):
+    for i, path in enumerate(sample_paths(fst, stream_seed, 20, start)):
         expected = sample_path(pushed, stream.generator(start + i))
         assert path.edges == expected.edges
 

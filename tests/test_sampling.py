@@ -15,7 +15,6 @@ from sampled_mbr import (
     build_score_fst,
     enumerate_paths,
     path_output_labels,
-    reweight_stochastic,
     sample_paths,
     stochasticity_deviation,
 )
@@ -24,6 +23,7 @@ from sampled_mbr.sampling import _CHUNK, _philox_uniforms
 from helpers import (
     log_total_weight,
     random_acyclic_wfst,
+    reweight_stochastic,
     sample_path,
     two_path_fixture,
     uniform_lattice,
@@ -201,6 +201,11 @@ def test_stream_validation():
         SampleStream(-1)
     with pytest.raises(ValueError):
         SampleStream(1 << 64)
+    fst = two_path_fixture()
+    with pytest.raises(ValueError):
+        sample_paths(fst, -1, 1)
+    with pytest.raises(ValueError):
+        sample_paths(fst, 1 << 64, 1)
     with pytest.raises(ValueError):
         SampleStream(0).generator(-1)
     # (seed << 64) | index would give (4, 2^64) the stream of (5, 0).
@@ -239,13 +244,12 @@ def test_philox_kernel_matches_numpy_philox():
 
 def test_stream_is_schedule_independent():
     fst = uniform_lattice(3, 2)
-    stream = SampleStream(99)
-    whole = sample_paths(fst, stream, 8)
-    first = sample_paths(fst, SampleStream(99), 3)
-    rest = sample_paths(fst, SampleStream(99), 5, start_index=3)
+    whole = sample_paths(fst, 99, 8)
+    first = sample_paths(fst, 99, 3)
+    rest = sample_paths(fst, 99, 5, start_index=3)
     assert [p.edges for p in whole] == [p.edges for p in first + rest]
     reversed_order = [
-        sample_paths(fst, stream, 1, start_index=i)[0] for i in (7, 6, 5, 4, 3, 2, 1, 0)
+        sample_paths(fst, 99, 1, start_index=i)[0] for i in (7, 6, 5, 4, 3, 2, 1, 0)
     ]
     assert [p.edges for p in reversed(reversed_order)] == [p.edges for p in whole]
 
@@ -263,7 +267,7 @@ def test_sample_paths_deterministic_and_empty():
 def test_sample_paths_matches_sample_path_on_materialized_fst():
     fst = uniform_lattice(2, 3)
     stream = SampleStream(41)
-    batch = sample_paths(fst, stream, 20)
+    batch = sample_paths(fst, 41, 20)
     pushed = reweight_stochastic(fst)
     log_z = log_total_weight(fst)
     for i, expected in enumerate(batch):
@@ -280,7 +284,7 @@ def test_long_paths_match_sample_path_across_blocks():
     fst = build_score_fst(np.random.default_rng(5).normal(size=(12, 3)))
     stream = SampleStream(123)
     pushed = reweight_stochastic(fst)
-    for i, path in enumerate(sample_paths(fst, stream, 30)):
+    for i, path in enumerate(sample_paths(fst, 123, 30)):
         assert len(path.edges) == 12
         assert path.edges == sample_path(pushed, stream.generator(i)).edges
 

@@ -13,7 +13,6 @@ from sampled_mbr import (
     FstParseError,
     LEARNING_RATE_RATIO,
     LinearModel,
-    SampleStream,
     TrainConfig,
     Utterance,
     Wfst,
@@ -30,7 +29,6 @@ from sampled_mbr import (
     init_model,
     make_synthetic_task,
     parse_config,
-    parse_model_text,
     run_experiment,
     split_train_dev,
     train_step,
@@ -38,7 +36,7 @@ from sampled_mbr import (
 )
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
 
-from helpers import utterance_lattice
+from helpers import parse_model_text, utterance_lattice
 
 
 def _tiny_dataset(num_utterances=10, seed=3):
@@ -147,7 +145,7 @@ def test_train_step_zero_rate_keeps_model():
     utt = _tiny_dataset()[0]
     model = init_model(3, 2)
     config = _tiny_config(learning_rate=0.0)
-    updated, estimate = train_step(model, utt, config, SampleStream(0))
+    updated, estimate = train_step(model, utt, config, 0)
     assert updated.weights.tobytes() == model.weights.tobytes()
     assert updated.bias.tobytes() == model.bias.tobytes()
     assert estimate.num_samples == 20
@@ -158,9 +156,7 @@ def test_train_step_single_path_decoder_is_a_fixed_point():
     decoder = chain_decoder_graph(3, 1, 1)
     utt = Utterance(np.ones((3, 2)), decoder, (1, 1, 1))
     model = LinearModel(np.full((2, 1), 0.5), np.zeros(1))
-    updated, estimate = train_step(
-        model, utt, _tiny_config(), SampleStream(4)
-    )
+    updated, estimate = train_step(model, utt, _tiny_config(), 4)
     assert estimate.expected_loss == 0.0
     assert not estimate.gradient.any()
     assert updated.weights.tobytes() == model.weights.tobytes()
@@ -171,7 +167,7 @@ def test_exact_gradient_step_matches_finite_differences():
     rng = np.random.default_rng(5)
     model = LinearModel(rng.normal(0, 0.3, size=(3, 2)), rng.normal(0, 0.3, size=2))
     config = _tiny_config(exact_gradients=True, learning_rate=1.0)
-    updated, _ = train_step(model, utt, config, SampleStream(0))
+    updated, _ = train_step(model, utt, config, 0)
     grad_w = model.weights - updated.weights  # rate is 1.0
     grad_b = model.bias - updated.bias
     loss = WordEditLoss(utt.reference or (1,))
