@@ -14,13 +14,14 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from . import __version__
 from .compose import build_score_fst, compose, parse_logits_csv
-from .errors import SampledMbrError, UsageError
+from .errors import FstParseError, SampledMbrError, UsageError
 from .estimators import (
     estimate_report,
     expected_loss_exact,
@@ -146,14 +147,23 @@ def _emit(text: str, out: str | None):
         FsPath(out).write_text(text)
 
 
-def _load_lattice(args) -> tuple[Wfst, np.ndarray]:
-    decoder = parse_fst_text(FsPath(args.fst).read_text())
-    z = parse_logits_csv(FsPath(args.logits).read_text())
-    return compose(build_score_fst(z), decoder), z
+def _read_text(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a parse error."""
+    try:
+        return FsPath(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FstParseError(f"{path}: {exc}") from None
+
+
+def _load_lattice(args) -> tuple[Wfst, np.ndarray, Wfst]:
+    """The composed lattice, its score matrix and the decoder graph."""
+    decoder = parse_fst_text(_read_text(args.fst))
+    z = parse_logits_csv(_read_text(args.logits))
+    return compose(build_score_fst(z), decoder), z, decoder
 
 
 def _load_loss(args):
-    labels = parse_label_sequence(FsPath(args.ref).read_text())
+    labels = parse_label_sequence(_read_text(args.ref))
     if args.loss == "frame-error":
         return FrameErrorLoss(labels)
     return WordEditLoss(labels)
@@ -172,7 +182,7 @@ def _check_samples_and_seed(args):
 
 def cmd_estimate(args) -> int:
     _check_samples_and_seed(args)
-    lattice, z = _load_lattice(args)
+    lattice, z, _ = _load_lattice(args)
     loss = _load_loss(args)
     num_frames, num_symbols = z.shape
     estimate = sampled_estimate(
@@ -205,11 +215,9 @@ def cmd_estimate(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not all(math.isfinite(v) and v > 0 for v in (args.eps, args.tol)):
         raise UsageError("--eps and --tol must be finite and positive")
-    decoder = parse_fst_text(FsPath(args.fst).read_text())
-    z = parse_logits_csv(FsPath(args.logits).read_text())
+    lattice, z, decoder = _load_lattice(args)
     loss = _load_loss(args)
     num_frames, num_symbols = z.shape
-    lattice = compose(build_score_fst(z), decoder)
     exact = expected_loss_gradient_exact(lattice, loss, num_frames, num_symbols)
 
     def value_at(scores: np.ndarray) -> float:
@@ -246,12 +254,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sample(args) -> int:
     _check_samples_and_seed(args)
-    lattice, _ = _load_lattice(args)
+    lattice, _, _ = _load_lattice(args)
     paths = sample_paths(lattice, args.seed, args.samples)
-    counts: dict[tuple[int, ...], int] = {}
-    for path in paths:
-        words = path_output_labels(lattice, path)
-        counts[words] = counts.get(words, 0) + 1
+    counts = Counter(path_output_labels(lattice, path) for path in paths)
     exact: dict[tuple[int, ...], float] | None = None
     # sample_paths has already rejected a cyclic lattice.
     if count_paths(lattice) <= MAX_ENUMERATED_PATHS:
@@ -276,7 +281,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_config, task_config = parse_config(FsPath(args.config).read_text())
+    train_config, task_config = parse_config(_read_text(args.config))
     dataset = build_task(train_config, task_config)
     records, model = run_experiment(dataset, train_config)
     # Wall times vary run to run; zero them so identical configs give
@@ -293,7 +298,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    fst = parse_fst_text(FsPath(args.fst).read_text())
+    fst = parse_fst_text(_read_text(args.fst))
     acyclic = is_acyclic(fst)
     paths: int | None = None
     if acyclic:

@@ -9,7 +9,6 @@ word sequences on the output tape.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -53,8 +52,9 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     raised.  Edges of ``b`` with epsilon input fire without consuming an
     edge of ``a``.
 
-    The result is trimmed to states on a complete path.  When no complete
-    path exists the canonical two-state empty transducer is returned.
+    States are numbered in breadth-first discovery order from the start
+    pair, then trimmed to those on a complete path, keeping their order,
+    as are the edges.  With no complete path this returns empty_wfst().
     """
     if any(e.olabel == EPSILON for e in a.edges):
         raise UnsupportedCompositionError(
@@ -62,78 +62,54 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
         )
 
     # Index b's out-edges by input label for the match step.
-    b_by_label: list[dict[int, list[int]]] = []
-    for qb in range(b.num_states):
-        table: dict[int, list[int]] = {}
-        for k in b.out_edge_ids(qb):
-            table.setdefault(b.edges[k].ilabel, []).append(k)
-        b_by_label.append(table)
+    b_by_label: list[dict[int, list[Edge]]] = [{} for _ in range(b.num_states)]
+    for eb in b.edges:
+        b_by_label[eb.src].setdefault(eb.ilabel, []).append(eb)
 
-    start = (a.initial, b.initial)
-    state_id: dict[tuple[int, int], int] = {start: 0}
-    frontier = deque([start])
-    edges: list[Edge] = []
-    while frontier:
-        qa, qb = frontier.popleft()
-        src = state_id[(qa, qb)]
-
-        def target(pair: tuple[int, int]) -> int:
+    # The BFS queue is the list of discovered pairs, indexed by state id.
+    pairs = [(a.initial, b.initial)]
+    state_id = {pairs[0]: 0}
+    arcs: list[tuple[int, int, int, int, float]] = []
+    for src, (qa, qb) in enumerate(pairs):
+        moves = [
+            ((ea.dst, eb.dst), ea.ilabel, eb.olabel,
+             ea.log_weight + eb.log_weight)
+            for ea in map(a.edges.__getitem__, a.out_edge_ids(qa))
+            for eb in b_by_label[qb].get(ea.olabel, ())
+        ]
+        # b moves alone; legal because a has no output epsilons.
+        moves += [
+            ((qa, eb.dst), EPSILON, eb.olabel, eb.log_weight)
+            for eb in b_by_label[qb].get(EPSILON, ())
+        ]
+        for pair, ilabel, olabel, log_weight in moves:
             if pair not in state_id:
-                state_id[pair] = len(state_id)
-                frontier.append(pair)
-            return state_id[pair]
+                state_id[pair] = len(pairs)
+                pairs.append(pair)
+            arcs.append((src, state_id[pair], ilabel, olabel, log_weight))
 
-        for ka in a.out_edge_ids(qa):
-            ea = a.edges[ka]
-            for kb in b_by_label[qb].get(ea.olabel, ()):
-                eb = b.edges[kb]
-                dst = target((ea.dst, eb.dst))
-                edges.append(
-                    Edge(
-                        src,
-                        dst,
-                        ea.ilabel,
-                        eb.olabel,
-                        ea.log_weight + eb.log_weight,
-                    )
-                )
-        for kb in b_by_label[qb].get(EPSILON, ()):
-            # b moves alone; legal because a has no output epsilons.
-            eb = b.edges[kb]
-            dst = target((qa, eb.dst))
-            edges.append(Edge(src, dst, EPSILON, eb.olabel, eb.log_weight))
-
-    final_pair = (a.final, b.final)
-    if final_pair not in state_id:
+    final = state_id.get((a.final, b.final))
+    if final is None:
         return empty_wfst()
-    return _connect(len(state_id), edges, state_id[final_pair])
-
-
-def _connect(num_states: int, edges: list[Edge], final: int) -> Wfst:
-    """Keep only the states that reach ``final``.
-
-    The composition's BFS discovered every state from state 0, so all are
-    accessible and one reverse sweep from ``final`` trims the rest.  State
-    0 reaches ``final`` and keeps id 0; an edge whose target reaches
-    ``final`` has a source that does too.
-    """
-    preds: list[list[int]] = [[] for _ in range(num_states)]
-    for e in edges:
-        preds[e.dst].append(e.src)
-    alive = {final}
-    frontier = deque(alive)
-    while frontier:
-        for j in preds[frontier.popleft()]:
-            if j not in alive:
-                alive.add(j)
-                frontier.append(j)
+    # Every state is reachable from state 0, so one reverse sweep from the
+    # final state keeps exactly those on a complete path, state 0 included.
+    preds: list[list[int]] = [[] for _ in pairs]
+    for arc in arcs:
+        preds[arc[1]].append(arc[0])
+    alive = [final]
+    seen = {final}
+    for q in alive:
+        for p in preds[q]:
+            if p not in seen:
+                seen.add(p)
+                alive.append(p)
     renumber = {old: new for new, old in enumerate(sorted(alive))}
-    kept = [
-        Edge(renumber[e.src], renumber[e.dst], e.ilabel, e.olabel, e.log_weight)
-        for e in edges
-        if e.dst in alive
+    edges = [
+        Edge(renumber[src], renumber[dst], ilabel, olabel, log_weight)
+        for src, dst, ilabel, olabel, log_weight in arcs
+        if dst in renumber
     ]
-    return Wfst(len(alive), kept, final=renumber[final])
+    return Wfst(len(alive), edges, final=renumber[final])
 
 
 def path_occupancy(

@@ -8,7 +8,6 @@ are sums of edge log-weights and a zero-weight edge is ``-inf``.  Label id
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -73,6 +72,7 @@ class Wfst:
             raise InvalidFstError("num_states must be at least 1")
         if not 0 <= final < num_states:
             raise InvalidFstError(f"final state {final} out of range")
+        out: list[list[int]] = [[] for _ in range(num_states)]
         for k, e in enumerate(edges):
             if not (0 <= e.src < num_states and 0 <= e.dst < num_states):
                 raise InvalidFstError(f"edge {k} references an unknown state")
@@ -82,8 +82,6 @@ class Wfst:
                 raise InvalidFstError(f"edge {k} has an invalid log-weight")
             if e.src == final:
                 raise InvalidFstError(f"edge {k} leaves the final state")
-        out: list[list[int]] = [[] for _ in range(num_states)]
-        for k, e in enumerate(edges):
             out[e.src].append(k)
         self.num_states = num_states
         self.edges = edges
@@ -247,16 +245,14 @@ def topological_order(fst: Wfst) -> tuple[int, ...]:
     indeg = [0] * fst.num_states
     for e in fst.edges:
         indeg[e.dst] += 1
-    queue = deque(q for q in range(fst.num_states) if indeg[q] == 0)
-    order: list[int] = []
-    while queue:
-        q = queue.popleft()
-        order.append(q)
+    # Kahn's algorithm; the order list is its own FIFO queue.
+    order = [q for q in range(fst.num_states) if indeg[q] == 0]
+    for q in order:
         for k in fst.out_edge_ids(q):
             j = fst.edges[k].dst
             indeg[j] -= 1
             if indeg[j] == 0:
-                queue.append(j)
+                order.append(j)
     if len(order) != fst.num_states:
         raise CyclicFstError("transducer contains a cycle")
     fst._order = tuple(order)
@@ -290,41 +286,21 @@ def enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
     and CyclicFstError on cyclic input.
     """
     topological_order(fst)  # reject cycles before walking
+    # Out-edges are pushed in reverse id order, so paths pop lexicographic.
     results: list[Path] = []
-    if fst.initial == fst.final:
-        if max_paths < 1:
-            raise PathOverflowError(
-                f"more than {max_paths} paths during enumeration"
-            )
-        results.append(Path((), 0.0))
-    # DFS trying edges in increasing edge-id order yields lexicographic paths.
-    stack: list[tuple[int, int]] = []  # (state, index into out_edge_ids)
-    prefix: list[int] = []
-    weights: list[float] = [0.0]
-    stack.append((fst.initial, 0))
+    stack = [(fst.initial, (), 0.0)]
     while stack:
-        state, idx = stack.pop()
-        out = fst.out_edge_ids(state)
-        if idx >= len(out):
-            if prefix:
-                prefix.pop()
-                weights.pop()
-            continue
-        stack.append((state, idx + 1))
-        k = out[idx]
-        e = fst.edges[k]
-        prefix.append(k)
-        weights.append(weights[-1] + e.log_weight)
-        if e.dst == fst.final:
+        state, prefix, log_weight = stack.pop()
+        if state == fst.final:
             if len(results) >= max_paths:
                 raise PathOverflowError(
                     f"more than {max_paths} paths during enumeration"
                 )
-            results.append(Path(tuple(prefix), weights[-1]))
-            prefix.pop()
-            weights.pop()
-        else:
-            stack.append((e.dst, 0))
+            results.append(Path(prefix, log_weight))
+            continue
+        for k in reversed(fst.out_edge_ids(state)):
+            e = fst.edges[k]
+            stack.append((e.dst, prefix + (k,), log_weight + e.log_weight))
     return results
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -380,22 +380,16 @@ def format_model_text(model: LinearModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONFIG_FIELDS = {
-    "steps": int,
-    "learning_rate": float,
-    "samples_per_step": int,
-    "seed": int,
-    "loss": str,
-    "variance_reduction": bool,
-    "eval_interval": int,
-    "exact_gradients": bool,
-    "vocab_size": int,
-    "frames": int,
-    "clusters": int,
-    "feature_dim": int,
-    "num_utterances": int,
-    "noise": float,
-    "task_seed": int,
+# Each config key is a field of TrainConfig or TaskConfig, read by the
+# field's leading annotation type (``float | None`` reads a float).
+_VALUE_PARSERS = {
+    "int": int, "float": float, "str": str,
+    "bool": {"true": True, "false": False}.__getitem__,
+}
+_CONFIG_KEYS = {
+    f.name: (owner, _VALUE_PARSERS[f.type.split()[0]])
+    for owner in (TrainConfig, TaskConfig)
+    for f in fields(owner)
 }
 
 
@@ -405,7 +399,7 @@ def parse_config(text: str) -> tuple[TrainConfig, TaskConfig]:
     Blank lines and lines starting with '#' are ignored.  Unknown keys and
     malformed values are parse errors.
     """
-    values: dict[str, object] = {}
+    values: dict[type, dict[str, object]] = {TrainConfig: {}, TaskConfig: {}}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -415,34 +409,22 @@ def parse_config(text: str) -> tuple[TrainConfig, TaskConfig]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_KEYS:
             raise FstParseError(f"unknown config key {key!r}", lineno)
-        if key in values:
+        owner, parse = _CONFIG_KEYS[key]
+        if key in values[owner]:
             raise FstParseError(f"duplicate config key {key!r}", lineno)
-        kind = _CONFIG_FIELDS[key]
         try:
-            if kind is bool:
-                if value not in ("true", "false"):
-                    raise ValueError
-                values[key] = value == "true"
-            else:
-                values[key] = kind(value)
-        except ValueError:
+            values[owner][key] = parse(value)
+        except (KeyError, ValueError):
             raise FstParseError(
                 f"malformed value for {key!r}: {value!r}", lineno
             ) from None
-    if values.get("loss", "word-edit") not in ("word-edit", "frame-error"):
-        raise FstParseError(f"unknown loss kind {values['loss']!r}")
-    train_keys = {
-        "steps", "learning_rate", "samples_per_step", "seed", "loss",
-        "variance_reduction", "eval_interval", "exact_gradients",
-    }
-    train_config = TrainConfig(
-        **{k: v for k, v in values.items() if k in train_keys}
-    )
-    task_config = TaskConfig(
-        **{k: v for k, v in values.items() if k not in train_keys}
-    )
+    loss = values[TrainConfig].get("loss", "word-edit")
+    if loss not in ("word-edit", "frame-error"):
+        raise FstParseError(f"unknown loss kind {loss!r}")
+    train_config = TrainConfig(**values[TrainConfig])
+    task_config = TaskConfig(**values[TaskConfig])
     _validate_configs(train_config, task_config)
     return train_config, task_config
 
@@ -454,10 +436,9 @@ def _validate_configs(train_config: TrainConfig, task_config: TaskConfig):
         raise FstParseError("task_seed must be nonnegative")
     if train_config.steps < 0:
         raise FstParseError("steps must be nonnegative")
-    if train_config.samples_per_step < 1:
-        raise FstParseError("samples_per_step must be positive")
-    if train_config.eval_interval < 1:
-        raise FstParseError("eval_interval must be positive")
+    for name in ("samples_per_step", "eval_interval"):
+        if getattr(train_config, name) < 1:
+            raise FstParseError(f"{name} must be positive")
     rate = train_config.learning_rate
     if rate is not None and not (math.isfinite(rate) and rate >= 0):
         raise FstParseError("learning_rate must be finite and nonnegative")

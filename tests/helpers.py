@@ -2,22 +2,27 @@
 
 import math
 from bisect import bisect_right
+from collections import deque
 from itertools import accumulate
 
 import numpy as np
 
 from sampled_mbr import (
     EPSILON,
+    CyclicFstError,
     DimensionMismatchError,
     Edge,
     FstParseError,
     LinearModel,
     Path,
+    PathOverflowError,
+    UnsupportedCompositionError,
     Utterance,
     Wfst,
     backward,
     build_score_fst,
     compose,
+    empty_wfst,
     forward,
     sampled_estimate,
 )
@@ -341,3 +346,163 @@ def random_task(rng: np.random.Generator, max_frames: int = 4,
     reference = tuple(int(w) for w in rng.integers(1, vocab + 1, size=ref_len))
     lattice = compose(build_score_fst(z), decoder)
     return lattice, z, decoder, reference
+
+
+def reference_compose(a: Wfst, b: Wfst) -> Wfst:
+    """Composition by a deque BFS, then a separate trim (test oracle).
+
+    ``a`` must have no epsilon output labels, as a score sausage from
+    build_score_fst has none; otherwise UnsupportedCompositionError is
+    raised.  Edges of ``b`` with epsilon input fire without consuming an
+    edge of ``a``.
+
+    The result is trimmed to states on a complete path.  When no complete
+    path exists the canonical two-state empty transducer is returned.
+    """
+    if any(e.olabel == EPSILON for e in a.edges):
+        raise UnsupportedCompositionError(
+            "left transducer has epsilon output labels"
+        )
+
+    # Index b's out-edges by input label for the match step.
+    b_by_label: list[dict[int, list[int]]] = []
+    for qb in range(b.num_states):
+        table: dict[int, list[int]] = {}
+        for k in b.out_edge_ids(qb):
+            table.setdefault(b.edges[k].ilabel, []).append(k)
+        b_by_label.append(table)
+
+    start = (a.initial, b.initial)
+    state_id: dict[tuple[int, int], int] = {start: 0}
+    frontier = deque([start])
+    edges: list[Edge] = []
+    while frontier:
+        qa, qb = frontier.popleft()
+        src = state_id[(qa, qb)]
+
+        def target(pair: tuple[int, int]) -> int:
+            if pair not in state_id:
+                state_id[pair] = len(state_id)
+                frontier.append(pair)
+            return state_id[pair]
+
+        for ka in a.out_edge_ids(qa):
+            ea = a.edges[ka]
+            for kb in b_by_label[qb].get(ea.olabel, ()):
+                eb = b.edges[kb]
+                dst = target((ea.dst, eb.dst))
+                edges.append(
+                    Edge(
+                        src,
+                        dst,
+                        ea.ilabel,
+                        eb.olabel,
+                        ea.log_weight + eb.log_weight,
+                    )
+                )
+        for kb in b_by_label[qb].get(EPSILON, ()):
+            # b moves alone; legal because a has no output epsilons.
+            eb = b.edges[kb]
+            dst = target((qa, eb.dst))
+            edges.append(Edge(src, dst, EPSILON, eb.olabel, eb.log_weight))
+
+    final_pair = (a.final, b.final)
+    if final_pair not in state_id:
+        return empty_wfst()
+    return _reference_connect(len(state_id), edges, state_id[final_pair])
+
+
+def _reference_connect(num_states: int, edges: list[Edge], final: int) -> Wfst:
+    """Keep only the states that reach ``final``.
+
+    The composition's BFS discovered every state from state 0, so all are
+    accessible and one reverse sweep from ``final`` trims the rest.  State
+    0 reaches ``final`` and keeps id 0; an edge whose target reaches
+    ``final`` has a source that does too.
+    """
+    preds: list[list[int]] = [[] for _ in range(num_states)]
+    for e in edges:
+        preds[e.dst].append(e.src)
+    alive = {final}
+    frontier = deque(alive)
+    while frontier:
+        for j in preds[frontier.popleft()]:
+            if j not in alive:
+                alive.add(j)
+                frontier.append(j)
+    renumber = {old: new for new, old in enumerate(sorted(alive))}
+    kept = [
+        Edge(renumber[e.src], renumber[e.dst], e.ilabel, e.olabel, e.log_weight)
+        for e in edges
+        if e.dst in alive
+    ]
+    return Wfst(len(alive), kept, final=renumber[final])
+
+
+def reference_topological_order(fst: Wfst) -> tuple[int, ...]:
+    """Kahn topological order with a deque queue, uncached (test oracle).
+
+    Raises CyclicFstError when no such order exists.  Isolated states are
+    included; the order among incomparable states follows state id.
+    """
+    indeg = [0] * fst.num_states
+    for e in fst.edges:
+        indeg[e.dst] += 1
+    queue = deque(q for q in range(fst.num_states) if indeg[q] == 0)
+    order: list[int] = []
+    while queue:
+        q = queue.popleft()
+        order.append(q)
+        for k in fst.out_edge_ids(q):
+            j = fst.edges[k].dst
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if len(order) != fst.num_states:
+        raise CyclicFstError("transducer contains a cycle")
+    return tuple(order)
+
+
+def reference_enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
+    """Lexicographic paths from three parallel DFS stacks (test oracle).
+
+    Raises PathOverflowError as soon as the count would exceed ``max_paths``
+    and CyclicFstError on cyclic input.
+    """
+    reference_topological_order(fst)  # reject cycles before walking
+    results: list[Path] = []
+    if fst.initial == fst.final:
+        if max_paths < 1:
+            raise PathOverflowError(
+                f"more than {max_paths} paths during enumeration"
+            )
+        results.append(Path((), 0.0))
+    # DFS trying edges in increasing edge-id order yields lexicographic paths.
+    stack: list[tuple[int, int]] = []  # (state, index into out_edge_ids)
+    prefix: list[int] = []
+    weights: list[float] = [0.0]
+    stack.append((fst.initial, 0))
+    while stack:
+        state, idx = stack.pop()
+        out = fst.out_edge_ids(state)
+        if idx >= len(out):
+            if prefix:
+                prefix.pop()
+                weights.pop()
+            continue
+        stack.append((state, idx + 1))
+        k = out[idx]
+        e = fst.edges[k]
+        prefix.append(k)
+        weights.append(weights[-1] + e.log_weight)
+        if e.dst == fst.final:
+            if len(results) >= max_paths:
+                raise PathOverflowError(
+                    f"more than {max_paths} paths during enumeration"
+                )
+            results.append(Path(tuple(prefix), weights[-1]))
+            prefix.pop()
+            weights.pop()
+        else:
+            stack.append((e.dst, 0))
+    return results

@@ -437,6 +437,10 @@ def test_inspect_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: parse:")
     assert "line 1" in err
+    Path(fst).write_bytes(b"\xff0 1 1 1 0.0\n1\n")
+    assert main(["inspect", "--fst", fst]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:")
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +459,24 @@ def test_cyclic_lattice_is_reported_with_exit_code_1(tmp_path, capsys, command):
         args += ["--ref", ref]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error: cyclic:")
+
+
+@pytest.mark.parametrize("flag", ["--fst", "--logits", "--ref", "--config"])
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, flag):
+    fst, z, ref = _files(tmp_path)
+    config = tmp_path / "config.txt"
+    config.write_text(TINY_CONFIG)
+    inputs = {"--fst": fst, "--logits": z, "--ref": ref, "--config": config}
+    Path(inputs[flag]).write_bytes(b"\xff\xfe1\n")
+    if flag == "--config":
+        args = ["train", "--config", str(config), "--curve",
+                str(tmp_path / "curve.csv")]
+    else:
+        args = ["estimate", "--fst", fst, "--logits", z, "--ref", ref]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {inputs[flag]}: ")
+    assert "can't decode byte 0xff" in err
 
 
 # ---------------------------------------------------------------------------

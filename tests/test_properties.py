@@ -9,17 +9,25 @@ from hypothesis import strategies as st
 
 from sampled_mbr import (
     EPSILON,
+    CyclicFstError,
     DimensionMismatchError,
     Edge,
     Path,
+    PathOverflowError,
     SampleStream,
+    UnsupportedCompositionError,
     Wfst,
     WordEditLoss,
+    build_score_fst,
+    compose,
     edit_distance,
+    enumerate_paths,
     expected_additive_loss,
+    format_fst_text,
     path_input_labels,
     path_occupancy,
     sample_paths,
+    topological_order,
 )
 from sampled_mbr.fst import enumerated_distribution
 
@@ -28,6 +36,9 @@ from helpers import (
     log_total_weight,
     occupancy_matrix,
     random_acyclic_wfst,
+    reference_compose,
+    reference_enumerate_paths,
+    reference_topological_order,
     reweight_stochastic,
     sample_path,
 )
@@ -160,3 +171,74 @@ def test_path_occupancy_matches_per_path_matrices(seed, stream_seed):
                 )
                 assert got == expected
 
+
+
+
+def _raised_or(expected_errors, run):
+    """run()'s result, or the type and text of an expected error."""
+    try:
+        return run()
+    except expected_errors as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    left_seed=st.integers(0, 2**32 - 1),
+    right_seed=st.integers(0, 2**32 - 1),
+    left=st.sampled_from(["sausage", "dag", "dag without output epsilons"]),
+)
+def test_compose_matches_reference_on_random_dags(left_seed, right_seed, left):
+    # The right DAG has epsilons on both tapes, -inf edges and dead ends; a
+    # left DAG with epsilon outputs must be rejected by both.
+    rng = np.random.default_rng(left_seed)
+    if left == "sausage":
+        z = rng.normal(0.0, 2.0, size=rng.integers(1, 6, size=2))
+        z[rng.random(z.shape) < 0.1] = -math.inf
+        a = build_score_fst(z)
+    else:
+        a = random_acyclic_wfst(rng, max_states=8)
+        if left == "dag without output epsilons":
+            a = Wfst(a.num_states, [
+                Edge(e.src, e.dst, e.ilabel, e.olabel or 1, e.log_weight)
+                for e in a.edges
+            ], final=a.final)
+    b = random_acyclic_wfst(np.random.default_rng(right_seed), max_states=12)
+    got, expected = (
+        _raised_or(UnsupportedCompositionError, lambda: run(a, b))
+        for run in (compose, reference_compose)
+    )
+    if isinstance(expected, Wfst):
+        assert isinstance(got, Wfst)
+        assert format_fst_text(got) == format_fst_text(expected)
+    assert got == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_paths=st.integers(0, 40),
+    back_edge=st.booleans(),
+)
+def test_enumeration_and_order_match_reference(seed, max_paths, back_edge):
+    # Some DAGs gain one backward edge and so a cycle; the one-state
+    # transducer has the empty path as its only path.
+    fst = random_acyclic_wfst(np.random.default_rng(seed))
+    if back_edge:
+        src, dst = sorted(np.random.default_rng(seed + 1).choice(
+            fst.final, size=2, replace=False).tolist(), reverse=True)
+        fst = Wfst(fst.num_states, fst.edges + (Edge(src, dst, 1, 1, 0.0),),
+                   final=fst.final)
+    errors = (CyclicFstError, PathOverflowError)
+    for case in (fst, Wfst(1, (), final=0)):
+        for bound in (max_paths, 10_000):
+            got, expected = (
+                _raised_or(errors, lambda: [
+                    (p.edges, repr(p.log_weight)) for p in run(case, bound)
+                ])
+                for run in (enumerate_paths, reference_enumerate_paths)
+            )
+            assert got == expected
+        assert _raised_or(errors, lambda: topological_order(case)) == (
+            _raised_or(errors, lambda: reference_topological_order(case))
+        )

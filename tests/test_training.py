@@ -1,6 +1,8 @@
 """Linear model, synthetic task, and the training loop."""
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from sampled_mbr import (
     FstParseError,
     LEARNING_RATE_RATIO,
     LinearModel,
+    TaskConfig,
     TrainConfig,
     Utterance,
     Wfst,
@@ -360,6 +363,31 @@ def test_parse_config_accepts_the_last_stream_index():
         f"samples_per_step = {2**63}\nsteps = 1\nnum_utterances = 1"
     )
     assert train_config.samples_per_step == 2**63
+
+
+def test_every_config_field_is_a_key_named_in_readme():
+    # A non-default value for every field of both dataclasses.
+    values = {
+        "steps": 12, "learning_rate": 0.5, "samples_per_step": 30, "seed": 7,
+        "loss": "frame-error", "variance_reduction": False,
+        "eval_interval": 4, "exact_gradients": True, "vocab_size": 2,
+        "frames": 3, "clusters": 2, "feature_dim": 5, "num_utterances": 11,
+        "noise": 0.1, "task_seed": 99,
+    }
+    names = [f.name for cls in (TrainConfig, TaskConfig) for f in fields(cls)]
+    assert sorted(names) == sorted(values)
+    text = "".join(
+        f"{key} = {str(value).lower() if isinstance(value, bool) else value}\n"
+        for key, value in values.items()
+    )
+    for config in parse_config(text):
+        for f in fields(config):
+            parsed = getattr(config, f.name)
+            assert (type(parsed), parsed) == (type(values[f.name]), values[f.name])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("**Config**", 1)[1].split("\n\n", 1)[0]
+    for name in names:
+        assert f"`{name}`" in paragraph
 
 
 def test_effective_learning_rate_per_loss():
