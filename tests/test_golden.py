@@ -1,11 +1,12 @@
 """Golden sha256 digests of the CLI's output files.
 
-Every subcommand runs on the inputs of acceptance criterion 10, and
+Every subcommand runs on the inputs of acceptance criterion 10,
 ``estimate`` also runs on a T=50, Q=10 chain lattice, once per estimator
-and loss.  A change that moves
-any output bit fails here; such a change must refresh the digest in the
-commit that makes it and say why in CHANGES.md.  The digests hold for
-IEEE-754 doubles with numpy's default kernels on x86-64.
+and loss, and ``train`` also runs with three dev utterances, once per
+loss.  A change that moves any output bit fails here; such a change must
+refresh the digest in the commit that makes it and say why in
+CHANGES.md.  The digests hold for IEEE-754 doubles with numpy's default
+kernels on x86-64.
 """
 
 import hashlib
@@ -22,6 +23,13 @@ CONFIG = (
     "steps = 6\nsamples_per_step = 25\nseed = 1\neval_interval = 3\n"
     "vocab_size = 2\nframes = 3\nclusters = 2\nfeature_dim = 3\n"
     "num_utterances = 12\nnoise = 0.2\n"
+)
+# Three dev utterances on a 27-path lattice whose third symbol outputs no
+# word, so paths share output-word tuples and dev losses are per tuple.
+DEV_CONFIG = (
+    "steps = 6\nsamples_per_step = 25\nseed = 1\neval_interval = 3\n"
+    "vocab_size = 2\nframes = 3\nclusters = 3\nfeature_dim = 3\n"
+    "num_utterances = 30\nnoise = 0.2\n"
 )
 
 GOLDEN = {
@@ -51,6 +59,26 @@ GOLDEN = {
         "model.txt": (
             "41e5acfb76616c5166fd4e03f4bcfca2"
             "98185aee455630bc3725fe008b82311e"
+        ),
+    },
+    "train-dev": {
+        "curve-dev.csv": (
+            "a2a3b48e4573f4c3e774b88e3c620761"
+            "ba30d57a105b4d9d6908343e2e905243"
+        ),
+        "model-dev.txt": (
+            "fafc6b0ee998f2bdc026f0ff3356b4ef"
+            "1e35f28969846944385d272d401d3bd1"
+        ),
+    },
+    "train-frame": {
+        "curve-frame.csv": (
+            "bb7555cdebb9118dbd858d7617778c73"
+            "f83bf8e5cc69851ab8e0bcbbb7a8bd91"
+        ),
+        "model-frame.txt": (
+            "262b4c021e58a7872d9819b6b5d78587"
+            "1f030a421d6366207ee488acca1e420e"
         ),
     },
     "inspect": {
@@ -86,6 +114,8 @@ def _inputs(tmp_path):
         "z.csv": "0.3,-0.4\n-1.1,0.9\n",
         "ref.txt": "1 2\n",
         "config.txt": CONFIG,
+        "config-dev.txt": DEV_CONFIG,
+        "config-frame.txt": DEV_CONFIG + "loss = frame-error\n",
         "chain.fst": format_fst_text(chain_decoder_graph(50, 10, 6)),
     }
     rng = np.random.default_rng(50)
@@ -119,6 +149,15 @@ def _argv(command, f, out):
         "train": [
             "train", "--config", f["config.txt"], "--curve", out["curve.csv"],
             "--model", out["model.txt"],
+        ],
+        "train-dev": [
+            "train", "--config", f["config-dev.txt"],
+            "--curve", out["curve-dev.csv"], "--model", out["model-dev.txt"],
+        ],
+        "train-frame": [
+            "train", "--config", f["config-frame.txt"],
+            "--curve", out["curve-frame.csv"],
+            "--model", out["model-frame.txt"],
         ],
         "inspect": [
             "inspect", "--fst", f["dec.fst"], "--json",
