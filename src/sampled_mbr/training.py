@@ -4,7 +4,9 @@ A linear model maps per-frame feature vectors to symbol scores; each step
 builds the utterance lattice from the current scores, estimates the
 expected-loss gradient by path sampling, and applies one SGD update.
 Exact enumeration of the (small) dev lattices provides noise-free
-training curves.
+training curves; each distinct (decoder graph, frame count) of the dev
+set is enumerated once per run, and its paths are shared by every dev
+utterance on it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .compose import build_score_fst, compose
 from .errors import (
+    DegenerateLatticeError,
     DimensionMismatchError,
     FstParseError,
     NonFiniteGradientError,
@@ -35,6 +38,7 @@ from .fst import (
     enumerate_paths,
     normalized,
     path_input_labels,
+    path_output_labels,
 )
 from .losses import FrameErrorLoss, WordEditLoss
 from .sampling import sample_paths
@@ -246,30 +250,63 @@ def chain_decoder_graph(
     return Wfst(num_frames + 1, edges, final=num_frames)
 
 
-class EnumeratedObjective:
-    """Reusable exact expected loss for one utterance.
+class _DevLattice:
+    """One decoder graph's zero-score lattice at one frame count, enumerated.
 
-    Lattice topology does not depend on the scores, so paths are
-    enumerated once, at most DEV_PATH_BOUND of them; re-evaluating at new
-    scores is a vectorized softmax over cached per-path symbol sequences.
+    Lattice topology does not depend on the scores, so every dev utterance
+    on the same (decoder graph, frame count) shares one enumeration of at
+    most DEV_PATH_BOUND paths: the paths, their (num_paths, T) symbol
+    matrix and their decoder offsets.  ``word_index`` maps each path to its
+    output-word tuple, numbered by first appearance, and
+    ``representatives`` holds the first path of each tuple.
     """
 
-    def __init__(self, utterance: Utterance, loss_kind: str, num_symbols: int):
-        num_frames = utterance.features.shape[0]
+    def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
         z0 = np.zeros((num_frames, num_symbols))
-        lattice = compose(build_score_fst(z0), utterance.decoder_graph)
-        paths = enumerate_paths(lattice, DEV_PATH_BOUND)
-        loss = make_loss(loss_kind, utterance)
-        self.losses = np.array([loss(lattice, p) for p in paths])
-        labels = [path_input_labels(lattice, p) for p in paths]
+        self.lattice = compose(build_score_fst(z0), decoder_graph)
+        self.paths = enumerate_paths(self.lattice, DEV_PATH_BOUND)
+        if not self.paths:
+            raise DegenerateLatticeError("no complete path")
+        labels = [path_input_labels(self.lattice, p) for p in self.paths]
         self.symbols = np.array(labels, dtype=np.intp) - 1  # (num_paths, T)
         # Per-path decoder contribution: total weight minus the (zero)
         # score part at z0.
-        self.offsets = np.array([p.log_weight for p in paths])
-        self._frames = np.arange(num_frames)
+        self.offsets = np.array([p.log_weight for p in self.paths])
+        self.frames = np.arange(num_frames)
+        ids: dict[tuple[int, ...], int] = {}
+        self.word_index = np.array([
+            ids.setdefault(path_output_labels(self.lattice, p), len(ids))
+            for p in self.paths
+        ])
+        _, first = np.unique(self.word_index, return_index=True)
+        self.representatives = [self.paths[k] for k in first]
+
+
+class EnumeratedObjective:
+    """Reusable exact expected loss for one dev utterance.
+
+    The paths, symbol matrix and offsets are those of the utterance's
+    shared ``_DevLattice``; only the per-path loss vector is its own.
+    Word-edit scores one representative path per distinct output-word
+    tuple and gathers the values per path; frame-error scores every path.
+    Re-evaluating at new scores is a vectorized softmax over the cached
+    per-path symbol sequences.
+    """
+
+    def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
+        self.loss = make_loss(loss_kind, utterance)
+        if loss_kind == "word-edit":
+            distinct = [self.loss(dev.lattice, p) for p in dev.representatives]
+            self.losses = np.array(distinct)[dev.word_index]
+        else:
+            self.losses = np.array(
+                [self.loss(dev.lattice, p) for p in dev.paths]
+            )
+        self.dev = dev
 
     def expected_loss(self, z: np.ndarray) -> float:
-        log_w = self.offsets + z[self._frames, self.symbols].sum(axis=1)
+        dev = self.dev
+        log_w = dev.offsets + z[dev.frames, dev.symbols].sum(axis=1)
         return float(normalized(log_w) @ self.losses)
 
 
@@ -299,7 +336,9 @@ def run_experiment(
     The model scores as many symbols as the largest input label of the
     decoder graphs.  Steps cycle through the training utterances in order,
     one utterance per step.  Each record holds the exact (enumerated) dev
-    expected loss, a sampled dev estimate, and elapsed wall time.  With
+    expected loss, a sampled dev estimate, and elapsed wall time.  Dev
+    utterances on the same decoder graph and frame count share one
+    enumeration; each keeps one loss object for the whole run.  With
     identical inputs the records are bit-identical except for wall time.
     """
     if config.samples_per_step < 1:
@@ -308,9 +347,13 @@ def run_experiment(
     feature_dim = dataset[0].features.shape[1]
     num_symbols = max(e.ilabel for u in dataset for e in u.decoder_graph.edges)
     model = init_model(feature_dim, num_symbols)
-    objectives = [
-        EnumeratedObjective(u, config.loss, num_symbols) for u in dev
-    ]
+    lattices: dict[tuple[Wfst, int], _DevLattice] = {}
+    objectives = []
+    for u in dev:
+        key = (u.decoder_graph, u.features.shape[0])
+        if key not in lattices:
+            lattices[key] = _DevLattice(*key, num_symbols)
+        objectives.append(EnumeratedObjective(u, config.loss, lattices[key]))
     # Dev-set sampling diagnostics draw from a disjoint key space so they
     # can never collide with training-sample indices.
     dev_seed = config.seed + 1 if config.seed + 1 < 2**64 else 0
@@ -324,12 +367,13 @@ def run_experiment(
             z = forward(model, utt.features)
             exact.append(objective.expected_loss(z))
             lattice = compose(build_score_fst(z), utt.decoder_graph)
-            loss = make_loss(config.loss, utt)
             start_index = (len(records) * len(dev) + d) * config.samples_per_step
             paths = sample_paths(
                 lattice, dev_seed, config.samples_per_step, start_index
             )
-            sampled.append(float(np.mean([loss(lattice, p) for p in paths])))
+            sampled.append(
+                float(np.mean([objective.loss(lattice, p) for p in paths]))
+            )
         wall_ms = (time.perf_counter() - started) * 1000.0
         records.append(
             CurveRecord(

@@ -23,9 +23,13 @@ from sampled_mbr import (
     build_score_fst,
     compose,
     empty_wfst,
+    enumerate_paths,
     forward,
+    path_input_labels,
     sampled_estimate,
 )
+from sampled_mbr.fst import normalized
+from sampled_mbr.training import DEV_PATH_BOUND, make_loss
 
 
 class InvalidPathError(ValueError):
@@ -506,3 +510,24 @@ def reference_enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
         else:
             stack.append((e.dst, 0))
     return results
+
+
+class ReferenceEnumeratedObjective:
+    """Exact expected loss of one utterance from its own enumeration of the
+    zero-score lattice, every path scored (test oracle)."""
+
+    def __init__(self, utterance: Utterance, loss_kind: str, num_symbols: int):
+        num_frames = utterance.features.shape[0]
+        z0 = np.zeros((num_frames, num_symbols))
+        lattice = compose(build_score_fst(z0), utterance.decoder_graph)
+        paths = enumerate_paths(lattice, DEV_PATH_BOUND)
+        loss = make_loss(loss_kind, utterance)
+        self.losses = np.array([loss(lattice, p) for p in paths])
+        labels = [path_input_labels(lattice, p) for p in paths]
+        self.symbols = np.array(labels, dtype=np.intp) - 1  # (num_paths, T)
+        self.offsets = np.array([p.log_weight for p in paths])
+        self._frames = np.arange(num_frames)
+
+    def expected_loss(self, z: np.ndarray) -> float:
+        log_w = self.offsets + z[self._frames, self.symbols].sum(axis=1)
+        return float(normalized(log_w) @ self.losses)

@@ -316,6 +316,24 @@ def test_train_writes_curve_and_model(tmp_path, capsys):
     assert dims == "3 2"
 
 
+def test_train_dev_overflow_exits_before_any_step(
+    tmp_path, capsys, monkeypatch
+):
+    # 4^9 dev paths pass training.DEV_PATH_BOUND while the dev lattices
+    # are enumerated, before the first training step.
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(sampled_mbr.training, "train_step", no_step)
+    config = tmp_path / "config.txt"
+    config.write_text("frames = 9\nnum_utterances = 10\n")
+    curve = tmp_path / "curve.csv"
+    rc = main(["train", "--config", str(config), "--curve", str(curve)])
+    assert rc == 5
+    assert capsys.readouterr().err.startswith("error: overflow:")
+    assert not curve.exists()
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     config = tmp_path / "config.txt"
     config.write_text(TINY_CONFIG)

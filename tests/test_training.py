@@ -1,7 +1,7 @@
 """Linear model, synthetic task, and the training loop."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from sampled_mbr import (
     chain_decoder_graph,
     compose,
     count_paths,
+    enumerate_paths,
     expected_loss_exact,
     format_curve_csv,
     format_model_text,
@@ -32,14 +33,21 @@ from sampled_mbr import (
     init_model,
     make_synthetic_task,
     parse_config,
+    path_output_labels,
     run_experiment,
     split_train_dev,
     train_step,
     zero_wall_times,
 )
+from sampled_mbr import training
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
+from sampled_mbr.training import _DevLattice
 
-from helpers import parse_model_text, utterance_lattice
+from helpers import (
+    ReferenceEnumeratedObjective,
+    parse_model_text,
+    utterance_lattice,
+)
 
 
 def _tiny_dataset(num_utterances=10, seed=3):
@@ -245,7 +253,8 @@ def test_run_experiment_reduces_dev_loss():
 def test_enumerated_objective_matches_direct_enumeration():
     rng = np.random.default_rng(33)
     utt = _tiny_dataset(num_utterances=1, seed=14)[0]
-    objective = EnumeratedObjective(utt, "word-edit", 2)
+    dev = _DevLattice(utt.decoder_graph, 3, 2)
+    objective = EnumeratedObjective(utt, "word-edit", dev)
     loss = WordEditLoss(utt.reference or (1,))
     for _ in range(5):
         z = rng.normal(0, 1.5, size=(3, 2))
@@ -256,9 +265,87 @@ def test_enumerated_objective_matches_direct_enumeration():
 
 def test_enumerated_objective_zero_weight_is_degenerate():
     utt = _tiny_dataset(num_utterances=1, seed=14)[0]
-    objective = EnumeratedObjective(utt, "word-edit", 2)
+    dev = _DevLattice(utt.decoder_graph, 3, 2)
+    objective = EnumeratedObjective(utt, "word-edit", dev)
     with pytest.raises(DegenerateLatticeError):
         objective.expected_loss(np.full((3, 2), -np.inf))
+
+
+def test_dev_lattice_groups_paths_by_output_words():
+    # The default task's 4^6 paths; symbol 4 outputs no word.
+    dev = _DevLattice(chain_decoder_graph(6, 4, 3), 6, 4)
+    words = [path_output_labels(dev.lattice, p) for p in dev.paths]
+    assert len(dev.paths) == 4**6
+    assert len(dev.representatives) == len(set(words)) == 1093
+    firsts = list(dict.fromkeys(words))
+    for k, rep in enumerate(dev.representatives):
+        assert path_output_labels(dev.lattice, rep) == firsts[k]
+    for k, w in enumerate(words):
+        assert firsts[dev.word_index[k]] == w
+
+
+def _mixed_dev_dataset():
+    # Three (decoder graph, frame count) keys: a 3-frame chain at T=3, and
+    # a 4-frame chain with skip edges over its third frame at T=3 and T=4.
+    # Utterances cycle through the keys, so the dev tenth holds two of each.
+    a = make_synthetic_task(2, 3, 2, 3, 20, seed=3, noise=0.2)
+    b = make_synthetic_task(2, 4, 3, 3, 20, seed=4, noise=0.2)
+    c = make_synthetic_task(2, 3, 2, 3, 20, seed=5, noise=0.2)
+    skips = tuple(
+        Edge(2, 4, q, q if q <= 2 else EPSILON, 0.0) for q in (1, 2, 3)
+    )
+    both = Wfst(5, b[0].decoder_graph.edges + skips, final=4)
+    b = [replace(u, decoder_graph=both) for u in b]
+    c = [replace(u, decoder_graph=both) for u in c]
+    return [u for triple in zip(a, b, c) for u in triple]
+
+
+@pytest.mark.parametrize("kind", ["word-edit", "frame-error"])
+def test_dev_objectives_enumerate_once_per_graph_and_frame_count(
+    kind, monkeypatch
+):
+    dataset = _mixed_dev_dataset()
+    _, dev = split_train_dev(dataset)
+    keys = {(u.decoder_graph, u.features.shape[0]) for u in dev}
+    assert len(dev) == 6 and len(keys) == 3
+    enumerations = []
+    built = []
+
+    def counting_enumerate(fst, max_paths):
+        enumerations.append(fst)
+        return enumerate_paths(fst, max_paths)
+
+    class Recording(EnumeratedObjective):
+        def __init__(self, utterance, loss_kind, lattice):
+            super().__init__(utterance, loss_kind, lattice)
+            built.append((utterance, self))
+
+    monkeypatch.setattr(training, "enumerate_paths", counting_enumerate)
+    monkeypatch.setattr(training, "EnumeratedObjective", Recording)
+    run_experiment(dataset, _tiny_config(steps=0, loss=kind))
+    assert len(enumerations) == len(keys)
+    assert [id(u) for u, _ in built] == [id(u) for u in dev]
+    rng = np.random.default_rng(17)
+    for utt, objective in built:
+        oracle = ReferenceEnumeratedObjective(utt, kind, 3)
+        assert objective.losses.tobytes() == oracle.losses.tobytes()
+        for _ in range(4):
+            z = rng.normal(0, 1.5, size=(utt.features.shape[0], 3))
+            assert objective.expected_loss(z) == oracle.expected_loss(z)
+
+
+def test_dev_utterance_that_does_not_fit_its_graph_is_degenerate():
+    dataset = _tiny_dataset()
+    # Four frames of features against a three-frame decoder chain.
+    last = dataset[-1]
+    dataset[-1] = Utterance(
+        np.vstack([last.features, last.features[:1]]),
+        last.decoder_graph,
+        last.reference,
+        last.alignment + last.alignment[:1],
+    )
+    with pytest.raises(DegenerateLatticeError, match="no complete path"):
+        run_experiment(dataset, _tiny_config())
 
 
 def test_run_experiment_rejects_zero_samples():
