@@ -75,6 +75,6 @@ class DimensionMismatchError(SampledMbrError):
 
 
 class NonFiniteGradientError(SampledMbrError):
-    """A training step produced a non-finite gradient."""
+    """Training produced non-finite scores or a non-finite gradient."""
 
     category = "non-finite"

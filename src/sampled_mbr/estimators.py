@@ -19,6 +19,7 @@ from .compose import path_occupancy
 from .fst import (
     MAX_ENUMERATED_PATHS,
     NEG_INF,
+    Path,
     Wfst,
     enumerated_distribution,
     topological_order,
@@ -115,30 +116,52 @@ def sampled_estimate(
 ) -> MbrEstimate:
     """Monte Carlo estimate of the expected loss and its score gradient.
 
-    The expected loss is the mean loss over ``num_samples`` paths drawn by
-    sample_paths under ``seed`` from stream index ``start_index`` on.
-    With variance reduction the gradient is I/(I-1) times the sample
-    covariance between losses and occupancy matrices; the baseline is
-    computed from min-shifted losses, which leaves the value unchanged in
-    exact arithmetic and makes the result bit-for-bit invariant to any
-    additive loss offset that keeps the shifted losses exactly
-    representable.  For a single sample the covariance is undefined and
-    the gradient is the zero matrix.
-
-    Without variance reduction the gradient is mean_i L_i (G_i - Gbar)
-    where Gbar is the mean occupancy of an independent second batch of
-    ``num_samples`` paths (stream indices start_index + num_samples
-    onward); independence keeps the estimate unbiased, at the cost of
-    sensitivity to loss offsets.
+    ``estimate_from_paths`` over ``num_samples`` paths drawn by
+    sample_paths under ``seed`` from stream index ``start_index`` on;
+    without variance reduction the baseline batch is the next
+    ``num_samples`` stream indices.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
     batch = num_samples if variance_reduction else 2 * num_samples
     paths = sample_paths(fst, seed, batch, start_index)
-    losses = np.array([loss(fst, p) for p in paths[:num_samples]])
+    return estimate_from_paths(
+        fst, loss, paths, num_frames, num_symbols, seed, variance_reduction
+    )
+
+
+def estimate_from_paths(
+    fst: Wfst,
+    loss,
+    paths: Sequence[Path],
+    num_frames: int,
+    num_symbols: int,
+    seed: int,
+    variance_reduction: bool,
+) -> MbrEstimate:
+    """Expected loss and score gradient from sampled paths of ``fst``.
+
+    The expected loss is the mean loss over the samples.  With variance
+    reduction every path is a sample, and the gradient is I/(I-1) times
+    the sample covariance between losses and occupancy matrices; the
+    baseline is computed from min-shifted losses, which leaves the value
+    unchanged in exact arithmetic and makes the result bit-for-bit
+    invariant to any additive loss offset that keeps the shifted losses
+    exactly representable.  For a single sample the covariance is
+    undefined and the gradient is the zero matrix.
+
+    Without variance reduction the first half of ``paths`` are the
+    samples and the gradient is mean_i L_i (G_i - Gbar), where Gbar is the
+    mean occupancy of the second half, an independent batch; independence
+    keeps the estimate unbiased, at the cost of sensitivity to loss
+    offsets.  ``seed`` is recorded on the estimate.
+    """
+    count = len(paths) if variance_reduction else len(paths) // 2
+    if count < 1:
+        raise ValueError("num_samples must be positive")
+    losses = np.array([loss(fst, p) for p in paths[:count]])
     gammas = path_occupancy(fst, paths, num_frames, num_symbols)
-    gammas, baseline_gammas = gammas[:num_samples], gammas[num_samples:]
-    count = num_samples
+    gammas, baseline_gammas = gammas[:count], gammas[count:]
     if variance_reduction:
         if count == 1:
             gradient = np.zeros((num_frames, num_symbols))

@@ -8,12 +8,16 @@ counter-based: sample i walks the Philox4x64-10 stream keyed by
 (i, seed), for stream indices 0..2^64-1, so it depends only on (seed, i),
 never on how samples are batched, and runs are reproducible under any
 scheduling.  A vectorized numpy kernel computes the draws of many streams
-at once, bit for bit equal to numpy's own ``Philox`` generator.
+at once, bit for bit equal to numpy's own ``Philox`` generator, in calls
+of up to KERNEL_ROWS streams whatever lattice walks them: ``stream_uniforms``
+draws the rows and ``walk_paths`` walks a lattice over them, and
+``sample_paths`` composes the two.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 
 import numpy as np
@@ -84,7 +88,7 @@ class SampleStream:
     Stream index i (0 <= i < 2^64) is the Philox4x64-10 counter-based
     generator keyed by the words (i, seed), so the draws for index i are
     identical whether samples are taken one at a time, in one big batch,
-    or out of order.  ``sample_paths`` computes those draws with a numpy
+    or out of order.  ``stream_uniforms`` computes those draws with a numpy
     kernel; ``generator`` returns numpy's generator for the same stream,
     the reference the kernel is tested against.
     """
@@ -111,19 +115,20 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = _TWO64 - 1
 
 # The kernel's constants as numpy scalars, so no ufunc converts a Python
-# int: each multiplier with its 32-bit halves, the shift and mask, and the
+# int: each multiplier with its 32-bit halves, the shifts and mask, and the
 # index-side round keys (r * W0) mod 2^64.
 _M_WORDS = tuple(
     tuple(np.uint64(v) for v in (m, m & _MASK32, m >> 32)) for m in _PHILOX_M
 )
 _U32 = np.uint64(32)
+_U11 = np.uint64(11)
 _U32_MASK = np.uint64(_MASK32)
 _INDEX_KEYS = tuple(
     np.uint64((r * _PHILOX_W[0]) & _MASK64) for r in range(_PHILOX_ROUNDS)
 )
 
-# Samples whose draws are computed together; bounds the draw array's memory.
-_CHUNK = 4096
+# Streams whose draws one kernel call computes; bounds the kernel's memory.
+KERNEL_ROWS = 4096
 
 
 def _mulhilo(
@@ -132,14 +137,25 @@ def _mulhilo(
     """High and low words of the 128-bit products m * x, from 32-bit halves.
 
     ``m_words`` is the multiplier m with its low and high 32-bit halves.
+    The partial products are combined in place, which keeps few arrays of
+    the size of ``x`` alive at once.
     """
     m, m_lo, m_hi = m_words
     x_lo, x_hi = x & _U32_MASK, x >> _U32
-    lo_lo = x_lo * m_lo
     hi_lo = x_hi * m_lo
-    # At most 2^64 - 1, so the uint64 sum cannot wrap.
-    cross = (lo_lo >> _U32) + (hi_lo & _U32_MASK) + x_lo * m_hi
-    return x_hi * m_hi + (hi_lo >> _U32) + (cross >> _U32), x * m
+    # cross = (lo_lo >> 32) + (hi_lo & mask) + x_lo * m_hi is at most
+    # 2^64 - 1, so the uint64 sum cannot wrap.
+    cross = x_lo * m_lo
+    cross >>= _U32
+    cross += hi_lo & _U32_MASK
+    x_lo *= m_hi
+    cross += x_lo
+    cross >>= _U32
+    hi_lo >>= _U32
+    x_hi *= m_hi
+    x_hi += hi_lo
+    x_hi += cross
+    return x_hi, x * m
 
 
 def _philox_uniforms(
@@ -170,8 +186,58 @@ def _philox_uniforms(
             hi0 ^ x3 ^ seed_key,
             lo0,
         )
-    words = np.stack((x0, x1, x2, x3), axis=-1)
-    return (words.reshape(len(indices), 4 * num_blocks) >> 11) * 2.0**-53
+    draws = np.empty((len(indices), num_blocks, 4))
+    for k, word in enumerate((x0, x1, x2, x3)):
+        draws[:, :, k] = word >> _U11
+    draws *= 2.0**-53
+    return draws.reshape(len(indices), 4 * num_blocks)
+
+
+def stream_uniforms(seed: int, indices, num_draws: int) -> np.ndarray:
+    """The first ``num_draws`` uniforms in [0, 1) of each sample stream.
+
+    Row r holds the draws of stream index ``indices[r]`` under ``seed``,
+    bit for bit the values ``SampleStream(seed).generator(indices[r])
+    .random()`` returns.  ``indices`` is a uint64 array or a sequence of
+    ints; the seed and every index must lie in 0..2^64-1 (ValueError
+    otherwise).  The kernel runs once per KERNEL_ROWS rows.
+    """
+    if not 0 <= seed < _TWO64:
+        raise ValueError("seed must fit in 64 bits")
+    if not (isinstance(indices, np.ndarray) and indices.dtype == np.uint64):
+        values = [operator.index(i) for i in indices]
+        if values and not (min(values) >= 0 and max(values) < _TWO64):
+            raise ValueError("sample indices must lie in 0..2^64-1")
+        indices = np.array(values, dtype=np.uint64)
+    blocks = max(1, math.ceil(num_draws / 4))
+    if len(indices) <= KERNEL_ROWS:
+        return _philox_uniforms(seed, indices, blocks)[:, :num_draws]
+    chunks = [
+        _philox_uniforms(seed, indices[first:first + KERNEL_ROWS], blocks)
+        for first in range(0, len(indices), KERNEL_ROWS)
+    ]
+    return np.concatenate(chunks)[:, :num_draws]
+
+
+def walk_paths(fst: Wfst, uniforms: np.ndarray) -> list[Path]:
+    """One path per row of ``uniforms``, drawn from the normalized lattice.
+
+    The backward pass runs once, and edge probabilities are formed on the
+    fly at each visited state, so the input transducer is never copied.
+    Each walk takes one uniform of its row per edge, so a row must hold at
+    least as many draws as the longest initial-to-final path has edges
+    (ValueError otherwise).  The returned paths carry original-lattice
+    log-weights (unnormalized).
+    """
+    longest = longest_path_edges(fst)
+    if uniforms.shape[1] < longest:
+        raise ValueError(
+            f"rows hold {uniforms.shape[1]} draws; the longest path has "
+            f"{longest} edges"
+        )
+    beta = backward(fst)
+    cache: dict[int, _Cdf] = {}
+    return [_walk(fst, beta, row, cache) for row in uniforms.tolist()]
 
 
 def sample_paths(
@@ -182,16 +248,12 @@ def sample_paths(
 ) -> list[Path]:
     """Draw paths from the normalized lattice distribution.
 
-    The backward pass runs once; edge probabilities are formed on the fly
-    at each visited state, so the input transducer is never copied.
     Sample i walks the uniforms of stream index start_index + i under
-    ``seed``, one per edge, so the seed and every index must lie in
-    0..2^64-1 (ValueError otherwise).  The returned paths carry
-    original-lattice log-weights (unnormalized).
-
-    Draws are computed chunk by chunk, one Philox kernel call per chunk.
-    Each row holds at least one draw per edge of the longest
-    initial-to-final path, so every walk finishes within its row.
+    ``seed``, as ``walk_paths`` walks the rows of ``stream_uniforms``, so
+    the seed and every index must lie in 0..2^64-1 (ValueError
+    otherwise).  The backward pass and the longest-path count run once;
+    draws are computed and walked KERNEL_ROWS samples at a time, which
+    bounds the memory of the draws.
     """
     if not 0 <= seed < _TWO64:
         raise ValueError("seed must fit in 64 bits")
@@ -201,20 +263,19 @@ def sample_paths(
     if start_index < 0 or stop > _TWO64:
         raise ValueError("sample indices must lie in 0..2^64-1")
     beta = backward(fst)
-    blocks = max(1, math.ceil(_longest_path_edges(fst) / 4))
+    num_draws = max(1, longest_path_edges(fst))
     cache: dict[int, _Cdf] = {}
     out: list[Path] = []
-    for first in range(start_index, stop, _CHUNK):
-        count = min(_CHUNK, stop - first)
+    for first in range(start_index, stop, KERNEL_ROWS):
+        count = min(KERNEL_ROWS, stop - first)
         indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
-        # _walk sums the input transducer's own weights, so the paths carry
-        # unnormalized scores even though selection uses beta.
-        for row in _philox_uniforms(seed, indices, blocks):
+        # Row by row, so a chunk's draws never all exist as Python floats.
+        for row in stream_uniforms(seed, indices, num_draws):
             out.append(_walk(fst, beta, row.tolist(), cache))
     return out
 
 
-def _longest_path_edges(fst: Wfst) -> float:
+def longest_path_edges(fst: Wfst) -> float:
     """Edge count of the longest initial-to-final path (-inf when none)."""
     depth = [NEG_INF] * fst.num_states
     depth[fst.final] = 0
@@ -250,6 +311,8 @@ def _walk(
     """One path, taking one uniform from ``draws`` per edge.
 
     ``draws`` must hold at least one uniform per edge of the longest path.
+    The path sums the input transducer's own weights, so it carries an
+    unnormalized score even though selection uses beta.
     """
     ids: list[int] = []
     log_weight = 0.0

@@ -6,7 +6,8 @@ expected-loss gradient by path sampling, and applies one SGD update.
 Exact enumeration of the (small) dev lattices provides noise-free
 training curves; each distinct (decoder graph, frame count) of the dev
 set is enumerated once per run, and its paths are shared by every dev
-utterance on it.
+utterance on it.  The sampled paths' uniforms are drawn ahead of the walks,
+for a run of training steps or for a whole dev record per kernel call.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .errors import (
 )
 from .estimators import (
     MbrEstimate,
+    estimate_from_paths,
     expected_loss_exact,
     expected_loss_gradient_exact,
-    sampled_estimate,
 )
 from .fst import (
     EPSILON,
@@ -41,7 +42,12 @@ from .fst import (
     path_output_labels,
 )
 from .losses import FrameErrorLoss, WordEditLoss
-from .sampling import sample_paths
+from .sampling import (
+    KERNEL_ROWS,
+    longest_path_edges,
+    stream_uniforms,
+    walk_paths,
+)
 
 # Word-edit training tolerates (and needs) a larger step size than
 # frame-error training; the frame-error default is a fifth of this.
@@ -115,14 +121,25 @@ class CurveRecord:
 
 
 def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Per-frame scores: one matrix product plus bias broadcast."""
+    """Per-frame scores: one matrix product plus bias broadcast.
+
+    Raises NonFiniteGradientError when a score overflows or is NaN, as
+    when training has diverged; numpy's overflow warning is silenced, since
+    the error reports it.
+    """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
         raise DimensionMismatchError(
             f"features have shape {x.shape}, model expects "
             f"(*, {model.weights.shape[0]})"
         )
-    return x @ model.weights + model.bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ model.weights + model.bias
+    if not np.isfinite(z).all():
+        raise NonFiniteGradientError(
+            "scores contain non-finite entries; training diverged"
+        )
+    return z
 
 
 def make_loss(kind: str, utterance: Utterance):
@@ -139,16 +156,16 @@ def train_step(
     model: LinearModel,
     utterance: Utterance,
     config: TrainConfig,
-    seed: int,
-    start_index: int = 0,
+    uniforms: np.ndarray,
 ) -> tuple[LinearModel, MbrEstimate]:
     """One SGD update from a fresh lattice built at the current parameters.
 
     The expected-loss gradient w.r.t. the scores chain-rules to the model:
     the weight gradient is features.T @ G and the bias gradient is the
-    column sum of G.  Sampled steps draw under ``seed``; ``start_index``
-    selects the block of sample-stream indices this step consumes,
-    keeping multi-step runs schedule-free.
+    column sum of G.  A sampled step walks one path per row of
+    ``uniforms`` (see ``walk_paths``): the samples, followed without
+    variance reduction by as many baseline paths.  Exact steps ignore the
+    rows.  The estimate records ``config.seed``.
     """
     z = forward(model, utterance.features)
     num_frames, num_symbols = z.shape
@@ -165,17 +182,16 @@ def train_step(
             num_samples=0,
             per_sample_losses=np.array([]),
             loss_variance=0.0,
-            seed=seed,
+            seed=config.seed,
         )
     else:
-        estimate = sampled_estimate(
+        estimate = estimate_from_paths(
             lattice,
             loss,
+            walk_paths(lattice, uniforms),
             num_frames,
             num_symbols,
-            config.samples_per_step,
-            seed,
-            start_index,
+            config.seed,
             config.variance_reduction,
         )
     if not np.isfinite(estimate.gradient).all():
@@ -250,6 +266,13 @@ def chain_decoder_graph(
     return Wfst(num_frames + 1, edges, final=num_frames)
 
 
+def _zero_score_lattice(
+    decoder_graph: Wfst, num_frames: int, num_symbols: int
+) -> Wfst:
+    z0 = np.zeros((num_frames, num_symbols))
+    return compose(build_score_fst(z0), decoder_graph)
+
+
 class _DevLattice:
     """One decoder graph's zero-score lattice at one frame count, enumerated.
 
@@ -262,8 +285,9 @@ class _DevLattice:
     """
 
     def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
-        z0 = np.zeros((num_frames, num_symbols))
-        self.lattice = compose(build_score_fst(z0), decoder_graph)
+        self.lattice = _zero_score_lattice(
+            decoder_graph, num_frames, num_symbols
+        )
         self.paths = enumerate_paths(self.lattice, DEV_PATH_BOUND)
         if not self.paths:
             raise DegenerateLatticeError("no complete path")
@@ -288,7 +312,8 @@ class EnumeratedObjective:
     The paths, symbol matrix and offsets are those of the utterance's
     shared ``_DevLattice``; only the per-path loss vector is its own.
     Word-edit scores one representative path per distinct output-word
-    tuple and gathers the values per path; frame-error scores every path.
+    tuple and gathers the values per path; frame-error compares the symbol
+    matrix with the alignment in one array operation.
     Re-evaluating at new scores is a vectorized softmax over the cached
     per-path symbol sequences.
     """
@@ -299,9 +324,13 @@ class EnumeratedObjective:
             distinct = [self.loss(dev.lattice, p) for p in dev.representatives]
             self.losses = np.array(distinct)[dev.word_index]
         else:
-            self.losses = np.array(
-                [self.loss(dev.lattice, p) for p in dev.paths]
-            )
+            alignment = np.array(self.loss.alignment) - 1
+            if len(alignment) != dev.symbols.shape[1]:
+                raise DimensionMismatchError(
+                    f"path consumes {dev.symbols.shape[1]} frames, "
+                    f"alignment has {len(alignment)}"
+                )
+            self.losses = (dev.symbols != alignment).sum(axis=1).astype(float)
         self.dev = dev
 
     def expected_loss(self, z: np.ndarray) -> float:
@@ -328,6 +357,28 @@ def split_train_dev(
     return list(dataset[:cut]), list(dataset[cut:]) or list(dataset)
 
 
+def _training_uniforms(config: TrainConfig, num_draws: int):
+    """Each training step's uniform rows, in order, for ``train_step``.
+
+    Step s walks the stream indices from 2 * s * samples_per_step on under
+    ``config.seed``: samples_per_step rows, twice that without variance
+    reduction.  The rows of as many consecutive steps as fit in
+    KERNEL_ROWS are drawn by one ``stream_uniforms`` call.
+    """
+    samples = config.samples_per_step
+    batch = samples if config.variance_reduction else 2 * samples
+    offsets = np.arange(batch, dtype=np.uint64)
+    run = max(1, KERNEL_ROWS // batch)
+    for first in range(0, config.steps, run):
+        stop = min(first + run, config.steps)
+        steps = np.arange(first, stop, dtype=np.uint64)
+        indices = (steps[:, None] * np.uint64(2 * samples) + offsets).ravel()
+        rows = stream_uniforms(config.seed, indices, num_draws)
+        yield from rows.reshape(len(steps), batch, num_draws)
+        # Free this run's rows before the next kernel call.
+        del rows
+
+
 def run_experiment(
     dataset: Sequence[Utterance], config: TrainConfig
 ) -> tuple[list[CurveRecord], LinearModel]:
@@ -340,6 +391,11 @@ def run_experiment(
     utterances on the same decoder graph and frame count share one
     enumeration; each keeps one loss object for the whole run.  With
     identical inputs the records are bit-identical except for wall time.
+
+    Every sampled path of the run walks a row of as many uniforms as the
+    longest path of any utterance lattice has edges.  Lattice topology does
+    not depend on the scores, so that count is read once from the
+    zero-score lattices.
     """
     if config.samples_per_step < 1:
         raise ValueError("samples_per_step must be positive")
@@ -354,23 +410,31 @@ def run_experiment(
         if key not in lattices:
             lattices[key] = _DevLattice(*key, num_symbols)
         objectives.append(EnumeratedObjective(u, config.loss, lattices[key]))
+    longest = max(
+        longest_path_edges(_zero_score_lattice(*key, num_symbols))
+        for key in {(u.decoder_graph, u.features.shape[0]) for u in dataset}
+    )
+    num_draws = max(1, longest)
     # Dev-set sampling diagnostics draw from a disjoint key space so they
     # can never collide with training-sample indices.
     dev_seed = config.seed + 1 if config.seed + 1 < 2**64 else 0
+    samples = config.samples_per_step
     started = time.perf_counter()
     records: list[CurveRecord] = []
 
     def record(step: int):
         # The dev curve reports values only; no gradient is formed here.
+        # Dev utterance d of record r walks stream indices from
+        # (r * len(dev) + d) * samples_per_step on.
+        first = len(records) * len(dev) * samples
+        indices = np.arange(len(dev) * samples, dtype=np.uint64)
+        rows = stream_uniforms(dev_seed, indices + np.uint64(first), num_draws)
         exact, sampled = [], []
         for d, (objective, utt) in enumerate(zip(objectives, dev)):
             z = forward(model, utt.features)
             exact.append(objective.expected_loss(z))
             lattice = compose(build_score_fst(z), utt.decoder_graph)
-            start_index = (len(records) * len(dev) + d) * config.samples_per_step
-            paths = sample_paths(
-                lattice, dev_seed, config.samples_per_step, start_index
-            )
+            paths = walk_paths(lattice, rows[d * samples:(d + 1) * samples])
             sampled.append(
                 float(np.mean([objective.loss(lattice, p) for p in paths]))
             )
@@ -382,12 +446,10 @@ def run_experiment(
         )
 
     record(0)
+    step_uniforms = _training_uniforms(config, num_draws)
     for step in range(config.steps):
         utterance = train[step % len(train)]
-        start_index = step * 2 * config.samples_per_step
-        model, _ = train_step(
-            model, utterance, config, config.seed, start_index
-        )
+        model, _ = train_step(model, utterance, config, next(step_uniforms))
         done = step + 1
         if done % config.eval_interval == 0 or done == config.steps:
             record(done)

@@ -26,8 +26,8 @@ PUBLIC_NAMES = [
     "parse_label_sequence", "parse_logits_csv", "path_distribution",
     "path_input_labels", "path_occupancy", "path_output_labels",
     "run_experiment", "sample_paths", "sampled_estimate", "split_train_dev",
-    "stochasticity_deviation", "topological_order", "train_step",
-    "zero_wall_times",
+    "stochasticity_deviation", "stream_uniforms", "topological_order",
+    "train_step", "walk_paths", "zero_wall_times",
 ]
 
 # Only tests use these; they live in tests/helpers.py.

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,24 @@ def test_train_dev_overflow_exits_before_any_step(
     rc = main(["train", "--config", str(config), "--curve", str(curve)])
     assert rc == 5
     assert capsys.readouterr().err.startswith("error: overflow:")
+    assert not curve.exists()
+
+
+def test_train_divergence_is_a_non_finite_error(tmp_path, capsys):
+    # Features of magnitude 1e300 overflow the scores once the first
+    # update has moved the weights; no raw numpy warning may escape.
+    config = tmp_path / "config.txt"
+    config.write_text(
+        "task_seed = 0\nsteps = 4\nnum_utterances = 20\nnoise = 1e300\n"
+    )
+    curve = tmp_path / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", str(config), "--curve", str(curve)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite:")
+    assert err.count("\n") == 1
     assert not curve.exists()
 
 

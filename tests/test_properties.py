@@ -27,9 +27,12 @@ from sampled_mbr import (
     path_input_labels,
     path_occupancy,
     sample_paths,
+    stream_uniforms,
     topological_order,
+    walk_paths,
 )
 from sampled_mbr.fst import enumerated_distribution
+from sampled_mbr.sampling import longest_path_edges
 
 from helpers import (
     dp_edit_distance,
@@ -95,6 +98,26 @@ def test_sample_paths_match_reference_walk_on_random_dags(
     for i, path in enumerate(sample_paths(fst, stream_seed, 20, start)):
         expected = sample_path(pushed, stream.generator(start + i))
         assert path.edges == expected.edges
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**64 - 1),
+    inner=st.lists(st.integers(1, 2**64 - 2), max_size=8, unique=True),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_walked_stream_rows_match_sample_paths_on_random_dags(
+    seed, stream_seed, inner, shuffle
+):
+    # Shuffled, gapped stream indices that include both ends of the range;
+    # rows are exactly as long as the longest path.
+    fst = random_acyclic_wfst(np.random.default_rng(seed))
+    indices = [0, 2**64 - 1] + inner
+    shuffle.shuffle(indices)
+    rows = stream_uniforms(stream_seed, indices, longest_path_edges(fst))
+    for index, path in zip(indices, walk_paths(fst, rows), strict=True):
+        assert path == sample_paths(fst, stream_seed, 1, index)[0]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -17,8 +17,11 @@ from sampled_mbr import (
     path_output_labels,
     sample_paths,
     stochasticity_deviation,
+    stream_uniforms,
+    walk_paths,
 )
-from sampled_mbr.sampling import _CHUNK, _philox_uniforms
+from sampled_mbr import sampling
+from sampled_mbr.sampling import KERNEL_ROWS, _philox_uniforms
 
 from helpers import (
     log_total_weight,
@@ -242,6 +245,31 @@ def test_philox_kernel_matches_numpy_philox():
             assert draws[row].tolist() == expected.tolist()
 
 
+@pytest.mark.parametrize(
+    "seed, indices", [(-1, [0]), (1 << 64, [0]), (0, [-1]), (0, [0, 1 << 64])]
+)
+def test_stream_uniforms_rejects_out_of_range_seed_or_index(seed, indices):
+    with pytest.raises(ValueError):
+        stream_uniforms(seed, indices, 4)
+
+
+def test_stream_uniforms_runs_the_kernel_once_per_kernel_rows(monkeypatch):
+    calls = []
+
+    def counting_kernel(seed, indices, num_blocks):
+        calls.append(len(indices))
+        return _philox_uniforms(seed, indices, num_blocks)
+
+    monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
+    indices = np.arange(KERNEL_ROWS + 1, dtype=np.uint64)[::-1]
+    rows = stream_uniforms(9, indices, 5)
+    assert calls == [KERNEL_ROWS, 1]
+    assert rows.shape == (KERNEL_ROWS + 1, 5)
+    for r in (0, KERNEL_ROWS - 1, KERNEL_ROWS):
+        expected = SampleStream(9).generator(int(indices[r])).random(5)
+        assert rows[r].tolist() == expected.tolist()
+
+
 def test_stream_is_schedule_independent():
     fst = uniform_lattice(3, 2)
     whole = sample_paths(fst, 99, 8)
@@ -298,11 +326,27 @@ def test_chunk_boundaries_redraw_identically():
         chain.edges + (Edge(0, 10, 3, 3, 10 * math.log(2)),),
         final=chain.final,
     )
-    batch = sample_paths(fst, 77, 2 * _CHUNK + 1)
+    batch = sample_paths(fst, 77, 2 * KERNEL_ROWS + 1)
     assert {len(p.edges) for p in batch} == {1, 10}
-    for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK):
+    rows = KERNEL_ROWS
+    for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows):
         again = sample_paths(fst, 77, 1, start_index=i)[0]
         assert again == batch[i]
+
+
+def test_walk_paths_rejects_rows_one_draw_short():
+    # Paths of 1 and 10 edges: rows must fit the longest, even where every
+    # walk would end early.
+    chain = build_score_fst(np.zeros((10, 2)))
+    fst = Wfst(
+        chain.num_states,
+        chain.edges + (Edge(0, 10, 3, 3, 0.0),),
+        final=chain.final,
+    )
+    rows = stream_uniforms(8, range(5), 10)
+    assert walk_paths(fst, rows) == sample_paths(fst, 8, 5)
+    with pytest.raises(ValueError, match="longest path has 10 edges"):
+        walk_paths(fst, rows[:, :9])
 
 
 def test_sampled_paths_carry_original_weights():

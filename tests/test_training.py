@@ -36,11 +36,13 @@ from sampled_mbr import (
     path_output_labels,
     run_experiment,
     split_train_dev,
+    stream_uniforms,
     train_step,
     zero_wall_times,
 )
-from sampled_mbr import training
+from sampled_mbr import sampling, training
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
+from sampled_mbr.sampling import KERNEL_ROWS
 from sampled_mbr.training import _DevLattice
 
 from helpers import (
@@ -52,6 +54,11 @@ from helpers import (
 
 def _tiny_dataset(num_utterances=10, seed=3):
     return make_synthetic_task(2, 3, 2, 3, num_utterances, seed, noise=0.2)
+
+
+def _step_rows(seed, num_rows, num_draws):
+    """Uniform rows of stream indices 0..num_rows-1 for one train_step."""
+    return stream_uniforms(seed, range(num_rows), num_draws)
 
 
 def _tiny_config(**overrides):
@@ -156,7 +163,7 @@ def test_train_step_zero_rate_keeps_model():
     utt = _tiny_dataset()[0]
     model = init_model(3, 2)
     config = _tiny_config(learning_rate=0.0)
-    updated, estimate = train_step(model, utt, config, 0)
+    updated, estimate = train_step(model, utt, config, _step_rows(0, 20, 3))
     assert updated.weights.tobytes() == model.weights.tobytes()
     assert updated.bias.tobytes() == model.bias.tobytes()
     assert estimate.num_samples == 20
@@ -167,7 +174,8 @@ def test_train_step_single_path_decoder_is_a_fixed_point():
     decoder = chain_decoder_graph(3, 1, 1)
     utt = Utterance(np.ones((3, 2)), decoder, (1, 1, 1))
     model = LinearModel(np.full((2, 1), 0.5), np.zeros(1))
-    updated, estimate = train_step(model, utt, _tiny_config(), 4)
+    rows = _step_rows(4, 20, 3)
+    updated, estimate = train_step(model, utt, _tiny_config(), rows)
     assert estimate.expected_loss == 0.0
     assert not estimate.gradient.any()
     assert updated.weights.tobytes() == model.weights.tobytes()
@@ -178,7 +186,7 @@ def test_exact_gradient_step_matches_finite_differences():
     rng = np.random.default_rng(5)
     model = LinearModel(rng.normal(0, 0.3, size=(3, 2)), rng.normal(0, 0.3, size=2))
     config = _tiny_config(exact_gradients=True, learning_rate=1.0)
-    updated, _ = train_step(model, utt, config, 0)
+    updated, _ = train_step(model, utt, config, _step_rows(0, 20, 3))
     grad_w = model.weights - updated.weights  # rate is 1.0
     grad_b = model.bias - updated.bias
     loss = WordEditLoss(utt.reference or (1,))
@@ -346,6 +354,52 @@ def test_dev_utterance_that_does_not_fit_its_graph_is_degenerate():
     )
     with pytest.raises(DegenerateLatticeError, match="no complete path"):
         run_experiment(dataset, _tiny_config())
+
+
+def test_frame_error_objective_rejects_alignment_of_wrong_length():
+    utt = _tiny_dataset()[0]
+    dev = _DevLattice(utt.decoder_graph, 3, 2)
+    short = replace(utt, alignment=utt.alignment[:-1])
+    with pytest.raises(DimensionMismatchError):
+        EnumeratedObjective(short, "frame-error", dev)
+
+
+@pytest.mark.parametrize(
+    "samples, variance_reduction", [(30, True), (30, False), (2100, False)]
+)
+def test_training_rows_follow_each_steps_stream_indices(
+    samples, variance_reduction
+):
+    # Step s owns indices 2 * s * samples onward; 2 x 2100 rows per step
+    # pass KERNEL_ROWS, so one step's rows take two kernel calls.
+    config = _tiny_config(
+        steps=3, samples_per_step=samples, seed=5,
+        variance_reduction=variance_reduction,
+    )
+    batch = samples if variance_reduction else 2 * samples
+    rows = list(training._training_uniforms(config, 3))
+    assert len(rows) == 3
+    for step, got in enumerate(rows):
+        first = 2 * step * samples
+        expected = stream_uniforms(5, range(first, first + batch), 3)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_default_run_draws_uniforms_in_few_kernel_calls(monkeypatch):
+    # One call per 40 training steps and one per dev record: 16 in all,
+    # against one per sample_paths call (420) when each walk drew its own.
+    calls = []
+    kernel = sampling._philox_uniforms
+
+    def counting_kernel(seed, indices, num_blocks):
+        calls.append(len(indices))
+        return kernel(seed, indices, num_blocks)
+
+    monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
+    train_config, task_config = parse_config("")
+    run_experiment(build_task(train_config, task_config), train_config)
+    assert len(calls) <= 25
+    assert max(calls) <= KERNEL_ROWS
 
 
 def test_run_experiment_rejects_zero_samples():
