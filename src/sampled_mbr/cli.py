@@ -20,7 +20,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import __version__
-from .compose import build_score_fst, compose, parse_logits_csv
+from .compose import LatticeTopology, parse_logits_csv
 from .errors import FstParseError, SampledMbrError, UsageError
 from .estimators import (
     estimate_report,
@@ -155,11 +155,12 @@ def _read_text(path: str) -> str:
         raise FstParseError(f"{path}: {exc}") from None
 
 
-def _load_lattice(args) -> tuple[Wfst, np.ndarray, Wfst]:
-    """The composed lattice, its score matrix and the decoder graph."""
+def _load_lattice(args) -> tuple[Wfst, np.ndarray, LatticeTopology]:
+    """The composed lattice, its score matrix and its topology."""
     decoder = parse_fst_text(_read_text(args.fst))
     z = parse_logits_csv(_read_text(args.logits))
-    return compose(build_score_fst(z), decoder), z, decoder
+    topology = LatticeTopology(decoder, *z.shape)
+    return topology.at(z), z, topology
 
 
 def _load_loss(args):
@@ -215,15 +216,13 @@ def cmd_estimate(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not all(math.isfinite(v) and v > 0 for v in (args.eps, args.tol)):
         raise UsageError("--eps and --tol must be finite and positive")
-    lattice, z, decoder = _load_lattice(args)
+    lattice, z, topology = _load_lattice(args)
     loss = _load_loss(args)
     num_frames, num_symbols = z.shape
     exact = expected_loss_gradient_exact(lattice, loss, num_frames, num_symbols)
 
     def value_at(scores: np.ndarray) -> float:
-        return expected_loss_exact(
-            compose(build_score_fst(scores), decoder), loss
-        )
+        return expected_loss_exact(topology.at(scores), loss)
 
     worst = (0.0, 0, 0, 0.0, 0.0)  # (rel error, t, q, exact, fd)
     for t in range(num_frames):

@@ -3,13 +3,15 @@
 A score matrix ``z`` of shape (T, Q) induces a "sausage" acceptor with one
 edge per (frame, symbol) pair; composing it with a decoder transducer gives
 the lattice whose paths carry frame-symbol sequences on the input tape and
-word sequences on the output tape.
+word sequences on the output tape.  That lattice's states and edges depend
+only on the decoder graph, T and Q, so ``LatticeTopology`` composes once
+and gives the lattice at any score matrix by reweighting.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NoReturn, Sequence
+from typing import NoReturn
 
 import numpy as np
 
@@ -18,7 +20,14 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import EPSILON, Edge, Path, Wfst, empty_wfst, path_input_labels
+from .fst import (
+    EPSILON,
+    Edge,
+    Wfst,
+    edge_arrays,
+    empty_wfst,
+    topological_order,
+)
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -28,13 +37,7 @@ def build_score_fst(log_scores: np.ndarray) -> Wfst:
     symbol q (1-based) has ilabel = olabel = q and log-weight z[t, q-1].
     Entries may be -inf (a disallowed symbol) but not NaN or +inf.
     """
-    z = np.asarray(log_scores, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
-        raise DimensionMismatchError(
-            f"score matrix must be 2-d and nonempty, got shape {z.shape}"
-        )
-    if np.isnan(z).any() or (z == np.inf).any():
-        raise DimensionMismatchError("score matrix contains NaN or +inf")
+    z = _checked_scores(log_scores)
     num_frames, num_symbols = z.shape
     edges = [
         Edge(t, t + 1, q + 1, q + 1, float(z[t, q]))
@@ -42,6 +45,79 @@ def build_score_fst(log_scores: np.ndarray) -> Wfst:
         for q in range(num_symbols)
     ]
     return Wfst(num_frames + 1, edges, final=num_frames)
+
+
+def _checked_scores(log_scores: np.ndarray) -> np.ndarray:
+    """The scores as a float matrix; DimensionMismatchError unless 2-d,
+    nonempty and free of NaN and +inf."""
+    z = np.asarray(log_scores, dtype=float)
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
+        raise DimensionMismatchError(
+            f"score matrix must be 2-d and nonempty, got shape {z.shape}"
+        )
+    if np.isnan(z).any() or (z == np.inf).any():
+        raise DimensionMismatchError("score matrix contains NaN or +inf")
+    return z
+
+
+class LatticeTopology:
+    """``compose(build_score_fst(z), decoder_graph)`` for every (T, Q) z.
+
+    Composition never looks at weights, so the lattice's states, edges and
+    labels are those of one composition, made here with every score -0.0,
+    the identity of float addition: ``lattice`` carries the decoder
+    graph's own weights.  Each edge that consumes a sausage edge keeps its
+    id, frame t times Q plus symbol q - 1, the index of its score in
+    ``z.ravel()``; epsilon-input edges keep -1.  ``at`` then adds the
+    scores to the weights as compose adds them, bit for bit.
+    """
+
+    def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
+        self.shape = (num_frames, num_symbols)
+        self.decoder_graph = decoder_graph
+        self.lattice = compose(
+            build_score_fst(np.full(self.shape, -0.0)), decoder_graph
+        )
+        lattice = self.lattice
+        # Every state pairs one sausage state, its frame, with a decoder
+        # state, and every state is reachable from the start.
+        frame = [0] * lattice.num_states
+        for q in topological_order(lattice):
+            for k in lattice.out_edge_ids(q):
+                e = lattice.edges[k]
+                frame[e.dst] = frame[q] + (e.ilabel != EPSILON)
+        self.score_index = np.array(
+            [
+                frame[e.src] * num_symbols + e.ilabel - 1
+                if e.ilabel != EPSILON else -1
+                for e in lattice.edges
+            ],
+            dtype=np.intp,
+        )
+        self._decoder_weights = np.array(
+            [e.log_weight for e in lattice.edges]
+        )
+        edge_arrays(lattice)
+
+    def at(self, log_scores: np.ndarray) -> Wfst:
+        """The lattice at score matrix ``log_scores``.
+
+        Raises DimensionMismatchError unless the scores have this
+        topology's (T, Q) shape and no NaN or +inf entry, and
+        InvalidFstError where a score plus a decoder weight overflows.
+        """
+        z = _checked_scores(log_scores)
+        if z.shape != self.shape:
+            raise DimensionMismatchError(
+                f"score matrix has shape {z.shape}, expected {self.shape}"
+            )
+        consumed = self.score_index >= 0
+        weights = self._decoder_weights.copy()
+        # A sum past the float range is +inf, which with_weights rejects
+        # as the Wfst constructor rejects compose's, without a warning.
+        with np.errstate(over="ignore"):
+            weights[consumed] += z.ravel()[self.score_index[consumed]]
+        return self.lattice.with_weights(weights)
 
 
 def compose(a: Wfst, b: Wfst) -> Wfst:
@@ -113,37 +189,41 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
 
 
 def path_occupancy(
-    fst: Wfst, paths: Sequence[Path], num_frames: int, num_symbols: int
+    fst: Wfst, edge_ids: np.ndarray, num_frames: int, num_symbols: int
 ) -> np.ndarray:
     """(N, T, Q) stack of which symbol each path used at each frame.
 
-    Path n's frame t is one-hot at its t-th non-epsilon input label.  For
-    a lattice built from a (T, Q) score matrix this is the gradient of the
-    path's log-weight with respect to the scores.  Only the paths' own
-    edges are read, and the ones are set by one fancy-indexed assignment.
+    The paths are the rows of an edge-id matrix, padded with -1 (see
+    ``edge_id_matrix``).  Path n's frame t is one-hot at its t-th
+    non-epsilon input label.  For a lattice built from a (T, Q) score
+    matrix this is the gradient of the path's log-weight with respect to
+    the scores.  The labels are one gather, and the ones are set by one
+    fancy-indexed assignment.
     """
-    rows = [path_input_labels(fst, p) for p in paths]
-    if any(len(labels) != num_frames for labels in rows):
-        _raise_occupancy_error(rows, num_frames, num_symbols)
-    try:
-        symbols = np.array(rows, dtype=np.intp).reshape(len(rows), num_frames)
-    except OverflowError:  # a label past the index range, hence past Q
-        _raise_occupancy_error(rows, num_frames, num_symbols)
+    inputs = edge_arrays(fst).ilabel[edge_ids]
+    consumed = inputs != EPSILON
+    if (consumed.sum(axis=1) != num_frames).any():
+        _raise_occupancy_error(inputs, num_frames, num_symbols)
+    symbols = inputs[consumed]
     # Labels are nonnegative and epsilons are dropped, so only Q can fail.
     if symbols.size and symbols.max() > num_symbols:
-        _raise_occupancy_error(rows, num_frames, num_symbols)
-    gamma = np.zeros((len(rows), num_frames, num_symbols))
-    gamma[
-        np.arange(len(rows))[:, None], np.arange(num_frames), symbols - 1
-    ] = 1.0
+        _raise_occupancy_error(inputs, num_frames, num_symbols)
+    del inputs, consumed
+    # Row-major (path, frame) order, so entry i is cell i of the stack's
+    # (N * T, Q) view; the flat one-hot index reuses the symbol buffer.
+    flat = symbols.astype(np.intp, copy=False)
+    flat += np.arange(-1, flat.size * num_symbols - 1, num_symbols)
+    gamma = np.zeros((len(edge_ids), num_frames, num_symbols))
+    gamma.ravel()[flat] = 1.0
     return gamma
 
 
 def _raise_occupancy_error(
-    rows: list[tuple[int, ...]], num_frames: int, num_symbols: int
+    inputs: np.ndarray, num_frames: int, num_symbols: int
 ) -> NoReturn:
     """The error of the first path whose labels do not fit (T, Q)."""
-    for labels in rows:
+    for row in inputs.tolist():
+        labels = [label for label in row if label != EPSILON]
         for t, label in enumerate(labels):
             if t >= num_frames:
                 raise DimensionMismatchError(

@@ -19,12 +19,12 @@ from .compose import path_occupancy
 from .fst import (
     MAX_ENUMERATED_PATHS,
     NEG_INF,
-    Path,
     Wfst,
+    edge_id_matrix,
     enumerated_distribution,
     topological_order,
 )
-from .sampling import backward, sample_paths
+from .sampling import backward, sample_edge_ids
 
 
 @dataclass(eq=False)
@@ -60,7 +60,9 @@ def expected_loss_gradient_exact(
     """
     paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
     losses = np.array([loss(fst, p) for p in paths])
-    gammas = path_occupancy(fst, paths, num_frames, num_symbols)
+    gammas = path_occupancy(
+        fst, edge_id_matrix(paths), num_frames, num_symbols
+    )
     mean_loss = float(probs @ losses)
     mean_gamma = np.tensordot(probs, gammas, axes=1)
     loss_gamma = np.tensordot(probs * losses, gammas, axes=1)
@@ -116,30 +118,33 @@ def sampled_estimate(
 ) -> MbrEstimate:
     """Monte Carlo estimate of the expected loss and its score gradient.
 
-    ``estimate_from_paths`` over ``num_samples`` paths drawn by
-    sample_paths under ``seed`` from stream index ``start_index`` on;
-    without variance reduction the baseline batch is the next
-    ``num_samples`` stream indices.
+    ``estimate_from_paths`` over ``num_samples`` paths drawn as
+    sample_paths draws them under ``seed`` from stream index
+    ``start_index`` on; without variance reduction the baseline batch is
+    the next ``num_samples`` stream indices.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
     batch = num_samples if variance_reduction else 2 * num_samples
-    paths = sample_paths(fst, seed, batch, start_index)
+    edge_ids = sample_edge_ids(fst, seed, batch, start_index)
     return estimate_from_paths(
-        fst, loss, paths, num_frames, num_symbols, seed, variance_reduction
+        fst, loss, edge_ids, num_frames, num_symbols, seed, variance_reduction
     )
 
 
 def estimate_from_paths(
     fst: Wfst,
     loss,
-    paths: Sequence[Path],
+    edge_ids: np.ndarray,
     num_frames: int,
     num_symbols: int,
     seed: int,
     variance_reduction: bool,
 ) -> MbrEstimate:
     """Expected loss and score gradient from sampled paths of ``fst``.
+
+    The paths are the rows of an edge-id matrix, as ``walk_paths``
+    returns them; ``loss.batch`` scores them.
 
     The expected loss is the mean loss over the samples.  With variance
     reduction every path is a sample, and the gradient is I/(I-1) times
@@ -150,17 +155,17 @@ def estimate_from_paths(
     exactly representable.  For a single sample the covariance is
     undefined and the gradient is the zero matrix.
 
-    Without variance reduction the first half of ``paths`` are the
+    Without variance reduction the first half of the rows are the
     samples and the gradient is mean_i L_i (G_i - Gbar), where Gbar is the
     mean occupancy of the second half, an independent batch; independence
     keeps the estimate unbiased, at the cost of sensitivity to loss
     offsets.  ``seed`` is recorded on the estimate.
     """
-    count = len(paths) if variance_reduction else len(paths) // 2
+    count = len(edge_ids) if variance_reduction else len(edge_ids) // 2
     if count < 1:
         raise ValueError("num_samples must be positive")
-    losses = np.array([loss(fst, p) for p in paths[:count]])
-    gammas = path_occupancy(fst, paths, num_frames, num_symbols)
+    losses = loss.batch(fst, edge_ids[:count])
+    gammas = path_occupancy(fst, edge_ids, num_frames, num_symbols)
     gammas, baseline_gammas = gammas[:count], gammas[count:]
     if variance_reduction:
         if count == 1:

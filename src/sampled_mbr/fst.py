@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class Wfst:
     safe to share across threads.
     """
 
-    __slots__ = ("num_states", "edges", "final", "_out", "_order")
+    __slots__ = ("num_states", "edges", "final", "_out", "_order", "_arrays")
 
     initial = 0
 
@@ -87,9 +87,43 @@ class Wfst:
         self.edges = edges
         self.final = final
         self._out = tuple(tuple(ids) for ids in out)
-        # Filled by the first successful topological_order call; threads
-        # that race to fill it store equal tuples.
+        # Filled by the first successful topological_order and edge_arrays
+        # calls; threads that race to fill them store equal values.
         self._order: tuple[int, ...] | None = None
+        self._arrays: EdgeArrays | None = None
+
+    def with_weights(self, log_weights: np.ndarray) -> Wfst:
+        """This transducer's states and edges with new per-edge log-weights.
+
+        The copy shares the out-lists, the topological order and the edge
+        arrays, so only its edges are built.  Raises InvalidFstError for a
+        NaN or +inf weight, naming the first such edge, as the constructor
+        does.
+        """
+        log_weights = np.asarray(log_weights, dtype=float)
+        if log_weights.shape != (len(self.edges),):
+            raise InvalidFstError(
+                f"expected {len(self.edges)} log-weights, "
+                f"got shape {log_weights.shape}"
+            )
+        invalid = np.flatnonzero(
+            np.isnan(log_weights) | (log_weights == math.inf)
+        )
+        if invalid.size:
+            raise InvalidFstError(
+                f"edge {invalid[0]} has an invalid log-weight"
+            )
+        copy = object.__new__(Wfst)
+        copy.num_states = self.num_states
+        copy.final = self.final
+        copy.edges = tuple(
+            Edge(e.src, e.dst, e.ilabel, e.olabel, w)
+            for e, w in zip(self.edges, log_weights.tolist())
+        )
+        copy._out = self._out
+        copy._order = self._order
+        copy._arrays = edge_arrays(self)
+        return copy
 
     def out_edge_ids(self, state: int) -> tuple[int, ...]:
         """Ids of edges leaving ``state``, in edge-id order."""
@@ -116,6 +150,49 @@ class Wfst:
             f"Wfst(num_states={self.num_states}, num_edges={len(self.edges)}, "
             f"final={self.final})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """A transducer's edges as numpy arrays, for work on many paths at once.
+
+    ``out_ids`` lists every edge id grouped by source state, each group in
+    out-edge order, and state q's group is ``out_ids[first_out[q]:
+    first_out[q + 1]]``.  The label arrays hold one entry past the last
+    edge, epsilon, so a path row padded with -1 reads epsilon there.
+    Labels past the int64 range are kept in object arrays.
+    """
+
+    dst: np.ndarray
+    ilabel: np.ndarray
+    olabel: np.ndarray
+    first_out: np.ndarray
+    out_ids: np.ndarray
+
+
+def edge_arrays(fst: Wfst) -> EdgeArrays:
+    """The transducer's EdgeArrays, built once and cached on it."""
+    if fst._arrays is None:
+        edges = fst.edges
+        degrees = [len(ids) for ids in fst._out]
+        fst._arrays = EdgeArrays(
+            dst=np.array([e.dst for e in edges], dtype=np.intp),
+            ilabel=label_array([e.ilabel for e in edges] + [EPSILON]),
+            olabel=label_array([e.olabel for e in edges] + [EPSILON]),
+            first_out=np.cumsum([0] + degrees, dtype=np.intp),
+            out_ids=np.array(
+                [k for ids in fst._out for k in ids], dtype=np.intp
+            ),
+        )
+    return fst._arrays
+
+
+def label_array(labels: Sequence[int]) -> np.ndarray:
+    """Labels as an int64 array when every label fits, else as objects."""
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        return np.array(labels, dtype=object)
 
 
 def empty_wfst() -> Wfst:
@@ -226,6 +303,17 @@ def path_input_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
     return tuple(
         fst.edges[k].ilabel for k in path.edges if fst.edges[k].ilabel != EPSILON
     )
+
+
+def edge_id_matrix(paths: Sequence[Path]) -> np.ndarray:
+    """The paths' edge ids as rows of one matrix, padded with -1.
+
+    This is the form in which ``walk_paths`` returns sampled paths; its
+    width is the longest path's edge count.
+    """
+    width = max((len(p.edges) for p in paths), default=0)
+    rows = [p.edges + (-1,) * (width - len(p.edges)) for p in paths]
+    return np.array(rows, dtype=np.intp).reshape(len(paths), width)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Losses are exposed two ways: plain functions over label sequences, and
 small callable objects binding a reference so estimators can score paths
-uniformly via ``loss(fst, path)``.
+uniformly, one at a time via ``loss(fst, path)`` or as the rows of an
+edge-id matrix via ``loss.batch(fst, edge_ids)``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .fst import (
     EPSILON,
     Path,
     Wfst,
+    edge_arrays,
+    label_array,
     path_input_labels,
     path_output_labels,
     topological_order,
@@ -124,9 +127,10 @@ class WordEditLoss:
 
     The reference's match masks are built once, and each distinct output
     word tuple is scored once: the distance is memoized per tuple for the
-    life of the object.  The key is the words alone, so one loss object
-    may score paths of any lattice.  The CLI and training make one loss
-    per command, step or dev utterance, which bounds the memo by the
+    life of the object, and ``batch`` also memoizes it per row of output
+    labels, epsilons included.  The keys are labels alone, so one loss
+    object may score paths of any lattice.  The CLI and training make one
+    loss per command, step or dev utterance, which bounds the memo by the
     hypotheses those draw or enumerate.
     """
 
@@ -139,12 +143,33 @@ class WordEditLoss:
         self._memo: dict[tuple[int, ...], float] = {}
 
     def __call__(self, fst: Wfst, path: Path) -> float:
-        words = path_output_labels(fst, path)
+        return self.of_words(path_output_labels(fst, path))
+
+    def of_words(self, words: tuple[int, ...]) -> float:
+        """Edit distance of an output-word tuple to the reference."""
         value = self._memo.get(words)
         if value is None:
             value = float(_distance(words, self._peq, len(self.reference)))
             self._memo[words] = value
         return value
+
+    def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
+        """Losses of the paths in the rows of an edge-id matrix.
+
+        The output labels are one gather, and the memo key is the gathered
+        row; a row with no epsilon is its own word tuple, so both kinds of
+        key give the same value.
+        """
+        memo, peq, m = self._memo, self._peq, len(self.reference)
+        values = []
+        for row in edge_arrays(fst).olabel[edge_ids].tolist():
+            key = tuple(row)
+            value = memo.get(key)
+            if value is None:
+                words = [w for w in row if w != EPSILON]
+                value = memo[key] = float(_distance(words, peq, m))
+            values.append(value)
+        return np.array(values)
 
 
 class FrameErrorLoss:
@@ -155,6 +180,7 @@ class FrameErrorLoss:
         if any(q < 1 for q in alignment):
             raise ValueError("alignment symbols must be positive")
         self.alignment = alignment
+        self._alignment = label_array(alignment)
 
     def __call__(self, fst: Wfst, path: Path) -> float:
         labels = path_input_labels(fst, path)
@@ -166,6 +192,21 @@ class FrameErrorLoss:
         return float(
             sum(1 for q, r in zip(labels, self.alignment) if q != r)
         )
+
+    def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
+        """Losses of the paths in the rows of an edge-id matrix: one gather
+        of the input labels and one comparison against the alignment."""
+        inputs = edge_arrays(fst).ilabel[edge_ids]
+        consumed = inputs != EPSILON
+        frames = consumed.sum(axis=1)
+        wrong = np.flatnonzero(frames != len(self.alignment))
+        if wrong.size:
+            raise DimensionMismatchError(
+                f"path consumes {frames[wrong[0]]} frames, alignment has "
+                f"{len(self.alignment)}"
+            )
+        symbols = inputs[consumed].reshape(len(inputs), len(self.alignment))
+        return (symbols != self._alignment).sum(axis=1).astype(float)
 
 
 def parse_label_sequence(text: str) -> tuple[int, ...]:

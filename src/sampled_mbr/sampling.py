@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateLatticeError
-from .fst import NEG_INF, Path, Wfst, topological_order
+from .fst import NEG_INF, Path, Wfst, edge_arrays, topological_order
 
 _TWO64 = 1 << 64
 
@@ -219,25 +219,37 @@ def stream_uniforms(seed: int, indices, num_draws: int) -> np.ndarray:
     return np.concatenate(chunks)[:, :num_draws]
 
 
-def walk_paths(fst: Wfst, uniforms: np.ndarray) -> list[Path]:
-    """One path per row of ``uniforms``, drawn from the normalized lattice.
+def walk_paths(lattices: Sequence[Wfst], uniforms: np.ndarray) -> np.ndarray:
+    """One path per row of ``uniforms``, drawn from normalized lattices.
 
-    The backward pass runs once, and edge probabilities are formed on the
-    fly at each visited state, so the input transducer is never copied.
-    Each walk takes one uniform of its row per edge, so a row must hold at
-    least as many draws as the longest initial-to-final path has edges
-    (ValueError otherwise).  The returned paths carry original-lattice
-    log-weights (unnormalized).
+    The lattices share one topology, as the lattices a LatticeTopology
+    gives do, and split the rows into len(lattices) equal blocks: row
+    block d walks lattices[d].  Each walk takes one uniform of its row
+    per edge, so a row must hold at least as many draws as the longest
+    initial-to-final path has edges (ValueError otherwise).  Returns the
+    (rows, longest) matrix of the paths' edge ids, -1 after the final
+    state; ``sample_paths`` turns such rows into Paths.
     """
-    longest = longest_path_edges(fst)
+    if not lattices or len(uniforms) % len(lattices):
+        raise ValueError(
+            f"{len(uniforms)} rows do not split into {len(lattices)} "
+            "equal blocks"
+        )
+    longest = longest_path_edges(lattices[0])
     if uniforms.shape[1] < longest:
         raise ValueError(
             f"rows hold {uniforms.shape[1]} draws; the longest path has "
             f"{longest} edges"
         )
-    beta = backward(fst)
-    cache: dict[int, _Cdf] = {}
-    return [_walk(fst, beta, row, cache) for row in uniforms.tolist()]
+    return _Walker(lattices, longest).walk(uniforms)
+
+
+def sample_edge_ids(
+    fst: Wfst, seed: int, num_samples: int, start_index: int = 0
+) -> np.ndarray:
+    """The paths of ``sample_paths`` as the rows of one edge-id matrix."""
+    chunks = list(_sampled_chunks(fst, seed, num_samples, start_index))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def sample_paths(
@@ -253,7 +265,32 @@ def sample_paths(
     the seed and every index must lie in 0..2^64-1 (ValueError
     otherwise).  The backward pass and the longest-path count run once;
     draws are computed and walked KERNEL_ROWS samples at a time, which
-    bounds the memory of the draws.
+    bounds the memory of the draws.  The returned paths carry
+    original-lattice log-weights (unnormalized), summed left to right.
+    """
+    weights = np.array([e.log_weight for e in fst.edges] + [0.0])
+    out: list[Path] = []
+    for ids in _sampled_chunks(fst, seed, num_samples, start_index):
+        # Padding adds 0.0, which leaves every sum from +0.0 unchanged.
+        log_weights = np.zeros(len(ids))
+        for column in ids.T:
+            log_weights += weights[column]
+        lengths = (ids >= 0).sum(axis=1)
+        out += [
+            Path(tuple(row[:n]), w)
+            for row, n, w in zip(
+                ids.tolist(), lengths.tolist(), log_weights.tolist()
+            )
+        ]
+    return out
+
+
+def _sampled_chunks(
+    fst: Wfst, seed: int, num_samples: int, start_index: int
+) -> Iterator[np.ndarray]:
+    """Edge-id matrices of the samples, KERNEL_ROWS rows at a time.
+
+    With no samples this yields one empty matrix.
     """
     if not 0 <= seed < _TWO64:
         raise ValueError("seed must fit in 64 bits")
@@ -262,17 +299,13 @@ def sample_paths(
     stop = start_index + num_samples
     if start_index < 0 or stop > _TWO64:
         raise ValueError("sample indices must lie in 0..2^64-1")
-    beta = backward(fst)
-    num_draws = max(1, longest_path_edges(fst))
-    cache: dict[int, _Cdf] = {}
-    out: list[Path] = []
-    for first in range(start_index, stop, KERNEL_ROWS):
+    longest = longest_path_edges(fst)
+    walker = _Walker([fst], longest)
+    num_draws = max(1, walker.width)
+    for first in range(start_index, stop, KERNEL_ROWS) or (start_index,):
         count = min(KERNEL_ROWS, stop - first)
         indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
-        # Row by row, so a chunk's draws never all exist as Python floats.
-        for row in stream_uniforms(seed, indices, num_draws):
-            out.append(_walk(fst, beta, row.tolist(), cache))
-    return out
+        yield walker.walk(stream_uniforms(seed, indices, num_draws))
 
 
 def longest_path_edges(fst: Wfst) -> float:
@@ -302,39 +335,113 @@ def _state_cdf(fst: Wfst, beta: np.ndarray, state: int) -> _Cdf:
     return cum, last_positive
 
 
-def _walk(
-    fst: Wfst,
-    beta: np.ndarray,
-    draws: list[float],
-    cache: dict[int, _Cdf],
-) -> Path:
-    """One path, taking one uniform from ``draws`` per edge.
+# ``_Walker.last`` entry of a state whose CDF row is not built yet.
+_UNBUILT = -2
 
-    ``draws`` must hold at least one uniform per edge of the longest path.
-    The path sums the input transducer's own weights, so it carries an
-    unnormalized score even though selection uses beta.
+
+class _Walker:
+    """Lockstep ancestral walks over lattices that share one topology.
+
+    Every row takes its next edge in the same numpy step.  At state q of
+    lattice d the row's uniform u picks the edge whose index is the count
+    of the state's cumulative out-edge probabilities that are <= u times
+    their total, clamped at the last positive edge: exactly the
+    ``bisect_right`` of an inverse-CDF draw.  Each state's CDF row is
+    built once, on the first visit, by ``_state_cdf`` with ``math.exp`` in
+    out-edge order.  The rows of all states and lattices share one flat
+    array, laid out as the edge arrays' ``out_ids`` repeated once per
+    lattice, so memory grows with edges, never with states times
+    out-degree.  State q of lattice d is key d * num_states + q.
     """
-    ids: list[int] = []
-    log_weight = 0.0
-    state = fst.initial
-    for u in draws:
-        if state == fst.final:
-            break
-        entry = cache.get(state)
-        if entry is None:
-            entry = _state_cdf(fst, beta, state)
-            cache[state] = entry
-        cum, last_positive = entry
-        if last_positive < 0:
+
+    def __init__(self, lattices: Sequence[Wfst], longest: float):
+        first = lattices[0]
+        arrays = edge_arrays(first)
+        for fst in lattices[1:]:
+            if not (
+                fst.final == first.final
+                and fst._out == first._out
+                and np.array_equal(edge_arrays(fst).dst, arrays.dst)
+            ):
+                raise ValueError("lattices must share one topology")
+        self.lattices = lattices
+        self.betas = [backward(fst) for fst in lattices]
+        # Finite now: backward found a path from the initial state.
+        self.width = int(longest)
+        self.dst = arrays.dst
+        self.first_out = arrays.first_out.tolist()
+        # Per key, its CDF row's flat span [start, end); per flat position,
+        # the edge id.  Flat entry p is stored at cdf[p + 1], so cdf[i]
+        # reads the value before position i.
+        blocks = np.arange(len(lattices))[:, None] * first.num_edges
+        self.start = (blocks + arrays.first_out[:-1]).ravel()
+        self.end = (blocks + arrays.first_out[1:]).ravel()
+        self.edge_at = np.tile(arrays.out_ids, len(lattices))
+        self.cdf = np.zeros(1 + len(self.edge_at))
+        self.total = np.zeros(len(self.start))
+        self.last = np.full(len(self.start), _UNBUILT)
+
+    def _build(self, keys: set[int]):
+        """The CDF rows of the given keys."""
+        num_states = self.lattices[0].num_states
+        for key in keys:
+            d, state = divmod(key, num_states)
+            cum, last = _state_cdf(self.lattices[d], self.betas[d], state)
+            start = 1 + int(self.start[key])
+            self.cdf[start:start + len(cum)] = cum
+            self.total[key] = cum[-1] if cum else 0.0
+            self.last[key] = last
+
+    def walk(self, uniforms: np.ndarray) -> np.ndarray:
+        """The (rows, width) edge-id matrix of one walk per row."""
+        first = self.lattices[0]
+        num_rows = len(uniforms)
+        out = np.full((num_rows, self.width), -1, dtype=np.intp)
+        rows = np.arange(num_rows)
+        block = num_rows // len(self.lattices) or 1
+        key_base = rows // block * first.num_states
+        state = np.full(num_rows, first.initial, dtype=np.intp)
+        stuck: list[tuple[int, int]] = []
+        for j in range(self.width if num_rows else 0):
+            keys = key_base + state
+            last = self.last[keys]
+            if last.min() < 0:
+                unbuilt = last == _UNBUILT
+                if unbuilt.any():
+                    self._build(set(keys[unbuilt].tolist()))
+                    last = self.last[keys]
+                live = last >= 0
+                stuck += zip(rows[~live].tolist(), state[~live].tolist())
+                rows, key_base, keys, last = (
+                    rows[live], key_base[live], keys[live], last[live]
+                )
+                if not len(rows):
+                    break
+            start, end = self.start[keys], self.end[keys]
+            x = self.total[keys]
+            x *= uniforms[:, j] if len(rows) == num_rows else uniforms[rows, j]
+            # Largest pos in [start, end] with no CDF value before it
+            # above x: powers of two, largest first.
+            pos = start
+            step = 1 << (int((end - start).max()).bit_length() - 1)
+            while step:
+                probe = np.minimum(pos + step, end)
+                pos = np.where(x < self.cdf[probe], pos, probe)
+                step >>= 1
+            last += start
+            edge = self.edge_at[np.minimum(pos, last, out=last)]
+            if len(rows) == num_rows:
+                out[:, j] = edge
+            else:
+                out[rows, j] = edge
+            state = self.dst[edge]
+            going = state != first.final
+            if not going.all():
+                rows, key_base, state = rows[going], key_base[going], state[going]
+                if not len(rows):
+                    break
+        if stuck:
             raise DegenerateLatticeError(
-                f"sampling reached dead-end state {state}"
+                f"sampling reached dead-end state {min(stuck)[1]}"
             )
-        idx = bisect_right(cum, u * cum[-1])
-        if idx > last_positive:
-            idx = last_positive
-        k = fst.out_edge_ids(state)[idx]
-        e = fst.edges[k]
-        ids.append(k)
-        log_weight += e.log_weight
-        state = e.dst
-    return Path(tuple(ids), log_weight)
+        return out

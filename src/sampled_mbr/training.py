@@ -4,10 +4,11 @@ A linear model maps per-frame feature vectors to symbol scores; each step
 builds the utterance lattice from the current scores, estimates the
 expected-loss gradient by path sampling, and applies one SGD update.
 Exact enumeration of the (small) dev lattices provides noise-free
-training curves; each distinct (decoder graph, frame count) of the dev
-set is enumerated once per run, and its paths are shared by every dev
-utterance on it.  The sampled paths' uniforms are drawn ahead of the walks,
-for a run of training steps or for a whole dev record per kernel call.
+training curves; each distinct (decoder graph, frame count) is composed
+once per run, its dev lattice is enumerated once, and its paths are
+shared by every dev utterance on it.  The sampled paths' uniforms are
+drawn ahead of the walks, for a run of training steps or for a whole dev
+record per kernel call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import build_score_fst, compose
+from .compose import LatticeTopology
 from .errors import (
     DegenerateLatticeError,
     DimensionMismatchError,
@@ -36,10 +37,10 @@ from .fst import (
     EPSILON,
     Edge,
     Wfst,
+    edge_arrays,
+    edge_id_matrix,
     enumerate_paths,
     normalized,
-    path_input_labels,
-    path_output_labels,
 )
 from .losses import FrameErrorLoss, WordEditLoss
 from .sampling import (
@@ -157,19 +158,24 @@ def train_step(
     utterance: Utterance,
     config: TrainConfig,
     uniforms: np.ndarray,
+    topology: LatticeTopology,
 ) -> tuple[LinearModel, MbrEstimate]:
     """One SGD update from a fresh lattice built at the current parameters.
 
-    The expected-loss gradient w.r.t. the scores chain-rules to the model:
+    The lattice is ``topology`` at the current scores; the topology must
+    be that of the utterance's decoder graph (ValueError otherwise).  The
+    expected-loss gradient w.r.t. the scores chain-rules to the model:
     the weight gradient is features.T @ G and the bias gradient is the
     column sum of G.  A sampled step walks one path per row of
     ``uniforms`` (see ``walk_paths``): the samples, followed without
     variance reduction by as many baseline paths.  Exact steps ignore the
     rows.  The estimate records ``config.seed``.
     """
+    if topology.decoder_graph != utterance.decoder_graph:
+        raise ValueError("topology is not of the utterance's decoder graph")
     z = forward(model, utterance.features)
     num_frames, num_symbols = z.shape
-    lattice = compose(build_score_fst(z), utterance.decoder_graph)
+    lattice = topology.at(z)
     loss = make_loss(config.loss, utterance)
     if config.exact_gradients:
         value = expected_loss_exact(lattice, loss)
@@ -188,7 +194,7 @@ def train_step(
         estimate = estimate_from_paths(
             lattice,
             loss,
-            walk_paths(lattice, uniforms),
+            walk_paths([lattice], uniforms),
             num_frames,
             num_symbols,
             config.seed,
@@ -266,44 +272,39 @@ def chain_decoder_graph(
     return Wfst(num_frames + 1, edges, final=num_frames)
 
 
-def _zero_score_lattice(
-    decoder_graph: Wfst, num_frames: int, num_symbols: int
-) -> Wfst:
-    z0 = np.zeros((num_frames, num_symbols))
-    return compose(build_score_fst(z0), decoder_graph)
-
-
 class _DevLattice:
-    """One decoder graph's zero-score lattice at one frame count, enumerated.
+    """One decoder graph's lattice at one frame count, enumerated.
 
     Lattice topology does not depend on the scores, so every dev utterance
     on the same (decoder graph, frame count) shares one enumeration of at
-    most DEV_PATH_BOUND paths: the paths, their (num_paths, T) symbol
-    matrix and their decoder offsets.  ``word_index`` maps each path to its
-    output-word tuple, numbered by first appearance, and
-    ``representatives`` holds the first path of each tuple.
+    most DEV_PATH_BOUND paths of the topology's lattice: their (num_paths,
+    T) 0-based symbol matrix, the flat index ``flat`` = frame * Q +
+    symbol of each path's scores in ``z.ravel()``, and their decoder
+    offsets.  ``words`` lists the distinct output-word tuples by first
+    appearance, and ``word_index`` maps each path to its tuple.
     """
 
-    def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
-        self.lattice = _zero_score_lattice(
-            decoder_graph, num_frames, num_symbols
-        )
-        self.paths = enumerate_paths(self.lattice, DEV_PATH_BOUND)
-        if not self.paths:
+    def __init__(self, topology: LatticeTopology):
+        num_frames, num_symbols = topology.shape
+        lattice = topology.lattice
+        paths = enumerate_paths(lattice, DEV_PATH_BOUND)
+        if not paths:
             raise DegenerateLatticeError("no complete path")
-        labels = [path_input_labels(self.lattice, p) for p in self.paths]
-        self.symbols = np.array(labels, dtype=np.intp) - 1  # (num_paths, T)
-        # Per-path decoder contribution: total weight minus the (zero)
-        # score part at z0.
-        self.offsets = np.array([p.log_weight for p in self.paths])
-        self.frames = np.arange(num_frames)
+        edge_ids = edge_id_matrix(paths)
+        arrays = edge_arrays(lattice)
+        inputs = arrays.ilabel[edge_ids]
+        self.symbols = (
+            inputs[inputs != EPSILON].reshape(len(paths), num_frames) - 1
+        )
+        self.flat = np.arange(num_frames) * num_symbols + self.symbols
+        # Per-path decoder contribution: the path weight at zero scores.
+        self.offsets = np.array([p.log_weight for p in paths])
         ids: dict[tuple[int, ...], int] = {}
         self.word_index = np.array([
-            ids.setdefault(path_output_labels(self.lattice, p), len(ids))
-            for p in self.paths
+            ids.setdefault(tuple(w for w in row if w != EPSILON), len(ids))
+            for row in arrays.olabel[edge_ids].tolist()
         ])
-        _, first = np.unique(self.word_index, return_index=True)
-        self.representatives = [self.paths[k] for k in first]
+        self.words = list(ids)
 
 
 class EnumeratedObjective:
@@ -311,17 +312,17 @@ class EnumeratedObjective:
 
     The paths, symbol matrix and offsets are those of the utterance's
     shared ``_DevLattice``; only the per-path loss vector is its own.
-    Word-edit scores one representative path per distinct output-word
-    tuple and gathers the values per path; frame-error compares the symbol
-    matrix with the alignment in one array operation.
-    Re-evaluating at new scores is a vectorized softmax over the cached
-    per-path symbol sequences.
+    Word-edit scores each distinct output-word tuple once against the
+    reference's match masks and gathers the values per path; frame-error
+    compares the symbol matrix with the alignment in one array operation.
+    Re-evaluating at new scores is one gather of the scores at the cached
+    flat indices and a vectorized softmax.
     """
 
     def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
         self.loss = make_loss(loss_kind, utterance)
         if loss_kind == "word-edit":
-            distinct = [self.loss(dev.lattice, p) for p in dev.representatives]
+            distinct = [self.loss.of_words(words) for words in dev.words]
             self.losses = np.array(distinct)[dev.word_index]
         else:
             alignment = np.array(self.loss.alignment) - 1
@@ -335,7 +336,7 @@ class EnumeratedObjective:
 
     def expected_loss(self, z: np.ndarray) -> float:
         dev = self.dev
-        log_w = dev.offsets + z[dev.frames, dev.symbols].sum(axis=1)
+        log_w = dev.offsets + z.ravel()[dev.flat].sum(axis=1)
         return float(normalized(log_w) @ self.losses)
 
 
@@ -394,8 +395,10 @@ def run_experiment(
 
     Every sampled path of the run walks a row of as many uniforms as the
     longest path of any utterance lattice has edges.  Lattice topology does
-    not depend on the scores, so that count is read once from the
-    zero-score lattices.
+    not depend on the scores, so each (decoder graph, frame count) of the
+    dataset is composed once, into a LatticeTopology that gives its
+    lattices at every step and record and that count.  A record walks the
+    rows of all dev utterances on one topology in one call.
     """
     if config.samples_per_step < 1:
         raise ValueError("samples_per_step must be positive")
@@ -403,18 +406,25 @@ def run_experiment(
     feature_dim = dataset[0].features.shape[1]
     num_symbols = max(e.ilabel for u in dataset for e in u.decoder_graph.edges)
     model = init_model(feature_dim, num_symbols)
+
+    def key(u: Utterance) -> tuple[Wfst, int]:
+        return u.decoder_graph, u.features.shape[0]
+
+    topologies = {
+        k: LatticeTopology(*k, num_symbols)
+        for k in dict.fromkeys(map(key, dataset))
+    }
     lattices: dict[tuple[Wfst, int], _DevLattice] = {}
+    dev_groups: dict[tuple[Wfst, int], list[int]] = {}
     objectives = []
-    for u in dev:
-        key = (u.decoder_graph, u.features.shape[0])
-        if key not in lattices:
-            lattices[key] = _DevLattice(*key, num_symbols)
-        objectives.append(EnumeratedObjective(u, config.loss, lattices[key]))
-    longest = max(
-        longest_path_edges(_zero_score_lattice(*key, num_symbols))
-        for key in {(u.decoder_graph, u.features.shape[0]) for u in dataset}
-    )
+    for d, u in enumerate(dev):
+        if key(u) not in lattices:
+            lattices[key(u)] = _DevLattice(topologies[key(u)])
+        dev_groups.setdefault(key(u), []).append(d)
+        objectives.append(EnumeratedObjective(u, config.loss, lattices[key(u)]))
+    longest = max(longest_path_edges(t.lattice) for t in topologies.values())
     num_draws = max(1, longest)
+    step_topologies = [topologies[key(u)] for u in train]
     # Dev-set sampling diagnostics draw from a disjoint key space so they
     # can never collide with training-sample indices.
     dev_seed = config.seed + 1 if config.seed + 1 < 2**64 else 0
@@ -429,15 +439,17 @@ def run_experiment(
         first = len(records) * len(dev) * samples
         indices = np.arange(len(dev) * samples, dtype=np.uint64)
         rows = stream_uniforms(dev_seed, indices + np.uint64(first), num_draws)
-        exact, sampled = [], []
-        for d, (objective, utt) in enumerate(zip(objectives, dev)):
-            z = forward(model, utt.features)
-            exact.append(objective.expected_loss(z))
-            lattice = compose(build_score_fst(z), utt.decoder_graph)
-            paths = walk_paths(lattice, rows[d * samples:(d + 1) * samples])
-            sampled.append(
-                float(np.mean([objective.loss(lattice, p) for p in paths]))
-            )
+        rows = rows.reshape(len(dev), samples, num_draws)
+        scores = [forward(model, u.features) for u in dev]
+        exact = [o.expected_loss(z) for o, z in zip(objectives, scores)]
+        sampled = [0.0] * len(dev)
+        for k, members in dev_groups.items():
+            group = [topologies[k].at(scores[d]) for d in members]
+            edge_ids = walk_paths(group, rows[members].reshape(-1, num_draws))
+            for i, d in enumerate(members):
+                block = edge_ids[i * samples:(i + 1) * samples]
+                losses = objectives[d].loss.batch(group[i], block)
+                sampled[d] = float(np.mean(losses))
         wall_ms = (time.perf_counter() - started) * 1000.0
         records.append(
             CurveRecord(
@@ -449,7 +461,10 @@ def run_experiment(
     step_uniforms = _training_uniforms(config, num_draws)
     for step in range(config.steps):
         utterance = train[step % len(train)]
-        model, _ = train_step(model, utterance, config, next(step_uniforms))
+        model, _ = train_step(
+            model, utterance, config, next(step_uniforms),
+            step_topologies[step % len(train)],
+        )
         done = step + 1
         if done % config.eval_interval == 0 or done == config.steps:
             record(done)

@@ -146,6 +146,9 @@ class ShiftedLoss:
     def __call__(self, fst: Wfst, path: Path) -> float:
         return self.base(fst, path) + self.offset
 
+    def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
+        return self.base.batch(fst, edge_ids) + self.offset
+
 
 def format_logits_csv(z: np.ndarray) -> str:
     """Score matrix as the CSV that parse_logits_csv reads, bit-exactly."""
@@ -336,6 +339,30 @@ def word_chain_decoder(num_frames, num_symbols, vocab_size) -> Wfst:
         for q in range(1, num_symbols + 1)
     ]
     return Wfst(num_frames + 1, edges, final=num_frames)
+
+
+def bigram_decoder(
+    rng: np.random.Generator, num_symbols: int, vocab: int
+) -> Wfst:
+    """Bigram-style decoder whose states remember the last symbol.
+
+    State c is the context (0 at the start); every symbol q moves to state
+    q with a random log-probability, outputting word q when q <= vocab and
+    epsilon otherwise, and every context but the start exits to the final
+    state on an epsilon-input edge.
+    """
+    final = num_symbols + 1
+    edges = []
+    for context in range(num_symbols + 1):
+        probs = rng.dirichlet(np.ones(num_symbols))
+        for q in range(1, num_symbols + 1):
+            word = q if q <= vocab else EPSILON
+            edges.append(
+                Edge(context, q, q, word, float(np.log(probs[q - 1])))
+            )
+        if context:
+            edges.append(Edge(context, final, EPSILON, EPSILON, 0.0))
+    return Wfst(final + 1, edges, final=final)
 
 
 def random_task(rng: np.random.Generator, max_frames: int = 4,

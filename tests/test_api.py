@@ -12,7 +12,8 @@ PUBLIC_NAMES = [
     "CurveRecord", "CyclicFstError", "DEFAULT_EMBR_LEARNING_RATE",
     "DegenerateLatticeError", "DimensionMismatchError", "EPSILON", "Edge",
     "EnumeratedObjective", "FrameErrorLoss", "FstParseError",
-    "InvalidFstError", "LEARNING_RATE_RATIO", "LinearModel", "MbrEstimate",
+    "InvalidFstError", "LEARNING_RATE_RATIO", "LatticeTopology",
+    "LinearModel", "MbrEstimate",
     "NonFiniteGradientError", "Path", "PathOverflowError", "SampleStream",
     "SampledMbrError", "TaskConfig", "TrainConfig",
     "UnsupportedCompositionError", "UnsupportedTopologyError", "UsageError",

@@ -10,16 +10,20 @@ from sampled_mbr import (
     DimensionMismatchError,
     Edge,
     FstParseError,
+    LatticeTopology,
     UnsupportedCompositionError,
     Wfst,
     build_score_fst,
     compose,
+    empty_wfst,
     enumerate_paths,
     parse_logits_csv,
     path_distribution,
     path_occupancy,
     path_output_labels,
 )
+from sampled_mbr.fst import edge_arrays, edge_id_matrix
+
 from helpers import (
     format_logits_csv,
     identity_decoder,
@@ -198,6 +202,50 @@ def test_compose_total_weight_matches_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# Shared lattice topology
+# ---------------------------------------------------------------------------
+
+
+def test_topology_of_an_empty_composition_stays_empty():
+    # A three-frame chain has no path through a two-frame sausage.
+    topology = LatticeTopology(word_chain_decoder(3, 2, 2), 2, 2)
+    assert topology.lattice == empty_wfst()
+    z = np.array([[0.5, -1.0], [2.0, -math.inf]])
+    assert topology.at(z) == empty_wfst()
+    assert compose(build_score_fst(z), word_chain_decoder(3, 2, 2)) == (
+        empty_wfst()
+    )
+
+
+def test_topology_rejects_scores_of_wrong_shape_or_value():
+    topology = LatticeTopology(word_chain_decoder(2, 3, 2), 2, 3)
+    for z in (np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(6)):
+        with pytest.raises(DimensionMismatchError):
+            topology.at(z)
+    for bad in (math.nan, math.inf):
+        z = np.zeros((2, 3))
+        z[1, 2] = bad
+        with pytest.raises(DimensionMismatchError):
+            topology.at(z)
+    with pytest.raises(DimensionMismatchError):
+        LatticeTopology(word_chain_decoder(2, 3, 2), 0, 3)
+
+
+def test_topology_lattices_share_structure_and_record_score_ids():
+    decoder = word_chain_decoder(2, 3, 2)
+    topology = LatticeTopology(decoder, 2, 3)
+    lattice = topology.at(np.arange(6.0).reshape(2, 3))
+    assert lattice._out is topology.lattice._out
+    assert edge_arrays(lattice) is edge_arrays(topology.lattice)
+    # Each edge consumed sausage edge t * Q + q - 1 of its frame t.
+    expected = [3 * e.src + e.ilabel - 1 for e in topology.lattice.edges]
+    assert topology.score_index.tolist() == expected
+    assert [e.log_weight for e in lattice.edges] == [
+        float(k) for k in expected
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Occupancy matrices
 # ---------------------------------------------------------------------------
 
@@ -208,13 +256,14 @@ def test_occupancy_basic():
         [Edge(0, 1, 1, 1, 0.0), Edge(1, 2, 2, 2, 0.0)],
         final=2,
     )
-    gamma = path_occupancy(fst, [make_path(fst, [0, 1])], 2, 2)[0]
+    paths = edge_id_matrix([make_path(fst, [0, 1])])
+    gamma = path_occupancy(fst, paths, 2, 2)[0]
     assert gamma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_occupancy_single_frame_high_label():
     fst = Wfst(2, [Edge(0, 1, 3, 3, 0.0)], final=1)
-    gamma = path_occupancy(fst, [make_path(fst, [0])], 1, 3)[0]
+    gamma = path_occupancy(fst, edge_id_matrix([make_path(fst, [0])]), 1, 3)[0]
     assert gamma.tolist() == [[0.0, 0.0, 1.0]]
 
 
@@ -228,7 +277,8 @@ def test_occupancy_skips_epsilon_inputs():
         ],
         final=3,
     )
-    gamma = path_occupancy(fst, [make_path(fst, [0, 1, 2])], 2, 2)[0]
+    paths = edge_id_matrix([make_path(fst, [0, 1, 2])])
+    gamma = path_occupancy(fst, paths, 2, 2)[0]
     assert gamma.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
@@ -236,17 +286,17 @@ def test_occupancy_frame_count_mismatch():
     fst = Wfst(2, [Edge(0, 1, 1, 1, 0.0)], final=1)
     path = make_path(fst, [0])
     with pytest.raises(DimensionMismatchError):
-        path_occupancy(fst, [path], 2, 2)
+        path_occupancy(fst, edge_id_matrix([path]), 2, 2)
     with pytest.raises(DimensionMismatchError):
-        path_occupancy(fst, [path], 0, 2)
+        path_occupancy(fst, edge_id_matrix([path]), 0, 2)
     with pytest.raises(DimensionMismatchError):
-        path_occupancy(fst, [path], 1, 0)  # label outside 1..Q
+        path_occupancy(fst, edge_id_matrix([path]), 1, 0)  # label outside 1..Q
 
 
 def test_occupancy_label_past_index_range():
     fst = Wfst(2, [Edge(0, 1, 2**70, 1, 0.0)], final=1)
     with pytest.raises(DimensionMismatchError, match="outside 1..3"):
-        path_occupancy(fst, [make_path(fst, [0])], 1, 3)
+        path_occupancy(fst, edge_id_matrix([make_path(fst, [0])]), 1, 3)
 
 
 def test_occupancy_rows_one_hot_on_lattice_paths():
@@ -254,7 +304,7 @@ def test_occupancy_rows_one_hot_on_lattice_paths():
     z = rng.normal(size=(3, 3))
     lattice = uniform_lattice(3, 3)
     for path in enumerate_paths(lattice, 100):
-        gamma = path_occupancy(lattice, [path], 3, 3)[0]
+        gamma = path_occupancy(lattice, edge_id_matrix([path]), 3, 3)[0]
         assert gamma.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
         assert set(np.unique(gamma)) <= {0.0, 1.0}
 
@@ -267,7 +317,7 @@ def test_occupancy_is_exact_score_derivative():
     paths = enumerate_paths(lattice, 100)
     delta = 0.625  # exactly representable
     for path in paths[:4]:
-        gamma = path_occupancy(lattice, [path], 2, 3)[0]
+        gamma = path_occupancy(lattice, edge_id_matrix([path]), 2, 3)[0]
         t, q = 1, 2
         bumped = z.copy()
         bumped[t, q - 1] += delta

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from sampled_mbr import (
     EPSILON,
     CyclicFstError,
+    DegenerateLatticeError,
     DimensionMismatchError,
     Edge,
+    InvalidFstError,
+    LatticeTopology,
     Path,
     PathOverflowError,
     SampleStream,
@@ -31,10 +34,11 @@ from sampled_mbr import (
     topological_order,
     walk_paths,
 )
-from sampled_mbr.fst import enumerated_distribution
+from sampled_mbr.fst import edge_id_matrix, enumerated_distribution
 from sampled_mbr.sampling import longest_path_edges
 
 from helpers import (
+    bigram_decoder,
     dp_edit_distance,
     log_total_weight,
     occupancy_matrix,
@@ -44,6 +48,7 @@ from helpers import (
     reference_topological_order,
     reweight_stochastic,
     sample_path,
+    word_chain_decoder,
 )
 
 # Reference words are 1..6 and hypothesis words 1..8, so some hypothesis
@@ -116,8 +121,98 @@ def test_walked_stream_rows_match_sample_paths_on_random_dags(
     indices = [0, 2**64 - 1] + inner
     shuffle.shuffle(indices)
     rows = stream_uniforms(stream_seed, indices, longest_path_edges(fst))
-    for index, path in zip(indices, walk_paths(fst, rows), strict=True):
-        assert path == sample_paths(fst, stream_seed, 1, index)[0]
+    for index, row in zip(indices, walk_paths([fst], rows), strict=True):
+        path = sample_paths(fst, stream_seed, 1, index)[0]
+        assert tuple(row[row >= 0]) == path.edges
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**64 - 1),
+    copies=st.integers(1, 4),
+    rows_per_copy=st.integers(0, 5),
+    spare_draws=st.integers(0, 2),
+)
+def test_walking_reweighted_copies_together_equals_walking_each_alone(
+    seed, stream_seed, copies, rows_per_copy, spare_draws
+):
+    # Copies of one DAG with -inf edges, dead ends and mixed path lengths;
+    # some copies gain -inf edges of their own, and some of those have no
+    # positive-weight path left, which must fail as walking it alone does.
+    rng = np.random.default_rng(seed)
+    fst = random_acyclic_wfst(rng)
+    lattices = [fst]
+    for _ in range(copies - 1):
+        weights = rng.normal(0.0, 2.0, size=fst.num_edges)
+        weights[rng.random(fst.num_edges) < 0.1] = -math.inf
+        lattices.append(fst.with_weights(weights))
+    width = longest_path_edges(fst) + spare_draws
+    rows = stream_uniforms(
+        stream_seed, range(copies * rows_per_copy), width
+    ).reshape(copies, rows_per_copy, width)
+    alone = [
+        _raised_or(DegenerateLatticeError, lambda: walk_paths([lat], block))
+        for lat, block in zip(lattices, rows)
+    ]
+    together = _raised_or(
+        DegenerateLatticeError,
+        lambda: walk_paths(lattices, rows.reshape(-1, width)),
+    )
+    failed = [a for a in alone if isinstance(a, tuple)]
+    if failed:
+        assert together == failed[0]
+    else:
+        assert together.tobytes() == np.concatenate(alone).tobytes()
+        assert together.shape == (copies * rows_per_copy, width - spare_draws)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frames=st.integers(1, 6),
+    decoder=st.sampled_from(["bigram", "chain"]),
+)
+def test_topology_lattices_equal_composition_bit_for_bit(
+    seed, frames, decoder
+):
+    # The bigram graph exits on epsilon input, as in the lattice-exact
+    # benchmark; scores and decoder weights include -inf, -0.0 and 0.0,
+    # and scores near the float range make some sums overflow to +inf.
+    rng = np.random.default_rng(seed)
+    num_symbols = int(rng.integers(1, 5))
+    if decoder == "bigram":
+        graph = bigram_decoder(rng, num_symbols, max(1, num_symbols - 1))
+    else:
+        graph = word_chain_decoder(frames, num_symbols, 1)
+    graph = Wfst(graph.num_states, [
+        Edge(e.src, e.dst, e.ilabel, e.olabel,
+             float(rng.choice([e.log_weight, -0.0, 0.0, -math.inf, 1e308])))
+        for e in graph.edges
+    ], final=graph.final)
+    topology = LatticeTopology(graph, frames, num_symbols)
+    for _ in range(3):
+        z = rng.normal(0.0, 2.0, size=(frames, num_symbols))
+        z[rng.random(z.shape) < 0.15] = -math.inf
+        z[rng.random(z.shape) < 0.15] = -0.0
+        z[rng.random(z.shape) < 0.05] = 1e308
+        got, expected = (
+            _raised_or(InvalidFstError, run) for run in (
+                lambda: topology.at(z),
+                lambda: compose(build_score_fst(z), graph),
+            )
+        )
+        if isinstance(expected, Wfst):
+            assert isinstance(got, Wfst)
+            assert _edge_records(got) == _edge_records(expected)
+        assert got == expected
+
+
+def _edge_records(fst: Wfst):
+    return fst.num_states, fst.final, [
+        (e.src, e.dst, e.ilabel, e.olabel, e.log_weight.hex())
+        for e in fst.edges
+    ]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -190,7 +285,9 @@ def test_path_occupancy_matches_per_path_matrices(seed, stream_seed):
                     for p in batch
                 ]))
                 got = _outcome(
-                    lambda: path_occupancy(fst, batch, num_frames, num_symbols)
+                    lambda: path_occupancy(
+                        fst, edge_id_matrix(batch), num_frames, num_symbols
+                    )
                 )
                 assert got == expected
 

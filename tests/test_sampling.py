@@ -1,6 +1,7 @@
 """Backward weights, stochastic reweighting, and ancestral sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,9 +345,35 @@ def test_walk_paths_rejects_rows_one_draw_short():
         final=chain.final,
     )
     rows = stream_uniforms(8, range(5), 10)
-    assert walk_paths(fst, rows) == sample_paths(fst, 8, 5)
+    walked = [tuple(row[row >= 0]) for row in walk_paths([fst], rows)]
+    assert walked == [p.edges for p in sample_paths(fst, 8, 5)]
     with pytest.raises(ValueError, match="longest path has 10 edges"):
-        walk_paths(fst, rows[:, :9])
+        walk_paths([fst], rows[:, :9])
+
+
+def test_walk_memory_grows_with_edges_not_states_times_degree():
+    # 20,000 states; state 0 has 20,000 out-edges (two to the final state),
+    # so a states x max-degree CDF table would take 20,000^2 doubles, 3.2 GB,
+    # and a rows x max-degree one 4,096 x 20,000 entries.  The bound was
+    # fixed before the first run.
+    num_states = 20_000
+    final = num_states - 1
+    edges = [Edge(0, q, 1, 1, 0.0) for q in range(1, final)]
+    edges += [Edge(0, final, 2, 2, 0.0)] * 2
+    edges += [Edge(q, final, 3, 3, 0.0) for q in range(1, final)]
+    fst = Wfst(num_states, edges, final=final)
+    rows = stream_uniforms(3, range(4096), 2)
+    tracemalloc.start()
+    try:
+        walked = walk_paths([fst], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert walked.shape == (4096, 2)
+    first = walked[:, 0]
+    assert (first >= 0).all() and (first < 20_000).all()
+    assert ((walked[:, 1] == -1) == (first >= final - 1)).all()
 
 
 def test_sampled_paths_carry_original_weights():

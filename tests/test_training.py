@@ -14,6 +14,7 @@ from sampled_mbr import (
     EnumeratedObjective,
     FstParseError,
     LEARNING_RATE_RATIO,
+    LatticeTopology,
     LinearModel,
     TaskConfig,
     TrainConfig,
@@ -163,7 +164,9 @@ def test_train_step_zero_rate_keeps_model():
     utt = _tiny_dataset()[0]
     model = init_model(3, 2)
     config = _tiny_config(learning_rate=0.0)
-    updated, estimate = train_step(model, utt, config, _step_rows(0, 20, 3))
+    topology = LatticeTopology(utt.decoder_graph, 3, 2)
+    rows = _step_rows(0, 20, 3)
+    updated, estimate = train_step(model, utt, config, rows, topology)
     assert updated.weights.tobytes() == model.weights.tobytes()
     assert updated.bias.tobytes() == model.bias.tobytes()
     assert estimate.num_samples == 20
@@ -175,7 +178,8 @@ def test_train_step_single_path_decoder_is_a_fixed_point():
     utt = Utterance(np.ones((3, 2)), decoder, (1, 1, 1))
     model = LinearModel(np.full((2, 1), 0.5), np.zeros(1))
     rows = _step_rows(4, 20, 3)
-    updated, estimate = train_step(model, utt, _tiny_config(), rows)
+    topology = LatticeTopology(decoder, 3, 1)
+    updated, estimate = train_step(model, utt, _tiny_config(), rows, topology)
     assert estimate.expected_loss == 0.0
     assert not estimate.gradient.any()
     assert updated.weights.tobytes() == model.weights.tobytes()
@@ -186,7 +190,8 @@ def test_exact_gradient_step_matches_finite_differences():
     rng = np.random.default_rng(5)
     model = LinearModel(rng.normal(0, 0.3, size=(3, 2)), rng.normal(0, 0.3, size=2))
     config = _tiny_config(exact_gradients=True, learning_rate=1.0)
-    updated, _ = train_step(model, utt, config, _step_rows(0, 20, 3))
+    topology = LatticeTopology(utt.decoder_graph, 3, 2)
+    updated, _ = train_step(model, utt, config, _step_rows(0, 20, 3), topology)
     grad_w = model.weights - updated.weights  # rate is 1.0
     grad_b = model.bias - updated.bias
     loss = WordEditLoss(utt.reference or (1,))
@@ -261,7 +266,7 @@ def test_run_experiment_reduces_dev_loss():
 def test_enumerated_objective_matches_direct_enumeration():
     rng = np.random.default_rng(33)
     utt = _tiny_dataset(num_utterances=1, seed=14)[0]
-    dev = _DevLattice(utt.decoder_graph, 3, 2)
+    dev = _DevLattice(LatticeTopology(utt.decoder_graph, 3, 2))
     objective = EnumeratedObjective(utt, "word-edit", dev)
     loss = WordEditLoss(utt.reference or (1,))
     for _ in range(5):
@@ -273,7 +278,7 @@ def test_enumerated_objective_matches_direct_enumeration():
 
 def test_enumerated_objective_zero_weight_is_degenerate():
     utt = _tiny_dataset(num_utterances=1, seed=14)[0]
-    dev = _DevLattice(utt.decoder_graph, 3, 2)
+    dev = _DevLattice(LatticeTopology(utt.decoder_graph, 3, 2))
     objective = EnumeratedObjective(utt, "word-edit", dev)
     with pytest.raises(DegenerateLatticeError):
         objective.expected_loss(np.full((3, 2), -np.inf))
@@ -281,13 +286,14 @@ def test_enumerated_objective_zero_weight_is_degenerate():
 
 def test_dev_lattice_groups_paths_by_output_words():
     # The default task's 4^6 paths; symbol 4 outputs no word.
-    dev = _DevLattice(chain_decoder_graph(6, 4, 3), 6, 4)
-    words = [path_output_labels(dev.lattice, p) for p in dev.paths]
-    assert len(dev.paths) == 4**6
-    assert len(dev.representatives) == len(set(words)) == 1093
+    topology = LatticeTopology(chain_decoder_graph(6, 4, 3), 6, 4)
+    dev = _DevLattice(topology)
+    paths = enumerate_paths(topology.lattice, 4**6)
+    words = [path_output_labels(topology.lattice, p) for p in paths]
+    assert len(paths) == len(dev.word_index) == 4**6
+    assert len(dev.words) == len(set(words)) == 1093
     firsts = list(dict.fromkeys(words))
-    for k, rep in enumerate(dev.representatives):
-        assert path_output_labels(dev.lattice, rep) == firsts[k]
+    assert dev.words == firsts
     for k, w in enumerate(words):
         assert firsts[dev.word_index[k]] == w
 
@@ -358,7 +364,7 @@ def test_dev_utterance_that_does_not_fit_its_graph_is_degenerate():
 
 def test_frame_error_objective_rejects_alignment_of_wrong_length():
     utt = _tiny_dataset()[0]
-    dev = _DevLattice(utt.decoder_graph, 3, 2)
+    dev = _DevLattice(LatticeTopology(utt.decoder_graph, 3, 2))
     short = replace(utt, alignment=utt.alignment[:-1])
     with pytest.raises(DimensionMismatchError):
         EnumeratedObjective(short, "frame-error", dev)
