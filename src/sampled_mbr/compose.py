@@ -97,7 +97,6 @@ class LatticeTopology:
         self._decoder_weights = np.array(
             [e.log_weight for e in lattice.edges]
         )
-        edge_arrays(lattice)
 
     def at(self, log_scores: np.ndarray) -> Wfst:
         """The lattice at score matrix ``log_scores``.

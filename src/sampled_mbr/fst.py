@@ -188,11 +188,9 @@ def edge_arrays(fst: Wfst) -> EdgeArrays:
 
 
 def label_array(labels: Sequence[int]) -> np.ndarray:
-    """Labels as an int64 array when every label fits, else as objects."""
-    try:
-        return np.array(labels, dtype=np.int64)
-    except OverflowError:
-        return np.array(labels, dtype=object)
+    """Nonnegative labels as int64, or as objects when one is past int64."""
+    fits = max(labels, default=0) < 1 << 63
+    return np.array(labels, dtype=np.int64 if fits else object)
 
 
 def empty_wfst() -> Wfst:

@@ -12,6 +12,16 @@ at once, bit for bit equal to numpy's own ``Philox`` generator, in calls
 of up to KERNEL_ROWS streams whatever lattice walks them: ``stream_uniforms``
 draws the rows and ``walk_paths`` walks a lattice over them, and
 ``sample_paths`` composes the two.
+
+``walk_paths`` walks all rows in lockstep, one numpy step per edge
+position, and may walk several lattices of one topology in one call; it
+returns the paths as an edge-id matrix, which the losses and the
+occupancy read with one gather each.  Lockstep pays once rows are
+batched.  Against the per-row Python walk it replaced (medians of three
+alternating runs on a 2-vCPU x86-64 host), one training step's 100 rows
+of 6 edges took 361 against 457 us, a dev record's 20 lattices of 100
+rows, walked and scored, 3.3 against 8.6 ms, and 1,000 rows of 50 edges
+5.2 against 25.4 ms.
 """
 
 from __future__ import annotations
@@ -437,7 +447,8 @@ class _Walker:
             state = self.dst[edge]
             going = state != first.final
             if not going.all():
-                rows, key_base, state = rows[going], key_base[going], state[going]
+                rows, key_base = rows[going], key_base[going]
+                state = state[going]
                 if not len(rows):
                     break
         if stuck:

@@ -418,10 +418,11 @@ def run_experiment(
     dev_groups: dict[tuple[Wfst, int], list[int]] = {}
     objectives = []
     for d, u in enumerate(dev):
-        if key(u) not in lattices:
-            lattices[key(u)] = _DevLattice(topologies[key(u)])
-        dev_groups.setdefault(key(u), []).append(d)
-        objectives.append(EnumeratedObjective(u, config.loss, lattices[key(u)]))
+        k = key(u)
+        if k not in lattices:
+            lattices[k] = _DevLattice(topologies[k])
+        dev_groups.setdefault(k, []).append(d)
+        objectives.append(EnumeratedObjective(u, config.loss, lattices[k]))
     longest = max(longest_path_edges(t.lattice) for t in topologies.values())
     num_draws = max(1, longest)
     step_topologies = [topologies[key(u)] for u in train]

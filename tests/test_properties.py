@@ -13,6 +13,7 @@ from sampled_mbr import (
     DegenerateLatticeError,
     DimensionMismatchError,
     Edge,
+    FrameErrorLoss,
     InvalidFstError,
     LatticeTopology,
     Path,
@@ -254,6 +255,31 @@ def test_word_edit_loss_scores_each_word_tuple_by_its_words(ref, hyps, data):
         expected = float(dp_edit_distance(words, ref))
         assert loss(fst, path) == expected
         assert float(edit_distance(words, ref)) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**64 - 1),
+    reference=st.lists(st.integers(1, 3), max_size=6),
+)
+def test_batch_losses_match_per_path_losses_on_random_dags(
+    seed, stream_seed, reference
+):
+    # Labels 0..3 put epsilons on both tapes, so the sampled paths have
+    # different lengths and frame counts; a frame-error reference of the
+    # wrong length must fail as the per-path loss does.
+    fst = random_acyclic_wfst(np.random.default_rng(seed))
+    paths = sample_paths(fst, stream_seed, 16)
+    edge_ids = edge_id_matrix(paths)
+    for loss in (WordEditLoss(reference), FrameErrorLoss(reference)):
+        got, expected = (
+            _raised_or(DimensionMismatchError, run) for run in (
+                lambda: loss.batch(fst, edge_ids).tolist(),
+                lambda: [loss(fst, p) for p in paths],
+            )
+        )
+        assert got == expected
 
 
 def _outcome(build):

@@ -420,3 +420,13 @@ def test_sampling_requires_positive_total_weight():
     fst = Wfst(2, [Edge(0, 1, 1, 1, NEG_INF)], final=1)
     with pytest.raises(DegenerateLatticeError):
         sample_paths(fst, 0, 1)
+
+
+def test_walk_reports_a_dead_end_where_path_weights_overflow():
+    # The path weight overflows to +inf, so the initial state's total is
+    # +inf and every edge probability there is NaN, hence zero.
+    fst = Wfst(3, [Edge(0, 1, 1, 1, 1e308), Edge(1, 2, 1, 1, 1e308)], final=2)
+    with pytest.raises(DegenerateLatticeError, match="dead-end state 0"):
+        sample_paths(fst, 0, 3)
+    with pytest.raises(DegenerateLatticeError, match="dead-end state 0"):
+        walk_paths([fst, fst], stream_uniforms(0, range(4), 2))
