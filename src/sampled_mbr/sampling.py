@@ -379,7 +379,6 @@ class _Walker:
         # Finite now: backward found a path from the initial state.
         self.width = int(longest)
         self.dst = arrays.dst
-        self.first_out = arrays.first_out.tolist()
         # Per key, its CDF row's flat span [start, end); per flat position,
         # the edge id.  Flat entry p is stored at cdf[p + 1], so cdf[i]
         # reads the value before position i.

@@ -424,9 +424,12 @@ def test_sampling_requires_positive_total_weight():
 
 def test_walk_reports_a_dead_end_where_path_weights_overflow():
     # The path weight overflows to +inf, so the initial state's total is
-    # +inf and every edge probability there is NaN, hence zero.
+    # +inf and every edge probability there is NaN, hence zero.  The
+    # backward pass warns of the overflow and of inf - inf on the way,
+    # which this test does not check.
     fst = Wfst(3, [Edge(0, 1, 1, 1, 1e308), Edge(1, 2, 1, 1, 1e308)], final=2)
-    with pytest.raises(DegenerateLatticeError, match="dead-end state 0"):
-        sample_paths(fst, 0, 3)
-    with pytest.raises(DegenerateLatticeError, match="dead-end state 0"):
-        walk_paths([fst, fst], stream_uniforms(0, range(4), 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateLatticeError, match="dead-end state 0"):
+            sample_paths(fst, 0, 3)
+        with pytest.raises(DegenerateLatticeError, match="dead-end state 0"):
+            walk_paths([fst, fst], stream_uniforms(0, range(4), 2))
