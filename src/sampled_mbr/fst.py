@@ -62,7 +62,9 @@ class Wfst:
     safe to share across threads.
     """
 
-    __slots__ = ("num_states", "edges", "final", "_out", "_order", "_arrays")
+    __slots__ = (
+        "num_states", "edges", "final", "_out", "_order", "_arrays", "_beta"
+    )
 
     initial = 0
 
@@ -87,16 +89,19 @@ class Wfst:
         self.edges = edges
         self.final = final
         self._out = tuple(tuple(ids) for ids in out)
-        # Filled by the first successful topological_order and edge_arrays
-        # calls; threads that race to fill them store equal values.
+        # Filled by the first successful topological_order, edge_arrays
+        # and sampling.backward calls; threads that race to fill them
+        # store equal values.
         self._order: tuple[int, ...] | None = None
         self._arrays: EdgeArrays | None = None
+        self._beta: np.ndarray | None = None
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
         The copy shares the out-lists, the topological order and the edge
-        arrays, so only its edges are built.  Raises InvalidFstError for a
+        arrays, so only its edges are built; its backward weights are its
+        own.  Raises InvalidFstError for a
         NaN or +inf weight, naming the first such edge, as the constructor
         does.
         """
@@ -123,6 +128,7 @@ class Wfst:
         copy._out = self._out
         copy._order = self._order
         copy._arrays = edge_arrays(self)
+        copy._beta = None
         return copy
 
     def out_edge_ids(self, state: int) -> tuple[int, ...]:

@@ -49,8 +49,11 @@ def backward(fst: Wfst) -> np.ndarray:
     the final state get -inf; the entry for the initial state is the log
     partition function.  Raises DegenerateLatticeError when the initial
     state itself has -inf, i.e. no complete path carries positive weight,
-    and CyclicFstError on cyclic input.
+    and CyclicFstError on cyclic input.  The result is computed once per
+    transducer, cached on it and returned read-only.
     """
+    if fst._beta is not None:
+        return fst._beta
     order = topological_order(fst)
     beta = np.full(fst.num_states, NEG_INF)
     beta[fst.final] = 0.0
@@ -64,6 +67,8 @@ def backward(fst: Wfst) -> np.ndarray:
         raise DegenerateLatticeError(
             "no positive-weight path from the initial state"
         )
+    beta.flags.writeable = False
+    fst._beta = beta
     return beta
 
 
@@ -368,10 +373,12 @@ class _Walker:
         first = lattices[0]
         arrays = edge_arrays(first)
         for fst in lattices[1:]:
-            if not (
+            theirs = edge_arrays(fst)
+            if theirs is not arrays and not (
                 fst.final == first.final
-                and fst._out == first._out
-                and np.array_equal(edge_arrays(fst).dst, arrays.dst)
+                and np.array_equal(theirs.first_out, arrays.first_out)
+                and np.array_equal(theirs.out_ids, arrays.out_ids)
+                and np.array_equal(theirs.dst, arrays.dst)
             ):
                 raise ValueError("lattices must share one topology")
         self.lattices = lattices

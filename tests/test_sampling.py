@@ -376,6 +376,17 @@ def test_walk_memory_grows_with_edges_not_states_times_degree():
     assert ((walked[:, 1] == -1) == (first >= final - 1)).all()
 
 
+def test_backward_is_cached_read_only_and_not_shared_by_reweighted_copies():
+    fst = two_path_fixture()
+    beta = backward(fst)
+    assert backward(fst) is beta
+    with pytest.raises(ValueError):
+        beta[0] = 0.0
+    copy = fst.with_weights(np.zeros(fst.num_edges))
+    assert backward(copy).tolist() == [math.log(2.0), 0.0]
+    assert math.isclose(backward(fst)[0], math.log(5.0), rel_tol=1e-12)
+
+
 def test_sampled_paths_carry_original_weights():
     fst = two_path_fixture()
     for p in sample_paths(fst, 0, 10):
