@@ -20,14 +20,7 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import (
-    EPSILON,
-    Edge,
-    Wfst,
-    edge_arrays,
-    empty_wfst,
-    topological_order,
-)
+from .fst import EPSILON, Wfst, empty_wfst, out_edge_lists, topological_order
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -39,12 +32,12 @@ def build_score_fst(log_scores: np.ndarray) -> Wfst:
     """
     z = _checked_scores(log_scores)
     num_frames, num_symbols = z.shape
-    edges = [
-        Edge(t, t + 1, q + 1, q + 1, float(z[t, q]))
-        for t in range(num_frames)
-        for q in range(num_symbols)
-    ]
-    return Wfst(num_frames + 1, edges, final=num_frames)
+    # Edge t * Q + q - 1 is symbol q at frame t.
+    src = np.repeat(np.arange(num_frames), num_symbols)
+    symbols = np.tile(np.arange(1, num_symbols + 1), num_frames)
+    return Wfst._from_arrays(
+        num_frames + 1, num_frames, src, src + 1, symbols, symbols, z.ravel()
+    )
 
 
 def _checked_scores(log_scores: np.ndarray) -> np.ndarray:
@@ -79,24 +72,17 @@ class LatticeTopology:
             build_score_fst(np.full(self.shape, -0.0)), decoder_graph
         )
         lattice = self.lattice
+        out, dst = out_edge_lists(lattice), lattice.dst.tolist()
+        inputs = lattice.ilabel[:-1]
+        consumed = (inputs != EPSILON).tolist()
         # Every state pairs one sausage state, its frame, with a decoder
         # state, and every state is reachable from the start.
         frame = [0] * lattice.num_states
         for q in topological_order(lattice):
-            for k in lattice.out_edge_ids(q):
-                e = lattice.edges[k]
-                frame[e.dst] = frame[q] + (e.ilabel != EPSILON)
-        self.score_index = np.array(
-            [
-                frame[e.src] * num_symbols + e.ilabel - 1
-                if e.ilabel != EPSILON else -1
-                for e in lattice.edges
-            ],
-            dtype=np.intp,
-        )
-        self._decoder_weights = np.array(
-            [e.log_weight for e in lattice.edges]
-        )
+            for k in out[q]:
+                frame[dst[k]] = frame[q] + consumed[k]
+        index = np.array(frame)[lattice.src] * num_symbols + inputs - 1
+        self.score_index = np.where(inputs != EPSILON, index, -1)
 
     def at(self, log_scores: np.ndarray) -> Wfst:
         """The lattice at score matrix ``log_scores``.
@@ -111,7 +97,7 @@ class LatticeTopology:
                 f"score matrix has shape {z.shape}, expected {self.shape}"
             )
         consumed = self.score_index >= 0
-        weights = self._decoder_weights.copy()
+        weights = self.lattice.log_weight.copy()
         # A sum past the float range is +inf, which with_weights rejects
         # as the Wfst constructor rejects compose's, without a warning.
         with np.errstate(over="ignore"):
@@ -131,37 +117,39 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     pair, then trimmed to those on a complete path, keeping their order,
     as are the edges.  With no complete path this returns empty_wfst().
     """
-    if any(e.olabel == EPSILON for e in a.edges):
+    if (a.olabel[:-1] == EPSILON).any():
         raise UnsupportedCompositionError(
             "left transducer has epsilon output labels"
         )
+    a_out, a_olabel = out_edge_lists(a), a.olabel.tolist()
+    a_dst, b_dst = a.dst.tolist(), b.dst.tolist()
 
-    # Index b's out-edges by input label for the match step.
-    b_by_label: list[dict[int, list[Edge]]] = [{} for _ in range(b.num_states)]
-    for eb in b.edges:
-        b_by_label[eb.src].setdefault(eb.ilabel, []).append(eb)
+    # Index b's out-edge ids by input label for the match step.
+    b_by_label: list[dict[int, list[int]]] = [{} for _ in range(b.num_states)]
+    for kb, (src, ilabel) in enumerate(zip(b.src.tolist(), b.ilabel.tolist())):
+        b_by_label[src].setdefault(ilabel, []).append(kb)
 
     # The BFS queue is the list of discovered pairs, indexed by state id.
+    # Each arc records its source and destination states and the a and b
+    # edges it pairs, a's as -1 where b moves alone.
     pairs = [(a.initial, b.initial)]
     state_id = {pairs[0]: 0}
-    arcs: list[tuple[int, int, int, int, float]] = []
+    arcs: list[tuple[int, int, int, int]] = []
     for src, (qa, qb) in enumerate(pairs):
         moves = [
-            ((ea.dst, eb.dst), ea.ilabel, eb.olabel,
-             ea.log_weight + eb.log_weight)
-            for ea in map(a.edges.__getitem__, a.out_edge_ids(qa))
-            for eb in b_by_label[qb].get(ea.olabel, ())
+            ((a_dst[ka], b_dst[kb]), ka, kb)
+            for ka in a_out[qa]
+            for kb in b_by_label[qb].get(a_olabel[ka], ())
         ]
         # b moves alone; legal because a has no output epsilons.
         moves += [
-            ((qa, eb.dst), EPSILON, eb.olabel, eb.log_weight)
-            for eb in b_by_label[qb].get(EPSILON, ())
+            ((qa, b_dst[kb]), -1, kb) for kb in b_by_label[qb].get(EPSILON, ())
         ]
-        for pair, ilabel, olabel, log_weight in moves:
+        for pair, ka, kb in moves:
             if pair not in state_id:
                 state_id[pair] = len(pairs)
                 pairs.append(pair)
-            arcs.append((src, state_id[pair], ilabel, olabel, log_weight))
+            arcs.append((src, state_id[pair], ka, kb))
 
     final = state_id.get((a.final, b.final))
     if final is None:
@@ -178,13 +166,19 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
             if p not in seen:
                 seen.add(p)
                 alive.append(p)
-    renumber = {old: new for new, old in enumerate(sorted(alive))}
-    edges = [
-        Edge(renumber[src], renumber[dst], ilabel, olabel, log_weight)
-        for src, dst, ilabel, olabel, log_weight in arcs
-        if dst in renumber
-    ]
-    return Wfst(len(alive), edges, final=renumber[final])
+    renumber = np.full(len(pairs), -1, dtype=np.intp)
+    renumber[sorted(alive)] = np.arange(len(alive))
+    table = np.array(arcs, dtype=np.intp).reshape(-1, 4)
+    src, dst, ka, kb = table[renumber[table[:, 1]] >= 0].T
+    # Entry -1, read where b moves alone, is a's input epsilon and a weight
+    # of -0.0, which leaves every b weight unchanged.  A sum past the float
+    # range is +inf, which the Wfst check rejects, without a warning.
+    with np.errstate(over="ignore"):
+        log_weight = np.append(a.log_weight, -0.0)[ka] + b.log_weight[kb]
+    return Wfst._from_arrays(
+        len(alive), int(renumber[final]), renumber[src], renumber[dst],
+        a.ilabel[ka], b.olabel[kb], log_weight,
+    )
 
 
 def path_occupancy(
@@ -199,7 +193,7 @@ def path_occupancy(
     the scores.  The labels are one gather, and the ones are set by one
     fancy-indexed assignment.
     """
-    inputs = edge_arrays(fst).ilabel[edge_ids]
+    inputs = fst.ilabel[edge_ids]
     consumed = inputs != EPSILON
     if (consumed.sum(axis=1) != num_frames).any():
         _raise_occupancy_error(inputs, num_frames, num_symbols)

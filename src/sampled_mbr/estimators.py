@@ -22,6 +22,7 @@ from .fst import (
     Wfst,
     edge_id_matrix,
     enumerated_distribution,
+    out_edge_lists,
     topological_order,
 )
 from .sampling import backward, sample_edge_ids
@@ -91,17 +92,18 @@ def expected_additive_loss(
     # double arithmetic, hence every bit, is the same.
     beta = backward(fst).tolist()
     costs = costs.tolist()
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    weight = fst.log_weight.tolist()
     suffix = [0.0] * fst.num_states
     for q in reversed(topological_order(fst)):
         if beta[q] == NEG_INF:
             continue
         total = 0.0
-        for k in fst.out_edge_ids(q):
-            e = fst.edges[k]
-            v = e.log_weight + beta[e.dst]
+        for k in out[q]:
+            v = weight[k] + beta[dst[k]]
             if v == NEG_INF:
                 continue
-            total += math.exp(v - beta[q]) * (costs[k] + suffix[e.dst])
+            total += math.exp(v - beta[q]) * (costs[k] + suffix[dst[k]])
         suffix[q] = total
     return beta[fst.initial], suffix[fst.initial]
 

@@ -2,7 +2,9 @@
 
 Weights are stored as natural logs of nonnegative reals, so path weights
 are sums of edge log-weights and a zero-weight edge is ``-inf``.  Label id
-0 is reserved for epsilon on both tapes.
+0 is reserved for epsilon on both tapes.  A Wfst keeps each edge field in
+one numpy array indexed by edge id, which every kernel reads; Edge objects
+are only a view of those arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ class Path:
 class Wfst:
     """Immutable weighted transducer with a single final state.
 
+    Each edge field is stored once, in a read-only array indexed by edge
+    id: ``src``, ``dst``, ``log_weight``, and ``ilabel`` and ``olabel``,
+    which end with one extra epsilon that a path row padded with -1 reads
+    (labels past int64 make them object arrays).  ``out_ids`` lists the
+    edge ids grouped by source state in edge-id order, state q's group
+    being ``out_ids[first_out[q]:first_out[q + 1]]``.  ``edges`` is the
+    tuple of Edge views: the caller's own Edges, or built on first access.
+
     The initial state is always state 0, as in the text format.
     Invariants enforced at construction: every edge references valid states,
     no edge leaves the final state, labels are nonnegative, and no weight is
@@ -63,140 +73,141 @@ class Wfst:
     """
 
     __slots__ = (
-        "num_states", "edges", "final", "_out", "_order", "_arrays", "_beta"
+        "num_states", "final", "src", "dst", "ilabel", "olabel",
+        "log_weight", "first_out", "out_ids", "_edges", "_order", "_beta",
     )
 
     initial = 0
 
     def __init__(self, num_states: int, edges: Iterable[Edge], final: int):
         edges = tuple(edges)
+        rows = [(e.src, e.dst, e.ilabel, e.olabel, e.log_weight) for e in edges]
+        self._store(num_states, final, *(list(zip(*rows)) or [()] * 5))
+        self._edges = edges
+
+    @classmethod
+    def _from_arrays(cls, num_states: int, final: int, *fields) -> Wfst:
+        """The transducer with these edge fields, in Edge's field order."""
+        fst = object.__new__(cls)
+        fst._store(num_states, final, *fields)
+        return fst
+
+    def _store(self, num_states, final, src, dst, ilabel, olabel, log_weight):
         if num_states < 1:
             raise InvalidFstError("num_states must be at least 1")
         if not 0 <= final < num_states:
             raise InvalidFstError(f"final state {final} out of range")
-        out: list[list[int]] = [[] for _ in range(num_states)]
-        for k, e in enumerate(edges):
-            if not (0 <= e.src < num_states and 0 <= e.dst < num_states):
-                raise InvalidFstError(f"edge {k} references an unknown state")
-            if e.ilabel < 0 or e.olabel < 0:
-                raise InvalidFstError(f"edge {k} has a negative label")
-            if math.isnan(e.log_weight) or e.log_weight == math.inf:
-                raise InvalidFstError(f"edge {k} has an invalid log-weight")
-            if e.src == final:
-                raise InvalidFstError(f"edge {k} leaves the final state")
-            out[e.src].append(k)
-        self.num_states = num_states
-        self.edges = edges
-        self.final = final
-        self._out = tuple(tuple(ids) for ids in out)
-        # Filled by the first successful topological_order, edge_arrays
-        # and sampling.backward calls; threads that race to fill them
-        # store equal values.
-        self._order: tuple[int, ...] | None = None
-        self._arrays: EdgeArrays | None = None
-        self._beta: np.ndarray | None = None
+        self.num_states, self.final = num_states, final
+        self.src, self.dst = label_array(src), label_array(dst)
+        self.ilabel = np.append(label_array(ilabel), EPSILON)
+        self.olabel = np.append(label_array(olabel), EPSILON)
+        self.log_weight = np.array(log_weight, dtype=float)
+        _check_edges(self)
+        self.src = self.src.astype(np.intp, copy=False)
+        self.dst = self.dst.astype(np.intp, copy=False)
+        degrees = np.bincount(self.src, minlength=num_states)
+        self.first_out = np.append(0, np.cumsum(degrees)).astype(np.intp)
+        self.out_ids = np.argsort(self.src, kind="stable")
+        for array in (self.first_out, self.out_ids, *self._fields()):
+            array.flags.writeable = False
+        # Filled by the first successful edges, topological_order and
+        # sampling.backward calls; racing threads store equal values.
+        self._edges = self._order = self._beta = None
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
-        The copy shares the out-lists, the topological order and the edge
-        arrays, so only its edges are built; its backward weights are its
-        own.  Raises InvalidFstError for a
-        NaN or +inf weight, naming the first such edge, as the constructor
-        does.
+        The copy shares every array but the weights, and the topological
+        order.  Raises InvalidFstError for a vector of the wrong length and
+        for a NaN or +inf weight, naming the first such edge as the
+        constructor does.
         """
-        log_weights = np.asarray(log_weights, dtype=float)
-        if log_weights.shape != (len(self.edges),):
+        log_weights = np.array(log_weights, dtype=float)
+        if log_weights.shape != (self.num_edges,):
             raise InvalidFstError(
-                f"expected {len(self.edges)} log-weights, "
+                f"expected {self.num_edges} log-weights, "
                 f"got shape {log_weights.shape}"
             )
-        invalid = np.flatnonzero(
-            np.isnan(log_weights) | (log_weights == math.inf)
-        )
-        if invalid.size:
-            raise InvalidFstError(
-                f"edge {invalid[0]} has an invalid log-weight"
-            )
         copy = object.__new__(Wfst)
-        copy.num_states = self.num_states
-        copy.final = self.final
-        copy.edges = tuple(
-            Edge(e.src, e.dst, e.ilabel, e.olabel, w)
-            for e, w in zip(self.edges, log_weights.tolist())
-        )
-        copy._out = self._out
-        copy._order = self._order
-        copy._arrays = edge_arrays(self)
-        copy._beta = None
+        for name in self.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.log_weight = log_weights
+        _check_edges(copy)
+        log_weights.flags.writeable = False
+        copy._edges = copy._beta = None
         return copy
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            fields = [f[:self.num_edges].tolist() for f in self._fields()]
+            self._edges = tuple(map(Edge, *fields))
+        return self._edges
 
     def out_edge_ids(self, state: int) -> tuple[int, ...]:
         """Ids of edges leaving ``state``, in edge-id order."""
-        return self._out[state]
+        ids = self.out_ids[self.first_out[state]:self.first_out[state + 1]]
+        return tuple(ids.tolist())
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
+
+    def _fields(self) -> list[np.ndarray]:
+        return [self.src, self.dst, self.ilabel, self.olabel, self.log_weight]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Wfst):
             return NotImplemented
-        return (
-            self.num_states == other.num_states
-            and self.final == other.final
-            and self.edges == other.edges
+        return self is other or (
+            (self.num_states, self.final) == (other.num_states, other.final)
+            and all(map(np.array_equal, self._fields(), other._fields()))
         )
 
     def __hash__(self):
-        return hash((self.num_states, self.final, self.edges))
+        # Python values: -0.0 hashes as 0.0 does, a big label by its value.
+        fields = (tuple(field.tolist()) for field in self._fields())
+        return hash((self.num_states, self.final, *fields))
 
     def __repr__(self):
         return (
-            f"Wfst(num_states={self.num_states}, num_edges={len(self.edges)}, "
+            f"Wfst(num_states={self.num_states}, num_edges={self.num_edges}, "
             f"final={self.final})"
         )
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeArrays:
-    """A transducer's edges as numpy arrays, for work on many paths at once.
+def _check_edges(fst: Wfst):
+    """InvalidFstError naming the lowest-numbered bad edge and the first
+    check, in this order, that it fails."""
+    n, weight = fst.num_states, fst.log_weight
+    checks = {
+        "references an unknown state":
+            (fst.src < 0) | (fst.src >= n) | (fst.dst < 0) | (fst.dst >= n),
+        "has a negative label": (fst.ilabel[:-1] < 0) | (fst.olabel[:-1] < 0),
+        "has an invalid log-weight": np.isnan(weight) | (weight == math.inf),
+        "leaves the final state": fst.src == fst.final,
+    }
+    bad = np.logical_or.reduce(list(checks.values()))
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(name for name, mask in checks.items() if mask[k])
+        raise InvalidFstError(f"edge {k} {message}")
 
-    ``out_ids`` lists every edge id grouped by source state, each group in
-    out-edge order, and state q's group is ``out_ids[first_out[q]:
-    first_out[q + 1]]``.  The label arrays hold one entry past the last
-    edge, epsilon, so a path row padded with -1 reads epsilon there.
-    Labels past the int64 range are kept in object arrays.
-    """
 
-    dst: np.ndarray
-    ilabel: np.ndarray
-    olabel: np.ndarray
-    first_out: np.ndarray
-    out_ids: np.ndarray
-
-
-def edge_arrays(fst: Wfst) -> EdgeArrays:
-    """The transducer's EdgeArrays, built once and cached on it."""
-    if fst._arrays is None:
-        edges = fst.edges
-        degrees = [len(ids) for ids in fst._out]
-        fst._arrays = EdgeArrays(
-            dst=np.array([e.dst for e in edges], dtype=np.intp),
-            ilabel=label_array([e.ilabel for e in edges] + [EPSILON]),
-            olabel=label_array([e.olabel for e in edges] + [EPSILON]),
-            first_out=np.cumsum([0] + degrees, dtype=np.intp),
-            out_ids=np.array(
-                [k for ids in fst._out for k in ids], dtype=np.intp
-            ),
-        )
-    return fst._arrays
+def out_edge_lists(fst: Wfst) -> list[list[int]]:
+    """Per state, the ids of its out-edges in edge-id order, as lists for
+    loops in Python."""
+    ids = fst.out_ids.tolist()
+    first = fst.first_out.tolist()
+    return [ids[start:stop] for start, stop in zip(first, first[1:])]
 
 
 def label_array(labels: Sequence[int]) -> np.ndarray:
-    """Nonnegative labels as int64, or as objects when one is past int64."""
-    fits = max(labels, default=0) < 1 << 63
-    return np.array(labels, dtype=np.int64 if fits else object)
+    """Integers as int64, or as objects when one is past int64."""
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        return np.array(labels, dtype=object)
 
 
 def empty_wfst() -> Wfst:
@@ -297,16 +308,14 @@ def _parse_log_weight(token: str, lineno: int) -> float:
 
 def path_output_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
     """Non-epsilon output labels along the path, in order."""
-    return tuple(
-        fst.edges[k].olabel for k in path.edges if fst.edges[k].olabel != EPSILON
-    )
+    labels = fst.olabel.take(path.edges).tolist()
+    return tuple(label for label in labels if label != EPSILON)
 
 
 def path_input_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
     """Non-epsilon input labels along the path, in order."""
-    return tuple(
-        fst.edges[k].ilabel for k in path.edges if fst.edges[k].ilabel != EPSILON
-    )
+    labels = fst.ilabel.take(path.edges).tolist()
+    return tuple(label for label in labels if label != EPSILON)
 
 
 def edge_id_matrix(paths: Sequence[Path]) -> np.ndarray:
@@ -334,14 +343,13 @@ def topological_order(fst: Wfst) -> tuple[int, ...]:
     """
     if fst._order is not None:
         return fst._order
-    indeg = [0] * fst.num_states
-    for e in fst.edges:
-        indeg[e.dst] += 1
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    indeg = np.bincount(fst.dst, minlength=fst.num_states).tolist()
     # Kahn's algorithm; the order list is its own FIFO queue.
     order = [q for q in range(fst.num_states) if indeg[q] == 0]
     for q in order:
-        for k in fst.out_edge_ids(q):
-            j = fst.edges[k].dst
+        for k in out[q]:
+            j = dst[k]
             indeg[j] -= 1
             if indeg[j] == 0:
                 order.append(j)
@@ -362,12 +370,13 @@ def is_acyclic(fst: Wfst) -> bool:
 def count_paths(fst: Wfst) -> int:
     """Exact number of initial-to-final paths (dynamic program, no listing)."""
     order = topological_order(fst)
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
     counts = [0] * fst.num_states
     counts[fst.final] = 1
     for q in reversed(order):
         if q == fst.final:
             continue
-        counts[q] = sum(counts[fst.edges[k].dst] for k in fst.out_edge_ids(q))
+        counts[q] = sum(counts[dst[k]] for k in out[q])
     return counts[fst.initial]
 
 
@@ -378,6 +387,8 @@ def enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
     and CyclicFstError on cyclic input.
     """
     topological_order(fst)  # reject cycles before walking
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    weight = fst.log_weight.tolist()
     # Out-edges are pushed in reverse id order, so paths pop lexicographic.
     results: list[Path] = []
     stack = [(fst.initial, (), 0.0)]
@@ -390,9 +401,8 @@ def enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
                 )
             results.append(Path(prefix, log_weight))
             continue
-        for k in reversed(fst.out_edge_ids(state)):
-            e = fst.edges[k]
-            stack.append((e.dst, prefix + (k,), log_weight + e.log_weight))
+        for k in reversed(out[state]):
+            stack.append((dst[k], prefix + (k,), log_weight + weight[k]))
     return results
 
 
@@ -430,8 +440,10 @@ def path_distribution(fst: Wfst) -> dict[tuple[int, ...], float]:
     equals y.  Raises DegenerateLatticeError when the total weight is zero
     and PathOverflowError past MAX_ENUMERATED_PATHS paths.
     """
+    paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
+    rows = fst.olabel[edge_id_matrix(paths)].tolist()
     dist: dict[tuple[int, ...], float] = {}
-    for path, p in zip(*enumerated_distribution(fst, MAX_ENUMERATED_PATHS)):
-        words = path_output_labels(fst, path)
-        dist[words] = dist.get(words, 0.0) + float(p)
+    for row, p in zip(rows, probs.tolist()):
+        words = tuple(label for label in row if label != EPSILON)
+        dist[words] = dist.get(words, 0.0) + p
     return dist

@@ -21,8 +21,8 @@ from .fst import (
     EPSILON,
     Path,
     Wfst,
-    edge_arrays,
     label_array,
+    out_edge_lists,
     path_input_labels,
     path_output_labels,
     topological_order,
@@ -87,29 +87,30 @@ def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
     frame_at: list[int | None] = [None] * fst.num_states
     frame_at[fst.initial] = 0
     losses = np.zeros(fst.num_edges)
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    inputs = fst.ilabel.tolist()
     # Edges are examined in an order where every source state has already
     # received its frame index from some incoming route (or is unreachable).
     for q in topological_order(fst):
         t = frame_at[q]
         if t is None:
             continue
-        for k in fst.out_edge_ids(q):
-            e = fst.edges[k]
-            if e.ilabel == EPSILON:
+        for k in out[q]:
+            if inputs[k] == EPSILON:
                 advanced = t
             else:
                 if t >= num_frames:
                     raise DimensionMismatchError(
                         f"a path consumes more than {num_frames} frames"
                     )
-                losses[k] = 0.0 if e.ilabel == ref[t] else 1.0
+                losses[k] = 0.0 if inputs[k] == ref[t] else 1.0
                 advanced = t + 1
-            seen = frame_at[e.dst]
+            seen = frame_at[dst[k]]
             if seen is None:
-                frame_at[e.dst] = advanced
+                frame_at[dst[k]] = advanced
             elif seen != advanced:
                 raise UnsupportedTopologyError(
-                    f"state {e.dst} is reachable at frame depths "
+                    f"state {dst[k]} is reachable at frame depths "
                     f"{seen} and {advanced}; per-edge frame positions "
                     "are ambiguous"
                 )
@@ -162,7 +163,7 @@ class WordEditLoss:
         """
         memo, peq, m = self._memo, self._peq, len(self.reference)
         values = []
-        for row in edge_arrays(fst).olabel[edge_ids].tolist():
+        for row in fst.olabel[edge_ids].tolist():
             key = tuple(row)
             value = memo.get(key)
             if value is None:
@@ -196,7 +197,7 @@ class FrameErrorLoss:
     def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
         """Losses of the paths in the rows of an edge-id matrix: one gather
         of the input labels and one comparison against the alignment."""
-        inputs = edge_arrays(fst).ilabel[edge_ids]
+        inputs = fst.ilabel[edge_ids]
         consumed = inputs != EPSILON
         frames = consumed.sum(axis=1)
         wrong = np.flatnonzero(frames != len(self.alignment))

@@ -33,12 +33,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateLatticeError
-from .fst import NEG_INF, Path, Wfst, edge_arrays, topological_order
+from .fst import NEG_INF, Path, Wfst, out_edge_lists, topological_order
 
 _TWO64 = 1 << 64
-
-# (cumulative probabilities, index of last positive entry) per state
-_Cdf = tuple[list[float], int]
 
 
 def backward(fst: Wfst) -> np.ndarray:
@@ -55,18 +52,18 @@ def backward(fst: Wfst) -> np.ndarray:
     if fst._beta is not None:
         return fst._beta
     order = topological_order(fst)
-    beta = np.full(fst.num_states, NEG_INF)
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    weight = fst.log_weight.tolist()
+    beta = [NEG_INF] * fst.num_states
     beta[fst.final] = 0.0
     for q in reversed(order):
-        ids = fst.out_edge_ids(q)
-        if ids:
-            beta[q] = _log_sum(
-                [fst.edges[k].log_weight + beta[fst.edges[k].dst] for k in ids]
-            )
+        if out[q]:
+            beta[q] = _log_sum([weight[k] + beta[dst[k]] for k in out[q]])
     if beta[fst.initial] == NEG_INF:
         raise DegenerateLatticeError(
             "no positive-weight path from the initial state"
         )
+    beta = np.array(beta)
     beta.flags.writeable = False
     fst._beta = beta
     return beta
@@ -87,11 +84,11 @@ def stochasticity_deviation(fst: Wfst) -> float:
     weights are all zero (and the final state) are skipped.
     """
     worst = 0.0
-    for q in range(fst.num_states):
-        ids = fst.out_edge_ids(q)
+    weight = fst.log_weight.tolist()
+    for ids in out_edge_lists(fst):
         if not ids:
             continue
-        total = _log_sum([fst.edges[k].log_weight for k in ids])
+        total = _log_sum([weight[k] for k in ids])
         if total != NEG_INF:
             worst = max(worst, abs(total))
     return worst
@@ -283,7 +280,7 @@ def sample_paths(
     bounds the memory of the draws.  The returned paths carry
     original-lattice log-weights (unnormalized), summed left to right.
     """
-    weights = np.array([e.log_weight for e in fst.edges] + [0.0])
+    weights = np.append(fst.log_weight, 0.0)
     out: list[Path] = []
     for ids in _sampled_chunks(fst, seed, num_samples, start_index):
         # Padding adds 0.0, which leaves every sum from +0.0 unchanged.
@@ -325,29 +322,13 @@ def _sampled_chunks(
 
 def longest_path_edges(fst: Wfst) -> float:
     """Edge count of the longest initial-to-final path (-inf when none)."""
+    out, dst = out_edge_lists(fst), fst.dst.tolist()
     depth = [NEG_INF] * fst.num_states
     depth[fst.final] = 0
     for q in reversed(topological_order(fst)):
-        ids = fst.out_edge_ids(q)
-        if ids and q != fst.final:
-            depth[q] = 1 + max(depth[fst.edges[k].dst] for k in ids)
+        if out[q] and q != fst.final:
+            depth[q] = 1 + max(depth[dst[k]] for k in out[q])
     return depth[fst.initial]
-
-
-def _state_cdf(fst: Wfst, beta: np.ndarray, state: int) -> _Cdf:
-    """Cumulative out-edge probabilities, reweighted on the fly by beta."""
-    cum: list[float] = []
-    total = 0.0
-    last_positive = -1
-    for idx, k in enumerate(fst.out_edge_ids(state)):
-        e = fst.edges[k]
-        w = e.log_weight + beta[e.dst] - beta[state]
-        p = math.exp(w) if math.isfinite(w) else 0.0
-        if p > 0.0:
-            last_positive = idx
-        total += p
-        cum.append(total)
-    return cum, last_positive
 
 
 # ``_Walker.last`` entry of a state whose CDF row is not built yet.
@@ -362,51 +343,61 @@ class _Walker:
     of the state's cumulative out-edge probabilities that are <= u times
     their total, clamped at the last positive edge: exactly the
     ``bisect_right`` of an inverse-CDF draw.  Each state's CDF row is
-    built once, on the first visit, by ``_state_cdf`` with ``math.exp`` in
-    out-edge order.  The rows of all states and lattices share one flat
-    array, laid out as the edge arrays' ``out_ids`` repeated once per
+    built once, on the first visit, with ``math.exp`` in out-edge order.
+    The rows of all states and lattices share one flat
+    array, laid out as the lattices' ``out_ids`` repeated once per
     lattice, so memory grows with edges, never with states times
     out-degree.  State q of lattice d is key d * num_states + q.
     """
 
     def __init__(self, lattices: Sequence[Wfst], longest: float):
         first = lattices[0]
-        arrays = edge_arrays(first)
         for fst in lattices[1:]:
-            theirs = edge_arrays(fst)
-            if theirs is not arrays and not (
-                fst.final == first.final
-                and np.array_equal(theirs.first_out, arrays.first_out)
-                and np.array_equal(theirs.out_ids, arrays.out_ids)
-                and np.array_equal(theirs.dst, arrays.dst)
+            if fst.final != first.final or not all(
+                getattr(fst, name) is getattr(first, name)
+                or np.array_equal(getattr(fst, name), getattr(first, name))
+                for name in ("first_out", "out_ids", "dst")
             ):
                 raise ValueError("lattices must share one topology")
         self.lattices = lattices
-        self.betas = [backward(fst) for fst in lattices]
+        # The inputs of the CDF rows, as lists.
+        self.betas = [backward(fst).tolist() for fst in lattices]
+        self.weights = [fst.log_weight.tolist() for fst in lattices]
+        self.out = out_edge_lists(first)
+        self.dst_list = first.dst.tolist()
         # Finite now: backward found a path from the initial state.
         self.width = int(longest)
-        self.dst = arrays.dst
+        self.dst = first.dst
         # Per key, its CDF row's flat span [start, end); per flat position,
         # the edge id.  Flat entry p is stored at cdf[p + 1], so cdf[i]
         # reads the value before position i.
         blocks = np.arange(len(lattices))[:, None] * first.num_edges
-        self.start = (blocks + arrays.first_out[:-1]).ravel()
-        self.end = (blocks + arrays.first_out[1:]).ravel()
-        self.edge_at = np.tile(arrays.out_ids, len(lattices))
+        self.start = (blocks + first.first_out[:-1]).ravel()
+        self.end = (blocks + first.first_out[1:]).ravel()
+        self.edge_at = np.tile(first.out_ids, len(lattices))
         self.cdf = np.zeros(1 + len(self.edge_at))
         self.total = np.zeros(len(self.start))
         self.last = np.full(len(self.start), _UNBUILT)
 
     def _build(self, keys: set[int]):
-        """The CDF rows of the given keys."""
-        num_states = self.lattices[0].num_states
+        """The CDF rows of the given keys: cumulative out-edge
+        probabilities, reweighted on the fly by beta."""
+        num_states, dst = self.lattices[0].num_states, self.dst_list
         for key in keys:
             d, state = divmod(key, num_states)
-            cum, last = _state_cdf(self.lattices[d], self.betas[d], state)
+            weight, beta = self.weights[d], self.betas[d]
+            cum, total, last_positive = [], 0.0, -1
+            for idx, k in enumerate(self.out[state]):
+                w = weight[k] + beta[dst[k]] - beta[state]
+                p = math.exp(w) if math.isfinite(w) else 0.0
+                if p > 0.0:
+                    last_positive = idx
+                total += p
+                cum.append(total)
             start = 1 + int(self.start[key])
             self.cdf[start:start + len(cum)] = cum
-            self.total[key] = cum[-1] if cum else 0.0
-            self.last[key] = last
+            self.total[key] = total
+            self.last[key] = last_positive
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
         """The (rows, width) edge-id matrix of one walk per row."""

@@ -37,7 +37,6 @@ from .fst import (
     EPSILON,
     Edge,
     Wfst,
-    edge_arrays,
     edge_id_matrix,
     enumerate_paths,
     normalized,
@@ -291,8 +290,7 @@ class _DevLattice:
         if not paths:
             raise DegenerateLatticeError("no complete path")
         edge_ids = edge_id_matrix(paths)
-        arrays = edge_arrays(lattice)
-        inputs = arrays.ilabel[edge_ids]
+        inputs = lattice.ilabel[edge_ids]
         self.symbols = (
             inputs[inputs != EPSILON].reshape(len(paths), num_frames) - 1
         )
@@ -302,7 +300,7 @@ class _DevLattice:
         ids: dict[tuple[int, ...], int] = {}
         self.word_index = np.array([
             ids.setdefault(tuple(w for w in row if w != EPSILON), len(ids))
-            for row in arrays.olabel[edge_ids].tolist()
+            for row in lattice.olabel[edge_ids].tolist()
         ])
         self.words = list(ids)
 
@@ -404,7 +402,7 @@ def run_experiment(
         raise ValueError("samples_per_step must be positive")
     train, dev = split_train_dev(dataset)
     feature_dim = dataset[0].features.shape[1]
-    num_symbols = max(e.ilabel for u in dataset for e in u.decoder_graph.edges)
+    num_symbols = max(int(u.decoder_graph.ilabel.max()) for u in dataset)
     model = init_model(feature_dim, num_symbols)
 
     def key(u: Utterance) -> tuple[Wfst, int]:

@@ -9,10 +9,12 @@ from sampled_mbr import (
     DegenerateLatticeError,
     DimensionMismatchError,
     Edge,
+    FrameErrorLoss,
     FstParseError,
     LatticeTopology,
     UnsupportedCompositionError,
     Wfst,
+    WordEditLoss,
     build_score_fst,
     compose,
     empty_wfst,
@@ -21,8 +23,10 @@ from sampled_mbr import (
     path_distribution,
     path_occupancy,
     path_output_labels,
+    stream_uniforms,
+    walk_paths,
 )
-from sampled_mbr.fst import edge_arrays, edge_id_matrix
+from sampled_mbr.fst import edge_id_matrix
 
 from helpers import (
     format_logits_csv,
@@ -235,14 +239,26 @@ def test_topology_lattices_share_structure_and_record_score_ids():
     decoder = word_chain_decoder(2, 3, 2)
     topology = LatticeTopology(decoder, 2, 3)
     lattice = topology.at(np.arange(6.0).reshape(2, 3))
-    assert lattice._out is topology.lattice._out
-    assert edge_arrays(lattice) is edge_arrays(topology.lattice)
+    for name in ("src", "dst", "ilabel", "olabel", "first_out", "out_ids"):
+        assert getattr(lattice, name) is getattr(topology.lattice, name)
     # Each edge consumed sausage edge t * Q + q - 1 of its frame t.
     expected = [3 * e.src + e.ilabel - 1 for e in topology.lattice.edges]
     assert topology.score_index.tolist() == expected
     assert [e.log_weight for e in lattice.edges] == [
         float(k) for k in expected
     ]
+
+
+def test_topology_lattices_are_walked_and_scored_without_edge_objects():
+    topology = LatticeTopology(word_chain_decoder(3, 4, 2), 3, 4)
+    lattice = topology.at(np.random.default_rng(5).normal(size=(3, 4)))
+    edge_ids = walk_paths([lattice], stream_uniforms(0, range(50), 3))
+    assert WordEditLoss([1, 2]).batch(lattice, edge_ids).shape == (50,)
+    assert FrameErrorLoss([1, 2, 3]).batch(lattice, edge_ids).shape == (50,)
+    assert path_occupancy(lattice, edge_ids, 3, 4).shape == (50, 3, 4)
+    # The Edge views are built only on access to ``edges``.
+    assert lattice._edges is None and topology.lattice._edges is None
+    assert len(lattice.edges) == lattice.num_edges == 12
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,86 @@ def test_constructor_rejects_edges_leaving_final():
         Wfst(2, [Edge(1, 0, 1, 1, 0.0)], final=1)
 
 
+def test_constructor_names_the_lowest_bad_edge_by_its_first_failed_check():
+    # Edge 1 fails the label and the weight checks, edges 2 to 4 fail one
+    # check each, and labels past int64 are stored as objects.
+    edges = [
+        Edge(0, 1, 2**70, 1, 0.0),
+        Edge(0, 1, -(2**70), 1, math.nan),
+        Edge(0, 2**70, 1, 1, 0.0),
+        Edge(0, 1, 1, 1, math.inf),
+        Edge(2, 1, 1, 1, 0.0),
+    ]
+    for first, message in [
+        (1, "has a negative label"),
+        (2, "references an unknown state"),
+        (3, "has an invalid log-weight"),
+        (4, "leaves the final state"),
+    ]:
+        with pytest.raises(InvalidFstError) as err:
+            Wfst(3, edges[first:] + edges[:first], final=2)
+        assert str(err.value) == f"edge 0 {message}"
+        with pytest.raises(InvalidFstError) as err:
+            Wfst(3, edges[:1] + edges[first:], final=2)
+        assert str(err.value) == f"edge 1 {message}"
+
+
+def test_with_weights_rejects_bad_vectors_as_the_constructor_does():
+    edges = [
+        Edge(0, 1, 1, 1, 0.0), Edge(0, 1, 2, 2, 0.0), Edge(1, 2, 3, 3, 0.0)
+    ]
+    fst = Wfst(3, edges, final=2)
+    for bad in ([0.0, 0.0], np.zeros(4), np.zeros((1, 3)), 0.0):
+        with pytest.raises(InvalidFstError, match="^expected 3 log-weights"):
+            fst.with_weights(bad)
+    for weights, first in [
+        ([0.0, math.nan, math.inf], 1),
+        ([-math.inf, math.inf, math.nan], 1),
+        ([0.0, 0.0, math.nan], 2),
+    ]:
+        with pytest.raises(InvalidFstError) as copied:
+            fst.with_weights(weights)
+        with pytest.raises(InvalidFstError) as built:
+            Wfst(3, [
+                Edge(e.src, e.dst, e.ilabel, e.olabel, w)
+                for e, w in zip(edges, weights)
+            ], final=2)
+        assert str(copied.value) == str(built.value)
+        assert str(copied.value) == f"edge {first} has an invalid log-weight"
+    copy = fst.with_weights([-math.inf, 0.0, 1.0])
+    assert [e.log_weight for e in copy.edges] == [-math.inf, 0.0, 1.0]
+
+
+def test_equal_transducers_hash_equal_whatever_their_store():
+    # run_experiment keys its topologies by decoder graph: graphs equal
+    # edge for edge must be one key, with -0.0 equal to 0.0 and labels
+    # past int64 compared by value.
+    edges = [
+        Edge(0, 1, 1, 2**70, 0.0),
+        Edge(0, 1, 2, 2, -1.5),
+        Edge(1, 2, 3, 0, -math.inf),
+    ]
+    fst = Wfst(3, edges, final=2)
+    weights = [e.log_weight for e in edges]
+    equal = [
+        Wfst(3, [Edge(0, 1, 1, 2**70, -0.0)] + edges[1:], final=2),
+        fst.with_weights(weights),
+        fst.with_weights([-0.0] + weights[1:]),
+        parse_fst_text(format_fst_text(fst)),
+    ]
+    for other in equal:
+        assert other == fst and fst == other
+        assert hash(other) == hash(fst)
+    assert {fst: "graph"}[equal[2]] == "graph"
+    for other in (
+        fst.with_weights([0.0, -1.5, 0.0]),
+        Wfst(3, edges[:2] + [Edge(1, 2, 3, 1, -math.inf)], final=2),
+        Wfst(4, edges, final=2),
+        Wfst(3, edges[:2], final=2),
+    ):
+        assert other != fst
+
+
 def test_minus_inf_weight_is_legal():
     fst = Wfst(2, [Edge(0, 1, 1, 1, float("-inf"))], final=1)
     assert fst.edges[0].log_weight == float("-inf")

@@ -4,6 +4,7 @@ code on random inputs."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from sampled_mbr import (
     WordEditLoss,
     build_score_fst,
     compose,
+    count_paths,
     edit_distance,
     enumerate_paths,
     expected_additive_loss,
@@ -388,3 +390,18 @@ def test_enumeration_and_order_match_reference(seed, max_paths, back_edge):
         assert _raised_or(errors, lambda: topological_order(case)) == (
             _raised_or(errors, lambda: reference_topological_order(case))
         )
+        # The path count and the longest path, which sizes every draw row,
+        # against the enumeration.
+        paths = _raised_or(
+            errors, lambda: reference_enumerate_paths(case, 10_000)
+        )
+        if isinstance(paths, list):
+            assert count_paths(case) == len(paths)
+            assert longest_path_edges(case) == max(
+                (len(p.edges) for p in paths), default=-math.inf
+            )
+        else:
+            assert paths[0] is CyclicFstError
+            for run in (count_paths, longest_path_edges):
+                with pytest.raises(CyclicFstError):
+                    run(case)
