@@ -33,12 +33,12 @@ from .fst import (
     Wfst,
     count_paths,
     is_acyclic,
+    label_rows,
     parse_fst_text,
     path_distribution,
-    path_output_labels,
 )
 from .losses import FrameErrorLoss, WordEditLoss, parse_label_sequence
-from .sampling import sample_paths, stochasticity_deviation
+from .sampling import sample_edge_ids, stochasticity_deviation
 from .training import (
     build_task,
     format_curve_csv,
@@ -254,10 +254,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_sample(args) -> int:
     _check_samples_and_seed(args)
     lattice, _, _ = _load_lattice(args)
-    paths = sample_paths(lattice, args.seed, args.samples)
-    counts = Counter(path_output_labels(lattice, path) for path in paths)
+    edge_ids = sample_edge_ids(lattice, args.seed, args.samples)
+    counts = Counter(label_rows(lattice.olabel, edge_ids))
     exact: dict[tuple[int, ...], float] | None = None
-    # sample_paths has already rejected a cyclic lattice.
+    # Sampling has already rejected a cyclic lattice.
     if count_paths(lattice) <= MAX_ENUMERATED_PATHS:
         exact = path_distribution(lattice)
     lines = []

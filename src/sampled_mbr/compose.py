@@ -20,7 +20,7 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import EPSILON, Wfst, empty_wfst, out_edge_lists, topological_order
+from .fst import EPSILON, Wfst, edge_lists, empty_wfst, topological_order
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -62,17 +62,18 @@ class LatticeTopology:
     graph's own weights.  Each edge that consumes a sausage edge keeps its
     id, frame t times Q plus symbol q - 1, the index of its score in
     ``z.ravel()``; epsilon-input edges keep -1.  ``at`` then adds the
-    scores to the weights as compose adds them, bit for bit.
+    scores to the weights as compose adds them, bit for bit.  The lattice
+    builds its topological order and list view here, before any copy, so
+    every lattice ``at`` gives shares them.
     """
 
     def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
         self.shape = (num_frames, num_symbols)
         self.decoder_graph = decoder_graph
-        self.lattice = compose(
+        self.lattice = lattice = compose(
             build_score_fst(np.full(self.shape, -0.0)), decoder_graph
         )
-        lattice = self.lattice
-        out, dst = out_edge_lists(lattice), lattice.dst.tolist()
+        out, dst = edge_lists(lattice)
         inputs = lattice.ilabel[:-1]
         consumed = (inputs != EPSILON).tolist()
         # Every state pairs one sausage state, its frame, with a decoder
@@ -121,8 +122,8 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
         raise UnsupportedCompositionError(
             "left transducer has epsilon output labels"
         )
-    a_out, a_olabel = out_edge_lists(a), a.olabel.tolist()
-    a_dst, b_dst = a.dst.tolist(), b.dst.tolist()
+    a_out, a_dst = edge_lists(a)
+    a_olabel, b_dst = a.olabel.tolist(), edge_lists(b)[1]
 
     # Index b's out-edge ids by input label for the match step.
     b_by_label: list[dict[int, list[int]]] = [{} for _ in range(b.num_states)]

@@ -21,9 +21,9 @@ from .fst import (
     NEG_INF,
     Wfst,
     edge_id_matrix,
+    edge_lists,
     enumerated_distribution,
-    out_edge_lists,
-    topological_order,
+    reverse_fold,
 )
 from .sampling import backward, sample_edge_ids
 
@@ -43,10 +43,13 @@ class MbrEstimate:
 def expected_loss_exact(fst: Wfst, loss) -> float:
     """Expected path loss by full enumeration of the lattice.
 
-    Raises PathOverflowError past MAX_ENUMERATED_PATHS paths.
+    One ``loss.batch`` call scores the paths; the value sums probability
+    times loss left to right.  Raises PathOverflowError past
+    MAX_ENUMERATED_PATHS paths.
     """
     paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    return float(sum(p * loss(fst, path) for path, p in zip(paths, probs)))
+    losses = loss.batch(fst, edge_id_matrix(paths))
+    return float(sum(p * value for p, value in zip(probs, losses)))
 
 
 def expected_loss_gradient_exact(
@@ -57,13 +60,13 @@ def expected_loss_gradient_exact(
     The expected loss of a globally normalized distribution has gradient
     E[L * dlogw/dz] - E[L] * E[dlogw/dz], a covariance between the scalar
     loss and the occupancy matrix; both expectations are taken exactly
-    over the enumerated paths, at most MAX_ENUMERATED_PATHS of them.
+    over the enumerated paths, at most MAX_ENUMERATED_PATHS of them, which
+    one ``loss.batch`` call scores.
     """
     paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    losses = np.array([loss(fst, p) for p in paths])
-    gammas = path_occupancy(
-        fst, edge_id_matrix(paths), num_frames, num_symbols
-    )
+    edge_ids = edge_id_matrix(paths)
+    losses = loss.batch(fst, edge_ids)
+    gammas = path_occupancy(fst, edge_ids, num_frames, num_symbols)
     mean_loss = float(probs @ losses)
     mean_gamma = np.tensordot(probs, gammas, axes=1)
     loss_gamma = np.tensordot(probs * losses, gammas, axes=1)
@@ -92,19 +95,18 @@ def expected_additive_loss(
     # double arithmetic, hence every bit, is the same.
     beta = backward(fst).tolist()
     costs = costs.tolist()
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
-    weight = fst.log_weight.tolist()
-    suffix = [0.0] * fst.num_states
-    for q in reversed(topological_order(fst)):
-        if beta[q] == NEG_INF:
-            continue
+    dst, weight = edge_lists(fst)[1], fst.log_weight.tolist()
+
+    # A state whose beta is -inf has only -inf terms, so it gets 0.0.
+    def expected_suffix(suffix, q, ids):
         total = 0.0
-        for k in out[q]:
+        for k in ids:
             v = weight[k] + beta[dst[k]]
-            if v == NEG_INF:
-                continue
-            total += math.exp(v - beta[q]) * (costs[k] + suffix[dst[k]])
-        suffix[q] = total
+            if v != NEG_INF:
+                total += math.exp(v - beta[q]) * (costs[k] + suffix[dst[k]])
+        return total
+
+    suffix = reverse_fold(fst, 0.0, 0.0, expected_suffix)
     return beta[fst.initial], suffix[fst.initial]
 
 

@@ -30,6 +30,10 @@ NEG_INF = float("-inf")
 # Enumeration bound of the exact oracles and of the CLI's exact columns.
 MAX_ENUMERATED_PATHS = 10_000
 
+# Largest state id: numpy makes no array of more than intp-max bytes, and
+# ``first_out`` holds largest id + 2 intp entries.
+MAX_STATE_ID = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize - 2
+
 
 @dataclass(frozen=True, slots=True)
 class Edge:
@@ -73,8 +77,8 @@ class Wfst:
     """
 
     __slots__ = (
-        "num_states", "final", "src", "dst", "ilabel", "olabel",
-        "log_weight", "first_out", "out_ids", "_edges", "_order", "_beta",
+        "num_states", "final", "src", "dst", "ilabel", "olabel", "log_weight",
+        "first_out", "out_ids", "_edges", "_order", "_lists", "_beta",
     )
 
     initial = 0
@@ -93,8 +97,8 @@ class Wfst:
         return fst
 
     def _store(self, num_states, final, src, dst, ilabel, olabel, log_weight):
-        if num_states < 1:
-            raise InvalidFstError("num_states must be at least 1")
+        if not 1 <= num_states <= MAX_STATE_ID + 1:
+            raise InvalidFstError(f"num_states {num_states} out of range")
         if not 0 <= final < num_states:
             raise InvalidFstError(f"final state {final} out of range")
         self.num_states, self.final = num_states, final
@@ -110,17 +114,17 @@ class Wfst:
         self.out_ids = np.argsort(self.src, kind="stable")
         for array in (self.first_out, self.out_ids, *self._fields()):
             array.flags.writeable = False
-        # Filled by the first successful edges, topological_order and
-        # sampling.backward calls; racing threads store equal values.
-        self._edges = self._order = self._beta = None
+        # Filled by the first successful edges, topological_order,
+        # edge_lists and backward calls; racing threads store equal values.
+        self._edges = self._order = self._lists = self._beta = None
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
         The copy shares every array but the weights, and the topological
-        order.  Raises InvalidFstError for a vector of the wrong length and
-        for a NaN or +inf weight, naming the first such edge as the
-        constructor does.
+        order and list view once built.  Raises InvalidFstError for a vector
+        of the wrong length and for a NaN or +inf weight, naming the first
+        such edge as the constructor does.
         """
         log_weights = np.array(log_weights, dtype=float)
         if log_weights.shape != (self.num_edges,):
@@ -146,8 +150,7 @@ class Wfst:
 
     def out_edge_ids(self, state: int) -> tuple[int, ...]:
         """Ids of edges leaving ``state``, in edge-id order."""
-        ids = self.out_ids[self.first_out[state]:self.first_out[state + 1]]
-        return tuple(ids.tolist())
+        return tuple(edge_lists(self)[0][state])
 
     @property
     def num_edges(self) -> int:
@@ -194,12 +197,15 @@ def _check_edges(fst: Wfst):
         raise InvalidFstError(f"edge {k} {message}")
 
 
-def out_edge_lists(fst: Wfst) -> list[list[int]]:
-    """Per state, the ids of its out-edges in edge-id order, as lists for
-    loops in Python."""
-    ids = fst.out_ids.tolist()
-    first = fst.first_out.tolist()
-    return [ids[start:stop] for start, stop in zip(first, first[1:])]
+def edge_lists(fst: Wfst) -> tuple[list[list[int]], list[int]]:
+    """Per state its out-edge ids in edge-id order, and ``dst``: the one
+    list view, for loops in Python, of an edge structure.  Cached on the
+    transducer and shared with later ``with_weights`` copies; read-only."""
+    if fst._lists is None:
+        ids, first = fst.out_ids.tolist(), fst.first_out.tolist()
+        out = [ids[start:stop] for start, stop in zip(first, first[1:])]
+        fst._lists = out, fst.dst.tolist()
+    return fst._lists
 
 
 def label_array(labels: Sequence[int]) -> np.ndarray:
@@ -278,6 +284,8 @@ def _parse_state(token: str, lineno: int) -> int:
         raise FstParseError(f"malformed state id {token!r}", lineno) from None
     if value < 0:
         raise FstParseError(f"unknown state reference {value}", lineno)
+    if value > MAX_STATE_ID:
+        raise FstParseError(f"state id {value} is too large", lineno)
     return value
 
 
@@ -308,14 +316,21 @@ def _parse_log_weight(token: str, lineno: int) -> float:
 
 def path_output_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
     """Non-epsilon output labels along the path, in order."""
-    labels = fst.olabel.take(path.edges).tolist()
-    return tuple(label for label in labels if label != EPSILON)
+    return label_rows(fst.olabel, edge_id_matrix([path]))[0]
 
 
 def path_input_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
     """Non-epsilon input labels along the path, in order."""
-    labels = fst.ilabel.take(path.edges).tolist()
-    return tuple(label for label in labels if label != EPSILON)
+    return label_rows(fst.ilabel, edge_id_matrix([path]))[0]
+
+
+def label_rows(labels: np.ndarray, edge_ids: np.ndarray) -> list[tuple]:
+    """Per row of an edge-id matrix, the non-epsilon entries of a label
+    array (a transducer's ``ilabel`` or ``olabel``) along the path."""
+    return [
+        tuple(label for label in row if label != EPSILON)
+        for row in labels[edge_ids].tolist()
+    ]
 
 
 def edge_id_matrix(paths: Sequence[Path]) -> np.ndarray:
@@ -343,7 +358,7 @@ def topological_order(fst: Wfst) -> tuple[int, ...]:
     """
     if fst._order is not None:
         return fst._order
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    out, dst = edge_lists(fst)
     indeg = np.bincount(fst.dst, minlength=fst.num_states).tolist()
     # Kahn's algorithm; the order list is its own FIFO queue.
     order = [q for q in range(fst.num_states) if indeg[q] == 0]
@@ -367,16 +382,27 @@ def is_acyclic(fst: Wfst) -> bool:
     return True
 
 
+def reverse_fold(fst: Wfst, final_value, dead_value, step) -> list:
+    """Per-state values, from the final state's ``final_value`` back.
+
+    A state q with out-edge ids ``ids`` holds ``step(values, q, ids)``,
+    taken in reverse topological order, so ``values`` holds every state
+    they enter; one with no out-edge holds ``dead_value``."""
+    out = edge_lists(fst)[0]
+    values = [dead_value] * fst.num_states
+    values[fst.final] = final_value
+    for q in reversed(topological_order(fst)):
+        if out[q]:
+            values[q] = step(values, q, out[q])
+    return values
+
+
 def count_paths(fst: Wfst) -> int:
     """Exact number of initial-to-final paths (dynamic program, no listing)."""
-    order = topological_order(fst)
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
-    counts = [0] * fst.num_states
-    counts[fst.final] = 1
-    for q in reversed(order):
-        if q == fst.final:
-            continue
-        counts[q] = sum(counts[dst[k]] for k in out[q])
+    dst = edge_lists(fst)[1]
+    counts = reverse_fold(
+        fst, 1, 0, lambda counts, q, ids: sum(counts[dst[k]] for k in ids)
+    )
     return counts[fst.initial]
 
 
@@ -387,7 +413,7 @@ def enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
     and CyclicFstError on cyclic input.
     """
     topological_order(fst)  # reject cycles before walking
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    out, dst = edge_lists(fst)
     weight = fst.log_weight.tolist()
     # Out-edges are pushed in reverse id order, so paths pop lexicographic.
     results: list[Path] = []
@@ -441,9 +467,8 @@ def path_distribution(fst: Wfst) -> dict[tuple[int, ...], float]:
     and PathOverflowError past MAX_ENUMERATED_PATHS paths.
     """
     paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    rows = fst.olabel[edge_id_matrix(paths)].tolist()
+    rows = label_rows(fst.olabel, edge_id_matrix(paths))
     dist: dict[tuple[int, ...], float] = {}
-    for row, p in zip(rows, probs.tolist()):
-        words = tuple(label for label in row if label != EPSILON)
+    for words, p in zip(rows, probs.tolist()):
         dist[words] = dist.get(words, 0.0) + p
     return dist

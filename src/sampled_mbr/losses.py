@@ -1,9 +1,14 @@
 """Hypothesis losses: word-level edit distance and frame-level error counts.
 
 Losses are exposed two ways: plain functions over label sequences, and
-small callable objects binding a reference so estimators can score paths
-uniformly, one at a time via ``loss(fst, path)`` or as the rows of an
-edge-id matrix via ``loss.batch(fst, edge_ids)``.
+small objects binding a reference, whose one protocol method is
+``loss.batch(fst, edge_ids)``: the float losses of the paths in the rows
+of an edge-id matrix padded with -1.  Estimators, exact oracles and
+training score paths only through it; ``loss(fst, path)`` is its one-row
+view.  ``edge_loss_annotation`` is frame error's additive form, per-edge
+terms whose path sums are the loss; like every kernel that loops in
+Python, it reads the structure through the shared list view
+``edge_lists``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ from .fst import (
     EPSILON,
     Path,
     Wfst,
+    edge_id_matrix,
+    edge_lists,
     label_array,
-    out_edge_lists,
-    path_input_labels,
-    path_output_labels,
     topological_order,
 )
 
@@ -75,7 +79,8 @@ def _distance(hyp: Sequence[int], peq: dict[int, int], m: int) -> int:
 
 
 def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
-    """Per-edge loss whose path sums equal the path's frame error.
+    """Per-edge loss whose path sums equal the path's frame error, as
+    ``FrameErrorLoss(ref).batch`` gives it.
 
     Requires a frame-synchronous transducer: every route to a given state
     consumes the same number of non-epsilon input labels, so each edge has
@@ -87,7 +92,7 @@ def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
     frame_at: list[int | None] = [None] * fst.num_states
     frame_at[fst.initial] = 0
     losses = np.zeros(fst.num_edges)
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
+    out, dst = edge_lists(fst)
     inputs = fst.ilabel.tolist()
     # Edges are examined in an order where every source state has already
     # received its frame index from some incoming route (or is unreachable).
@@ -127,12 +132,12 @@ class WordEditLoss:
     """Edit distance between a path's output words and a reference transcript.
 
     The reference's match masks are built once, and each distinct output
-    word tuple is scored once: the distance is memoized per tuple for the
-    life of the object, and ``batch`` also memoizes it per row of output
-    labels, epsilons included.  The keys are labels alone, so one loss
-    object may score paths of any lattice.  The CLI and training make one
-    loss per command, step or dev utterance, which bounds the memo by the
-    hypotheses those draw or enumerate.
+    word tuple is scored once: ``of_words`` memoizes the distance per tuple
+    for the life of the object, and ``batch`` per row of output labels,
+    epsilons included, in the same memo.  The keys are labels alone, so
+    one loss object may score paths of any lattice.  The CLI and training
+    make one loss per command, step or dev utterance, which bounds the
+    memo by the hypotheses those draw or enumerate.
     """
 
     def __init__(self, reference: Sequence[int]):
@@ -144,7 +149,7 @@ class WordEditLoss:
         self._memo: dict[tuple[int, ...], float] = {}
 
     def __call__(self, fst: Wfst, path: Path) -> float:
-        return self.of_words(path_output_labels(fst, path))
+        return float(self.batch(fst, edge_id_matrix([path]))[0])
 
     def of_words(self, words: tuple[int, ...]) -> float:
         """Edit distance of an output-word tuple to the reference."""
@@ -184,15 +189,7 @@ class FrameErrorLoss:
         self._alignment = label_array(alignment)
 
     def __call__(self, fst: Wfst, path: Path) -> float:
-        labels = path_input_labels(fst, path)
-        if len(labels) != len(self.alignment):
-            raise DimensionMismatchError(
-                f"path consumes {len(labels)} frames, alignment has "
-                f"{len(self.alignment)}"
-            )
-        return float(
-            sum(1 for q, r in zip(labels, self.alignment) if q != r)
-        )
+        return float(self.batch(fst, edge_id_matrix([path]))[0])
 
     def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
         """Losses of the paths in the rows of an edge-id matrix: one gather

@@ -12,16 +12,6 @@ at once, bit for bit equal to numpy's own ``Philox`` generator, in calls
 of up to KERNEL_ROWS streams whatever lattice walks them: ``stream_uniforms``
 draws the rows and ``walk_paths`` walks a lattice over them, and
 ``sample_paths`` composes the two.
-
-``walk_paths`` walks all rows in lockstep, one numpy step per edge
-position, and may walk several lattices of one topology in one call; it
-returns the paths as an edge-id matrix, which the losses and the
-occupancy read with one gather each.  Lockstep pays once rows are
-batched.  Against the per-row Python walk it replaced (medians of three
-alternating runs on a 2-vCPU x86-64 host), one training step's 100 rows
-of 6 edges took 361 against 457 us, a dev record's 20 lattices of 100
-rows, walked and scored, 3.3 against 8.6 ms, and 1,000 rows of 50 edges
-5.2 against 25.4 ms.
 """
 
 from __future__ import annotations
@@ -33,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateLatticeError
-from .fst import NEG_INF, Path, Wfst, out_edge_lists, topological_order
+from .fst import NEG_INF, Path, Wfst, edge_lists, reverse_fold
 
 _TWO64 = 1 << 64
 
@@ -51,14 +41,11 @@ def backward(fst: Wfst) -> np.ndarray:
     """
     if fst._beta is not None:
         return fst._beta
-    order = topological_order(fst)
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
-    weight = fst.log_weight.tolist()
-    beta = [NEG_INF] * fst.num_states
-    beta[fst.final] = 0.0
-    for q in reversed(order):
-        if out[q]:
-            beta[q] = _log_sum([weight[k] + beta[dst[k]] for k in out[q]])
+    dst, weight = edge_lists(fst)[1], fst.log_weight.tolist()
+    beta = reverse_fold(
+        fst, 0.0, NEG_INF,
+        lambda beta, q, ids: _log_sum([weight[k] + beta[dst[k]] for k in ids]),
+    )
     if beta[fst.initial] == NEG_INF:
         raise DegenerateLatticeError(
             "no positive-weight path from the initial state"
@@ -85,7 +72,7 @@ def stochasticity_deviation(fst: Wfst) -> float:
     """
     worst = 0.0
     weight = fst.log_weight.tolist()
-    for ids in out_edge_lists(fst):
+    for ids in edge_lists(fst)[0]:
         if not ids:
             continue
         total = _log_sum([weight[k] for k in ids])
@@ -322,12 +309,11 @@ def _sampled_chunks(
 
 def longest_path_edges(fst: Wfst) -> float:
     """Edge count of the longest initial-to-final path (-inf when none)."""
-    out, dst = out_edge_lists(fst), fst.dst.tolist()
-    depth = [NEG_INF] * fst.num_states
-    depth[fst.final] = 0
-    for q in reversed(topological_order(fst)):
-        if out[q] and q != fst.final:
-            depth[q] = 1 + max(depth[dst[k]] for k in out[q])
+    dst = edge_lists(fst)[1]
+    depth = reverse_fold(
+        fst, 0, NEG_INF,
+        lambda depth, q, ids: 1 + max(depth[dst[k]] for k in ids),
+    )
     return depth[fst.initial]
 
 
@@ -352,19 +338,14 @@ class _Walker:
 
     def __init__(self, lattices: Sequence[Wfst], longest: float):
         first = lattices[0]
-        for fst in lattices[1:]:
-            if fst.final != first.final or not all(
-                getattr(fst, name) is getattr(first, name)
-                or np.array_equal(getattr(fst, name), getattr(first, name))
-                for name in ("first_out", "out_ids", "dst")
-            ):
-                raise ValueError("lattices must share one topology")
+        shared = first.final, edge_lists(first)
+        if any((fst.final, edge_lists(fst)) != shared for fst in lattices[1:]):
+            raise ValueError("lattices must share one topology")
         self.lattices = lattices
         # The inputs of the CDF rows, as lists.
         self.betas = [backward(fst).tolist() for fst in lattices]
         self.weights = [fst.log_weight.tolist() for fst in lattices]
-        self.out = out_edge_lists(first)
-        self.dst_list = first.dst.tolist()
+        self.out, self.dst_list = edge_lists(first)
         # Finite now: backward found a path from the initial state.
         self.width = int(longest)
         self.dst = first.dst

@@ -39,6 +39,7 @@ from .fst import (
     Wfst,
     edge_id_matrix,
     enumerate_paths,
+    label_rows,
     normalized,
 )
 from .losses import FrameErrorLoss, WordEditLoss
@@ -276,8 +277,8 @@ class _DevLattice:
 
     Lattice topology does not depend on the scores, so every dev utterance
     on the same (decoder graph, frame count) shares one enumeration of at
-    most DEV_PATH_BOUND paths of the topology's lattice: their (num_paths,
-    T) 0-based symbol matrix, the flat index ``flat`` = frame * Q +
+    most DEV_PATH_BOUND paths of the topology's ``lattice``: their
+    ``edge_ids`` matrix, the flat index ``flat`` = frame * Q + 0-based
     symbol of each path's scores in ``z.ravel()``, and their decoder
     offsets.  ``words`` lists the distinct output-word tuples by first
     appearance, and ``word_index`` maps each path to its tuple.
@@ -285,22 +286,20 @@ class _DevLattice:
 
     def __init__(self, topology: LatticeTopology):
         num_frames, num_symbols = topology.shape
-        lattice = topology.lattice
+        self.lattice = lattice = topology.lattice
         paths = enumerate_paths(lattice, DEV_PATH_BOUND)
         if not paths:
             raise DegenerateLatticeError("no complete path")
-        edge_ids = edge_id_matrix(paths)
-        inputs = lattice.ilabel[edge_ids]
-        self.symbols = (
-            inputs[inputs != EPSILON].reshape(len(paths), num_frames) - 1
-        )
-        self.flat = np.arange(num_frames) * num_symbols + self.symbols
+        self.edge_ids = edge_id_matrix(paths)
+        inputs = lattice.ilabel[self.edge_ids]
+        symbols = inputs[inputs != EPSILON].reshape(len(paths), num_frames)
+        self.flat = np.arange(num_frames) * num_symbols + symbols - 1
         # Per-path decoder contribution: the path weight at zero scores.
         self.offsets = np.array([p.log_weight for p in paths])
         ids: dict[tuple[int, ...], int] = {}
         self.word_index = np.array([
-            ids.setdefault(tuple(w for w in row if w != EPSILON), len(ids))
-            for row in lattice.olabel[edge_ids].tolist()
+            ids.setdefault(words, len(ids))
+            for words in label_rows(lattice.olabel, self.edge_ids)
         ])
         self.words = list(ids)
 
@@ -308,13 +307,13 @@ class _DevLattice:
 class EnumeratedObjective:
     """Reusable exact expected loss for one dev utterance.
 
-    The paths, symbol matrix and offsets are those of the utterance's
+    The paths, score indices and offsets are those of the utterance's
     shared ``_DevLattice``; only the per-path loss vector is its own.
     Word-edit scores each distinct output-word tuple once against the
     reference's match masks and gathers the values per path; frame-error
-    compares the symbol matrix with the alignment in one array operation.
-    Re-evaluating at new scores is one gather of the scores at the cached
-    flat indices and a vectorized softmax.
+    scores the edge-id matrix with one ``loss.batch`` call.  Re-evaluating
+    at new scores is one gather of the scores at the cached flat indices
+    and a vectorized softmax.
     """
 
     def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
@@ -323,13 +322,7 @@ class EnumeratedObjective:
             distinct = [self.loss.of_words(words) for words in dev.words]
             self.losses = np.array(distinct)[dev.word_index]
         else:
-            alignment = np.array(self.loss.alignment) - 1
-            if len(alignment) != dev.symbols.shape[1]:
-                raise DimensionMismatchError(
-                    f"path consumes {dev.symbols.shape[1]} frames, "
-                    f"alignment has {len(alignment)}"
-                )
-            self.losses = (dev.symbols != alignment).sum(axis=1).astype(float)
+            self.losses = self.loss.batch(dev.lattice, dev.edge_ids)
         self.dev = dev
 
     def expected_loss(self, z: np.ndarray) -> float:

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 import sampled_mbr
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,15 +49,36 @@ def test_public_api_is_pinned():
         assert not hasattr(sampled_mbr, name)
 
 
-def test_benchmark_spans_resolve():
-    # perfbench/spans.py looks its span targets up by name; building a
-    # Tracer resolves every one and fails on a deleted or renamed target.
+def _benchmark_spans():
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py"
     )
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_spans_resolve():
+    # perfbench/spans.py looks its span targets up by name; building a
+    # Tracer resolves every one and fails on a deleted or renamed target.
+    spans = _benchmark_spans()
     assert len(spans.Tracer()._patches) >= len(spans.SPANS)
+
+
+def test_traced_loss_calls_and_exact_oracle():
+    # A loss's __call__ is traced per class as losses.loss; the exact
+    # oracle scores its paths with one batch call, so it makes none.
+    tracer = _benchmark_spans().Tracer()
+    lattice = sampled_mbr.build_score_fst(np.zeros((2, 2)))
+    loss = sampled_mbr.WordEditLoss((1,))
+    path = sampled_mbr.enumerate_paths(lattice, 10)[0]
+    assert tracer.run(loss, lattice, path) == 1.0
+    assert tracer.calls["losses.loss"] == 1
+    # The tracer patches the name where the library looks it up.
+    estimators = importlib.import_module("sampled_mbr.estimators")
+    tracer.run(lambda: estimators.expected_loss_exact(lattice, loss))
+    assert tracer.calls["estimators.exact"] == 1
+    assert tracer.calls["losses.loss"] == 1
 
 
 def test_readme_python_blocks_run():

@@ -480,6 +480,26 @@ def test_inspect_parse_error(tmp_path, capsys):
     assert err.startswith("error: parse:")
 
 
+@pytest.mark.parametrize(
+    "decoder, line",
+    [
+        # Past int64: the state arrays cannot hold the id at all.
+        (f"0 1 1 1 0.0\n{2**64}\n", 2),
+        # An intp array of 2^62 + 2 entries exceeds numpy's size limit.
+        (f"0 {2**62} 1 1 0.0\n{2**62}\n", 1),
+    ],
+    ids=["past-int64", "past-array-size-limit"],
+)
+def test_inspect_rejects_state_ids_too_large_for_state_arrays(
+    tmp_path, capsys, decoder, line
+):
+    fst, _, _ = _files(tmp_path, decoder=decoder)
+    assert main(["inspect", "--fst", fst]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: line {line}: state id")
+    assert "too large" in err
+
+
 # ---------------------------------------------------------------------------
 # error contract
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from sampled_mbr import (
     UnsupportedCompositionError,
     Wfst,
     WordEditLoss,
+    backward,
     build_score_fst,
     compose,
     empty_wfst,
     enumerate_paths,
+    expected_additive_loss,
     parse_logits_csv,
     path_distribution,
     path_occupancy,
@@ -26,7 +28,7 @@ from sampled_mbr import (
     stream_uniforms,
     walk_paths,
 )
-from sampled_mbr.fst import edge_id_matrix
+from sampled_mbr.fst import edge_id_matrix, edge_lists
 
 from helpers import (
     format_logits_csv,
@@ -259,6 +261,20 @@ def test_topology_lattices_are_walked_and_scored_without_edge_objects():
     # The Edge views are built only on access to ``edges``.
     assert lattice._edges is None and topology.lattice._edges is None
     assert len(lattice.edges) == lattice.num_edges == 12
+
+
+def test_topology_lattices_share_one_list_view():
+    topology = LatticeTopology(word_chain_decoder(3, 4, 2), 3, 4)
+    rng = np.random.default_rng(8)
+    lattices = [topology.at(rng.normal(size=(3, 4))) for _ in range(2)]
+    walk_paths(lattices, stream_uniforms(0, range(20), 3))
+    for lattice in lattices:
+        backward(lattice)
+        expected_additive_loss(lattice, np.zeros(lattice.num_edges))
+    out, dst = edge_lists(topology.lattice)
+    for lattice in lattices:
+        assert edge_lists(lattice)[0] is out
+        assert edge_lists(lattice)[1] is dst
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sampled_mbr import (
     sample_paths,
     sampled_estimate,
 )
+from sampled_mbr.fst import enumerated_distribution
 
 from helpers import (
     ShiftedLoss,
@@ -37,6 +38,24 @@ from helpers import (
 def _loss_for_two_path():
     """Loss (0, 1) on the 0.4/0.6 lattice: reference equals the first word."""
     return WordEditLoss((1,))
+
+
+class ZeroLoss:
+    """The loss protocol alone: ``batch`` and nothing else."""
+
+    def batch(self, fst, edge_ids):
+        return np.zeros(len(edge_ids))
+
+
+class BatchOnlyLoss:
+    """A loss's ``batch`` alone, counting its calls."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+
+    def batch(self, fst, edge_ids):
+        self.calls += 1
+        return self.base.batch(fst, edge_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +77,6 @@ def test_exact_value_two_path():
 
 def test_exact_value_zero_loss():
     lattice = uniform_lattice(2, 2)
-    class ZeroLoss:
-        def __call__(self, fst, path):
-            return 0.0
     assert expected_loss_exact(lattice, ZeroLoss()) == 0.0
 
 
@@ -93,7 +109,7 @@ def test_exact_gradient_two_path_uniform():
 def test_exact_gradient_constant_loss_is_zero():
     lattice = uniform_lattice(2, 2)
     grad = expected_loss_gradient_exact(
-        lattice, ShiftedLoss(lambda f, p: 0.0, 4.25), 2, 2
+        lattice, ShiftedLoss(ZeroLoss(), 4.25), 2, 2
     )
     assert np.allclose(grad, 0.0, atol=1e-15)
 
@@ -116,6 +132,28 @@ def test_exact_gradient_matches_finite_differences():
             down[t, q] -= eps
             fd = (value(up) - value(down)) / (2 * eps)
             assert math.isclose(grad[t, q], fd, rel_tol=1e-4, abs_tol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "base", [WordEditLoss((1, 2)), FrameErrorLoss((1, 2, 2))],
+    ids=["word-edit", "frame-error"],
+)
+def test_estimators_score_paths_through_batch_alone(base):
+    lattice = build_score_fst(np.random.default_rng(6).normal(size=(3, 2)))
+    loss = BatchOnlyLoss(base)
+    # One batch call per oracle, and the value is still the left-to-right
+    # sum of probability times path loss.
+    paths, probs = enumerated_distribution(lattice, 100)
+    value = float(sum(p * base(lattice, path) for path, p in zip(paths, probs)))
+    assert expected_loss_exact(lattice, loss) == value
+    assert loss.calls == 1
+    gradient = expected_loss_gradient_exact(lattice, loss, 3, 2)
+    assert loss.calls == 2
+    assert gradient.shape == (3, 2) and np.isfinite(gradient).all()
+    estimate = sampled_estimate(lattice, loss, 3, 2, 40, seed=9)
+    assert loss.calls == 3
+    plain = sampled_estimate(lattice, base, 3, 2, 40, seed=9)
+    assert estimate.per_sample_losses.tolist() == plain.per_sample_losses.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,13 @@ def test_constructor_rejects_bad_references():
         Wfst(2, [], final=7)
 
 
+@pytest.mark.parametrize("num_states", [0, 2**62, 2**64])
+def test_constructor_rejects_state_counts_no_state_array_can_hold(num_states):
+    # No array is allocated: the count is checked first.
+    with pytest.raises(InvalidFstError, match="num_states .* out of range"):
+        Wfst(num_states, [], final=0)
+
+
 def test_constructor_rejects_edges_leaving_final():
     with pytest.raises(InvalidFstError):
         Wfst(2, [Edge(1, 0, 1, 1, 0.0)], final=1)

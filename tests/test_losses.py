@@ -10,16 +10,24 @@ from sampled_mbr import (
     Edge,
     FrameErrorLoss,
     FstParseError,
+    Path,
     UnsupportedTopologyError,
     Wfst,
     WordEditLoss,
     build_score_fst,
+    compose,
     edge_loss_annotation,
     edit_distance,
     enumerate_paths,
     parse_label_sequence,
 )
-from helpers import ShiftedLoss, format_label_sequence, make_path
+from sampled_mbr.fst import edge_id_matrix
+from helpers import (
+    ShiftedLoss,
+    format_label_sequence,
+    make_path,
+    word_chain_decoder,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +206,34 @@ def test_frame_error_loss_scores_paths():
         FrameErrorLoss((1, 2, 1))(fst, path)
     with pytest.raises(ValueError):
         FrameErrorLoss((0, 1))
+
+
+def _outcome(score):
+    """A scoring call's value, or the type and message of its error."""
+    try:
+        return score()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "loss", [WordEditLoss((1, 2)), FrameErrorLoss((1, 3, 2))],
+    ids=["word-edit", "frame-error"],
+)
+def test_loss_call_is_the_one_row_batch(loss):
+    # Symbol 3 outputs epsilon, so rows hold epsilons between words.
+    z = np.random.default_rng(2).normal(size=(3, 3))
+    fst = compose(build_score_fst(z), word_chain_decoder(3, 3, 2))
+    paths = enumerate_paths(fst, 100)
+    values = [loss(fst, path) for path in paths]
+    assert all(type(v) is float for v in values)
+    assert values == loss.batch(fst, edge_id_matrix(paths)).tolist()
+    # A path one frame short, and one through an edge id past the store.
+    for edges in (paths[0].edges[:-1], (fst.num_edges + 1,)):
+        path = Path(edges, 0.0)
+        one_row = _outcome(lambda: loss.batch(fst, edge_id_matrix([path]))[0])
+        assert _outcome(lambda: loss(fst, path)) == one_row
+    assert type(_outcome(lambda: loss(fst, path))) is tuple
 
 
 def test_shifted_loss_adds_offset():

@@ -351,6 +351,24 @@ def test_walk_paths_rejects_rows_one_draw_short():
         walk_paths([fst], rows[:, :9])
 
 
+def test_walk_paths_needs_lattices_of_one_topology():
+    def lattice(*arcs, final=2):
+        return Wfst(3, [Edge(p, q, 1, 1, w) for p, q, w in arcs], final=final)
+
+    rows = stream_uniforms(0, range(4), 2)
+    base = lattice((0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0))
+    # Equal structures need not be the same objects; weights may differ.
+    walk_paths([base, lattice((0, 1, 1.0), (1, 2, 0.0), (0, 2, -1.0))], rows)
+    for other in (
+        lattice((0, 1, 0.0), (1, 2, 0.0), (0, 1, 0.0)),  # one dst differs
+        lattice((0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)),  # edge order differs
+        lattice((0, 2, 0.0), (2, 1, 0.0), (0, 1, 0.0), final=1),
+        two_path_fixture(),
+    ):
+        with pytest.raises(ValueError, match="one topology"):
+            walk_paths([base, other], rows)
+
+
 def test_walk_memory_grows_with_edges_not_states_times_degree():
     # 20,000 states; state 0 has 20,000 out-edges (two to the final state),
     # so a states x max-degree CDF table would take 20,000^2 doubles, 3.2 GB,
