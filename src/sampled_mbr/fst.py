@@ -150,7 +150,8 @@ class Wfst:
 
     def out_edge_ids(self, state: int) -> tuple[int, ...]:
         """Ids of edges leaving ``state``, in edge-id order."""
-        return tuple(edge_lists(self)[0][state])
+        ids = self.out_ids[self.first_out[state]:self.first_out[state + 1]]
+        return tuple(ids.tolist())
 
     @property
     def num_edges(self) -> int:

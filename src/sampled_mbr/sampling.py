@@ -72,9 +72,7 @@ def stochasticity_deviation(fst: Wfst) -> float:
     """
     worst = 0.0
     weight = fst.log_weight.tolist()
-    for ids in edge_lists(fst)[0]:
-        if not ids:
-            continue
+    for ids in filter(None, edge_lists(fst)[0]):
         total = _log_sum([weight[k] for k in ids])
         if total != NEG_INF:
             worst = max(worst, abs(total))
@@ -252,10 +250,7 @@ def sample_edge_ids(
 
 
 def sample_paths(
-    fst: Wfst,
-    seed: int,
-    num_samples: int,
-    start_index: int = 0,
+    fst: Wfst, seed: int, num_samples: int, start_index: int = 0
 ) -> list[Path]:
     """Draw paths from the normalized lattice distribution.
 
@@ -338,9 +333,13 @@ class _Walker:
 
     def __init__(self, lattices: Sequence[Wfst], longest: float):
         first = lattices[0]
-        shared = first.final, edge_lists(first)
-        if any((fst.final, edge_lists(fst)) != shared for fst in lattices[1:]):
-            raise ValueError("lattices must share one topology")
+        for fst in lattices[1:]:
+            if fst.final != first.final or not all(
+                getattr(fst, name) is getattr(first, name)
+                or np.array_equal(getattr(fst, name), getattr(first, name))
+                for name in ("first_out", "out_ids", "dst")
+            ):
+                raise ValueError("lattices must share one topology")
         self.lattices = lattices
         # The inputs of the CDF rows, as lists.
         self.betas = [backward(fst).tolist() for fst in lattices]

@@ -25,6 +25,7 @@ from sampled_mbr import (
     path_output_labels,
     topological_order,
 )
+from sampled_mbr.fst import edge_lists
 from helpers import (
     InvalidPathError,
     make_path,
@@ -158,6 +159,10 @@ def test_out_edges_follow_edge_id_order():
     assert fst.out_edge_ids(0) == (0, 1)
     assert fst.out_edge_ids(1) == (2,)
     assert fst.out_edge_ids(2) == ()
+    # The reference oracles in tests/helpers.py read out_edge_ids, so it
+    # slices the arrays itself and never reads the kernels' list view.
+    assert fst._lists is None
+    assert edge_lists(fst)[0] == [[0, 1], [2], []]
 
 
 # ---------------------------------------------------------------------------
