@@ -20,7 +20,7 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import EPSILON, Wfst, edge_lists, empty_wfst, topological_order
+from .fst import EPSILON, Wfst, edge_lists, empty_wfst, frame_depths
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -73,16 +73,9 @@ class LatticeTopology:
         self.lattice = lattice = compose(
             build_score_fst(np.full(self.shape, -0.0)), decoder_graph
         )
-        out, dst = edge_lists(lattice)
+        # Each state pairs a sausage state, its frame, with a decoder state.
         inputs = lattice.ilabel[:-1]
-        consumed = (inputs != EPSILON).tolist()
-        # Every state pairs one sausage state, its frame, with a decoder
-        # state, and every state is reachable from the start.
-        frame = [0] * lattice.num_states
-        for q in topological_order(lattice):
-            for k in out[q]:
-                frame[dst[k]] = frame[q] + consumed[k]
-        index = np.array(frame)[lattice.src] * num_symbols + inputs - 1
+        index = frame_depths(lattice)[lattice.src] * num_symbols + inputs - 1
         self.score_index = np.where(inputs != EPSILON, index, -1)
 
     def at(self, log_scores: np.ndarray) -> Wfst:
@@ -205,8 +198,9 @@ def path_occupancy(
     del inputs, consumed
     # Row-major (path, frame) order, so entry i is cell i of the stack's
     # (N * T, Q) view; the flat one-hot index reuses the symbol buffer.
+    # With Q = 0 there is no symbol, and the step 1 makes an empty range.
     flat = symbols.astype(np.intp, copy=False)
-    flat += np.arange(-1, flat.size * num_symbols - 1, num_symbols)
+    flat += np.arange(-1, flat.size * num_symbols - 1, num_symbols or 1)
     gamma = np.zeros((len(edge_ids), num_frames, num_symbols))
     gamma.ravel()[flat] = 1.0
     return gamma

@@ -49,7 +49,8 @@ class PathOverflowError(SampledMbrError):
 
 
 class DegenerateLatticeError(SampledMbrError):
-    """Total path weight is zero; no distribution can be formed."""
+    """Total path weight is zero or overflows the float range; no
+    distribution can be formed."""
 
     category = "degenerate"
     exit_code = 4

@@ -21,6 +21,7 @@ from .errors import (
     FstParseError,
     InvalidFstError,
     PathOverflowError,
+    UnsupportedTopologyError,
 )
 
 EPSILON = 0
@@ -398,6 +399,32 @@ def reverse_fold(fst: Wfst, final_value, dead_value, step) -> list:
     return values
 
 
+def frame_depths(fst: Wfst) -> np.ndarray:
+    """Per state, the number of non-epsilon input labels that every route
+    from the initial state consumes, by one forward topological sweep; -1
+    where no route reaches.  Raises UnsupportedTopologyError naming a state
+    two routes reach at different depths, and CyclicFstError on cycles."""
+    out, dst = edge_lists(fst)
+    consumes = (fst.ilabel[:-1] != EPSILON).tolist()
+    depth = [-1] * fst.num_states
+    depth[fst.initial] = 0
+    for q in topological_order(fst):
+        t = depth[q]
+        if t < 0:
+            continue
+        for k in out[q]:
+            j, advanced = dst[k], t + consumes[k]
+            if depth[j] != advanced:
+                if depth[j] >= 0:
+                    raise UnsupportedTopologyError(
+                        f"state {j} is reachable at frame depths "
+                        f"{depth[j]} and {advanced}; per-edge frame "
+                        "positions are ambiguous"
+                    )
+                depth[j] = advanced
+    return np.array(depth)
+
+
 def count_paths(fst: Wfst) -> int:
     """Exact number of initial-to-final paths (dynamic program, no listing)."""
     dst = edge_lists(fst)[1]
@@ -438,8 +465,8 @@ def enumerated_distribution(
 ) -> tuple[list[Path], np.ndarray]:
     """Every path (as from enumerate_paths) with its normalized probability.
 
-    Raises DegenerateLatticeError when there is no complete path or the
-    total weight is zero.
+    Raises DegenerateLatticeError when there is no complete path, the
+    total weight is zero or a path weight overflows.
     """
     paths = enumerate_paths(fst, max_paths)
     if not paths:
@@ -450,11 +477,14 @@ def enumerated_distribution(
 def normalized(log_weights: np.ndarray) -> np.ndarray:
     """Probabilities proportional to exp(log_weights), max-subtracted.
 
-    Raises DegenerateLatticeError when every weight is zero (all -inf).
+    Raises DegenerateLatticeError when every weight is zero (all -inf)
+    or the largest overflows (NaN or +inf).
     """
     m = log_weights.max()
     if m == NEG_INF:
         raise DegenerateLatticeError("all paths have zero weight")
+    if not math.isfinite(m):
+        raise DegenerateLatticeError("largest path log-weight overflows")
     probs = np.exp(log_weights - m)
     probs /= probs.sum()
     return probs

@@ -6,9 +6,8 @@ small objects binding a reference, whose one protocol method is
 of an edge-id matrix padded with -1.  Estimators, exact oracles and
 training score paths only through it; ``loss(fst, path)`` is its one-row
 view.  ``edge_loss_annotation`` is frame error's additive form, per-edge
-terms whose path sums are the loss; like every kernel that loops in
-Python, it reads the structure through the shared list view
-``edge_lists``.
+terms whose path sums are the loss, at the frame positions of
+``fst.frame_depths``.
 """
 
 from __future__ import annotations
@@ -17,20 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    FstParseError,
-    UnsupportedTopologyError,
-)
-from .fst import (
-    EPSILON,
-    Path,
-    Wfst,
-    edge_id_matrix,
-    edge_lists,
-    label_array,
-    topological_order,
-)
+from .errors import DimensionMismatchError, FstParseError
+from .fst import EPSILON, Path, Wfst, edge_id_matrix, frame_depths, label_array
 
 
 def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
@@ -83,48 +70,29 @@ def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
     ``FrameErrorLoss(ref).batch`` gives it.
 
     Requires a frame-synchronous transducer: every route to a given state
-    consumes the same number of non-epsilon input labels, so each edge has
-    a well-defined frame position.  An edge consuming symbol q at frame t
-    gets loss 1 if q differs from ref[t], else 0; epsilon-input edges get
-    0.  Complete paths must consume exactly len(ref) frames.
+    consumes the same number of non-epsilon input labels (``frame_depths``),
+    so each edge has a well-defined frame position.  An edge consuming
+    symbol q at frame t gets loss 1 if q differs from ref[t], else 0;
+    epsilon-input edges and edges leaving a state no route reaches get 0.
+    Complete paths must consume exactly len(ref) frames.
     """
     num_frames = len(ref)
-    frame_at: list[int | None] = [None] * fst.num_states
-    frame_at[fst.initial] = 0
-    losses = np.zeros(fst.num_edges)
-    out, dst = edge_lists(fst)
-    inputs = fst.ilabel.tolist()
-    # Edges are examined in an order where every source state has already
-    # received its frame index from some incoming route (or is unreachable).
-    for q in topological_order(fst):
-        t = frame_at[q]
-        if t is None:
-            continue
-        for k in out[q]:
-            if inputs[k] == EPSILON:
-                advanced = t
-            else:
-                if t >= num_frames:
-                    raise DimensionMismatchError(
-                        f"a path consumes more than {num_frames} frames"
-                    )
-                losses[k] = 0.0 if inputs[k] == ref[t] else 1.0
-                advanced = t + 1
-            seen = frame_at[dst[k]]
-            if seen is None:
-                frame_at[dst[k]] = advanced
-            elif seen != advanced:
-                raise UnsupportedTopologyError(
-                    f"state {dst[k]} is reachable at frame depths "
-                    f"{seen} and {advanced}; per-edge frame positions "
-                    "are ambiguous"
-                )
-    final_frame = frame_at[fst.final]
-    if final_frame is not None and final_frame != num_frames:
+    depth = frame_depths(fst)
+    # Only an edge consuming a frame past the last enters a deeper state.
+    if (depth > num_frames).any():
+        raise DimensionMismatchError(
+            f"a path consumes more than {num_frames} frames"
+        )
+    final_frame = int(depth[fst.final])
+    if final_frame not in (-1, num_frames):
         raise DimensionMismatchError(
             f"complete paths consume {final_frame} frames, "
             f"reference has {num_frames}"
         )
+    frame, inputs = depth[fst.src], fst.ilabel[:-1]
+    consumed = (inputs != EPSILON) & (frame >= 0)
+    losses = np.zeros(fst.num_edges)
+    losses[consumed] = inputs[consumed] != label_array(ref)[frame[consumed]]
     return losses
 
 

@@ -36,7 +36,8 @@ def backward(fst: Wfst) -> np.ndarray:
     the final state get -inf; the entry for the initial state is the log
     partition function.  Raises DegenerateLatticeError when the initial
     state itself has -inf, i.e. no complete path carries positive weight,
-    and CyclicFstError on cyclic input.  The result is computed once per
+    or NaN or +inf, a total weight past the float range, and
+    CyclicFstError on cyclic input.  The result is computed once per
     transducer, cached on it and returned read-only.
     """
     if fst._beta is not None:
@@ -50,6 +51,9 @@ def backward(fst: Wfst) -> np.ndarray:
         raise DegenerateLatticeError(
             "no positive-weight path from the initial state"
         )
+    # Overflow leaves NaN, as _log_sum subtracts +inf from +inf.
+    if not math.isfinite(beta[fst.initial]):
+        raise DegenerateLatticeError("total path weight overflows")
     beta = np.array(beta)
     beta.flags.writeable = False
     fst._beta = beta

@@ -42,7 +42,7 @@ from .fst import (
     label_rows,
     normalized,
 )
-from .losses import FrameErrorLoss, WordEditLoss
+from .losses import FrameErrorLoss, WordEditLoss, edge_loss_annotation
 from .sampling import (
     KERNEL_ROWS,
     longest_path_edges,
@@ -278,22 +278,21 @@ class _DevLattice:
     Lattice topology does not depend on the scores, so every dev utterance
     on the same (decoder graph, frame count) shares one enumeration of at
     most DEV_PATH_BOUND paths of the topology's ``lattice``: their
-    ``edge_ids`` matrix, the flat index ``flat`` = frame * Q + 0-based
-    symbol of each path's scores in ``z.ravel()``, and their decoder
-    offsets.  ``words`` lists the distinct output-word tuples by first
-    appearance, and ``word_index`` maps each path to its tuple.
+    ``edge_ids`` matrix, each path's ``score_index`` entries ``flat``, the
+    indices of its scores in ``z.ravel()``, and their decoder offsets.
+    ``words`` lists the distinct output-word tuples by first appearance,
+    and ``word_index`` maps each path to its tuple.
     """
 
     def __init__(self, topology: LatticeTopology):
-        num_frames, num_symbols = topology.shape
         self.lattice = lattice = topology.lattice
         paths = enumerate_paths(lattice, DEV_PATH_BOUND)
         if not paths:
             raise DegenerateLatticeError("no complete path")
         self.edge_ids = edge_id_matrix(paths)
-        inputs = lattice.ilabel[self.edge_ids]
-        symbols = inputs[inputs != EPSILON].reshape(len(paths), num_frames)
-        self.flat = np.arange(num_frames) * num_symbols + symbols - 1
+        # The -1 row padding reads the appended -1, as epsilon inputs do.
+        index = np.append(topology.score_index, -1)[self.edge_ids]
+        self.flat = index[index >= 0].reshape(len(paths), topology.shape[0])
         # Per-path decoder contribution: the path weight at zero scores.
         self.offsets = np.array([p.log_weight for p in paths])
         ids: dict[tuple[int, ...], int] = {}
@@ -311,7 +310,7 @@ class EnumeratedObjective:
     shared ``_DevLattice``; only the per-path loss vector is its own.
     Word-edit scores each distinct output-word tuple once against the
     reference's match masks and gathers the values per path; frame-error
-    scores the edge-id matrix with one ``loss.batch`` call.  Re-evaluating
+    sums each path's ``edge_loss_annotation`` costs.  Re-evaluating
     at new scores is one gather of the scores at the cached flat indices
     and a vectorized softmax.
     """
@@ -322,7 +321,9 @@ class EnumeratedObjective:
             distinct = [self.loss.of_words(words) for words in dev.words]
             self.losses = np.array(distinct)[dev.word_index]
         else:
-            self.losses = self.loss.batch(dev.lattice, dev.edge_ids)
+            costs = edge_loss_annotation(dev.lattice, self.loss.alignment)
+            # The -1 row padding reads the appended zero cost.
+            self.losses = np.append(costs, 0.0)[dev.edge_ids].sum(axis=1)
         self.dev = dev
 
     def expected_loss(self, z: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from sampled_mbr import (
     Path,
     PathOverflowError,
     UnsupportedCompositionError,
+    UnsupportedTopologyError,
     Utterance,
     Wfst,
     backward,
@@ -492,6 +493,51 @@ def reference_topological_order(fst: Wfst) -> tuple[int, ...]:
     if len(order) != fst.num_states:
         raise CyclicFstError("transducer contains a cycle")
     return tuple(order)
+
+
+def reference_edge_loss_annotation(fst: Wfst, ref) -> np.ndarray:
+    """Per-edge frame error from one walk that gives each state its frame
+    as it goes (test oracle).
+
+    Raises DimensionMismatchError at the first edge past len(ref) frames
+    or when complete paths consume another count, and
+    UnsupportedTopologyError at the first state reached at two depths.
+    """
+    num_frames = len(ref)
+    frame_at: list[int | None] = [None] * fst.num_states
+    frame_at[fst.initial] = 0
+    losses = np.zeros(fst.num_edges)
+    # Every source state has its frame from some route, or none reaches it.
+    for q in reference_topological_order(fst):
+        t = frame_at[q]
+        if t is None:
+            continue
+        for k in fst.out_edge_ids(q):
+            e = fst.edges[k]
+            if e.ilabel == EPSILON:
+                advanced = t
+            else:
+                if t >= num_frames:
+                    raise DimensionMismatchError(
+                        f"a path consumes more than {num_frames} frames"
+                    )
+                losses[k] = 0.0 if e.ilabel == ref[t] else 1.0
+                advanced = t + 1
+            seen = frame_at[e.dst]
+            if seen is None:
+                frame_at[e.dst] = advanced
+            elif seen != advanced:
+                raise UnsupportedTopologyError(
+                    f"state {e.dst} is reachable at frame depths "
+                    f"{seen} and {advanced}"
+                )
+    final_frame = frame_at[fst.final]
+    if final_frame is not None and final_frame != num_frames:
+        raise DimensionMismatchError(
+            f"complete paths consume {final_frame} frames, "
+            f"reference has {num_frames}"
+        )
+    return losses
 
 
 def reference_enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,9 @@ import pytest
 import sampled_mbr
 from sampled_mbr import chain_decoder_graph, format_fst_text
 from sampled_mbr.cli import main
+
+# The directory holding the package, for a fresh interpreter's path.
+SRC = Path(sampled_mbr.__file__).resolve().parents[1]
 
 TWO_PATH_DECODER = "0 1 1 1 0.0\n0 1 2 2 0.0\n1\n"
 TWO_PATH_LOGITS = "0.6931471805599453,1.0986122886681098\n"
@@ -518,6 +522,35 @@ def test_cyclic_lattice_is_reported_with_exit_code_1(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: cyclic:")
 
 
+# Both paths weigh 1e308 + 1e308, past the float range.
+OVERFLOW_DECODER = "0 1 1 1 0.0\n0 1 2 0 0.0\n1 2 1 1 0.0\n1 2 2 2 0.0\n2\n"
+OVERFLOW_LOGITS = "1e308,1e308\n1e308,1e308\n"
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "estimate", "sample"])
+def test_overflowing_path_weight_is_degenerate(tmp_path, command):
+    # In a fresh interpreter that turns every warning into an error, so a
+    # raw numpy warning would end the run with a traceback instead.
+    fst, z, ref = _files(
+        tmp_path, decoder=OVERFLOW_DECODER, logits=OVERFLOW_LOGITS,
+        ref="1 2\n",
+    )
+    args = [command, "--fst", fst, "--logits", z]
+    if command != "sample":
+        args += ["--ref", ref]
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "sampled_mbr",
+         *args],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: degenerate: ")
+    assert "overflows" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--fst", "--logits", "--ref", "--config"])
 def test_undecodable_input_is_a_parse_error(tmp_path, capsys, flag):
     fst, z, ref = _files(tmp_path)
@@ -560,9 +593,8 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_import_loads_no_scipy():
-    src = str(Path(sampled_mbr.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import sampled_mbr; "
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import sampled_mbr; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(

@@ -323,6 +323,10 @@ def test_occupancy_frame_count_mismatch():
         path_occupancy(fst, edge_id_matrix([path]), 0, 2)
     with pytest.raises(DimensionMismatchError):
         path_occupancy(fst, edge_id_matrix([path]), 1, 0)  # label outside 1..Q
+    # No frame and no symbol: a path with no input label has the empty stack.
+    silent = Wfst(2, [Edge(0, 1, 0, 1, 0.0)], final=1)
+    ids = edge_id_matrix([make_path(silent, [0])])
+    assert path_occupancy(silent, ids, 0, 0).shape == (1, 0, 0)
 
 
 def test_occupancy_label_past_index_range():

@@ -21,7 +21,7 @@ from sampled_mbr import (
     enumerate_paths,
     parse_label_sequence,
 )
-from sampled_mbr.fst import edge_id_matrix
+from sampled_mbr.fst import edge_id_matrix, frame_depths
 from helpers import (
     ShiftedLoss,
     format_label_sequence,
@@ -161,6 +161,24 @@ def test_annotation_rejects_frame_ambiguity():
     )
     with pytest.raises(UnsupportedTopologyError):
         edge_loss_annotation(fst, (1, 2, 1))
+
+
+def test_annotation_gives_zero_to_edges_leaving_unreachable_states():
+    # State 2 has no route from the start.  Its epsilon edge into state 1,
+    # at depth 0, would make state 1 ambiguous, and its edges would
+    # mismatch the reference, if state 2 were reachable.
+    fst = Wfst(
+        4,
+        [
+            Edge(0, 1, 1, 1, 0.0),
+            Edge(1, 3, 3, 3, 0.0),
+            Edge(2, 1, 0, 0, 0.0),
+            Edge(2, 3, 5, 5, 0.0),
+        ],
+        final=3,
+    )
+    assert frame_depths(fst).tolist() == [0, 1, -1, 2]
+    assert edge_loss_annotation(fst, (1, 2)).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_annotation_rejects_wrong_frame_totals():

@@ -21,11 +21,13 @@ from sampled_mbr import (
     PathOverflowError,
     SampleStream,
     UnsupportedCompositionError,
+    UnsupportedTopologyError,
     Wfst,
     WordEditLoss,
     build_score_fst,
     compose,
     count_paths,
+    edge_loss_annotation,
     edit_distance,
     enumerate_paths,
     expected_additive_loss,
@@ -47,6 +49,7 @@ from helpers import (
     occupancy_matrix,
     random_acyclic_wfst,
     reference_compose,
+    reference_edge_loss_annotation,
     reference_enumerate_paths,
     reference_topological_order,
     reweight_stochastic,
@@ -282,6 +285,55 @@ def test_batch_losses_match_per_path_losses_on_random_dags(
             )
         )
         assert got == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["dag", "levelled dag", "bigram lattice"]),
+    data=st.data(),
+)
+def test_annotation_matches_reference_walk(seed, source, data):
+    # Random DAGs have unreachable states, states reached at two frame
+    # depths and paths of several frame counts.  A levelled DAG consumes
+    # a label exactly on its edges that climb a level, so only edges that
+    # climb two levels break frame synchrony.  The bigram lattices are
+    # frame-synchronous, with epsilon-input exits.  Where both kinds of
+    # fault are present, either error may be raised.
+    rng = np.random.default_rng(seed)
+    if source == "bigram lattice":
+        num_frames, num_symbols = (int(n) for n in rng.integers(1, 5, size=2))
+        decoder = bigram_decoder(rng, num_symbols, num_symbols)
+        fst = LatticeTopology(decoder, num_frames, num_symbols).lattice
+    else:
+        fst = random_acyclic_wfst(rng, max_states=12)
+        level = np.cumsum(rng.random(fst.num_states) < 0.5).tolist()
+        if source == "levelled dag":
+            fst = Wfst(fst.num_states, [
+                Edge(e.src, e.dst, e.ilabel or 1, e.olabel, e.log_weight)
+                if level[e.dst] > level[e.src] else
+                Edge(e.src, e.dst, EPSILON, e.olabel, e.log_weight)
+                for e in fst.edges
+            ], final=fst.final)
+        num_frames = level[fst.final] - level[fst.initial]
+    num_frames += data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    num_frames = max(0, num_frames)
+    ref = data.draw(st.lists(
+        st.integers(1, 4), min_size=num_frames, max_size=num_frames
+    ))
+    errors = (UnsupportedTopologyError, DimensionMismatchError)
+    got, expected = (
+        _raised_or(errors, lambda: run(fst, ref))
+        for run in (edge_loss_annotation, reference_edge_loss_annotation)
+    )
+    if isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    else:
+        assert not isinstance(got, np.ndarray)
+        if got[0] is expected[0] is DimensionMismatchError:
+            assert got == expected
 
 
 def _outcome(build):
