@@ -5,8 +5,11 @@ small objects binding a reference, whose one protocol method is
 ``loss.batch(fst, edge_ids)``: the float losses of the paths in the rows
 of an edge-id matrix padded with -1.  Estimators, exact oracles and
 training score paths only through it; ``loss(fst, path)`` is its one-row
-view.  ``edge_loss_annotation`` is frame error's additive form, per-edge
-terms whose path sums are the loss, at the frame positions of
+view.  Word-edit losses are exact integer distances from one bit-parallel
+kernel run over every row of a label matrix at once, so a batch costs
+numpy work per label column, not Python work per path.
+``edge_loss_annotation`` is frame error's additive form, per-edge terms
+whose path sums are the loss, at the frame positions of
 ``fst.frame_depths``.
 """
 
@@ -23,46 +26,98 @@ from .fst import EPSILON, Path, Wfst, edge_id_matrix, frame_depths, label_array
 def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
     """Levenshtein distance with unit substitution/insertion/deletion costs.
 
-    Bit-parallel global-distance recurrence (Myers, JACM 1999, in the form
-    of Hyyro 2001): one column of the DP per hypothesis word, held as
-    vertical +1/-1 delta bit vectors over the reference words, so each
-    step is a few integer operations on len(ref)-bit Python ints and long
-    references need no blocking.  Exact; symmetric in its arguments.
+    Every label of ``hyp`` is a word here, epsilon included.  Exact;
+    symmetric in its arguments.
     """
-    return _distance(hyp, _match_masks(ref), len(ref))
+    labels = label_array(hyp).reshape(1, -1)
+    words = np.ones(labels.shape, dtype=bool)
+    return int(_EditDistances([tuple(ref)])(labels, words=words)[0])
 
 
-def _match_masks(ref: Sequence[int]) -> dict[int, int]:
-    """Per word, the bit vector of the reference positions holding it."""
-    peq: dict[int, int] = {}
-    for j, word in enumerate(ref):
-        peq[word] = peq.get(word, 0) | (1 << j)
-    return peq
+# Set bits of each byte value, to count the bits of the final vectors.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)])
 
 
-def _distance(hyp: Sequence[int], peq: dict[int, int], m: int) -> int:
-    """Edit distance of ``hyp`` to the length-``m`` reference behind ``peq``."""
-    if m == 0:
-        return len(hyp)
-    mask = (1 << m) - 1
-    top = 1 << (m - 1)
-    pv, mv, score = mask, 0, m
-    for word in hyp:
-        eq = peq.get(word, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        # Row 0 of a global distance grows by one per hypothesis word.
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    return score
+class _EditDistances:
+    """Edit distances of the rows of a label matrix to fixed references.
+
+    Bit-parallel global-distance recurrence (Myers, JACM 1999, in the form
+    of Hyyro 2001): one DP column per hypothesis word, held as vertical
+    +1/-1 delta bit vectors over the reference positions.  All rows step
+    together, one matrix column at a time; an entry that is not a word
+    leaves its row's vectors as they were.  The match masks of every
+    reference are built once, in one table indexed by (reference, word),
+    and rows may carry different references.  The vectors are uint64 when
+    no reference has more than 64 words, else Python-int objects run by
+    the same code.  Each operation of a step carries information only
+    toward higher bits, so the steps need no masking and uint64
+    wrap-around is harmless; only the final vectors are cut to len(ref)
+    bits, whose count gives the distance.
+    """
+
+    def __init__(self, references: Sequence[tuple[int, ...]]):
+        lengths = [len(ref) for ref in references]
+        dtype = np.uint64 if max(lengths, default=0) <= 64 else object
+        # The references' words, sorted for searchsorted; with no word at
+        # all, an epsilon column of zero masks keeps the table non-empty.
+        vocab = sorted({w for ref in references for w in ref}) or [EPSILON]
+        column = {w: c for c, w in enumerate(vocab)}
+        # The last column is the zero mask of every other label.
+        table = [[0] * (len(vocab) + 1) for _ in references]
+        for masks, ref in zip(table, references):
+            for j, word in enumerate(ref):
+                masks[column[word]] |= 1 << j
+        # The repeated last word is never equal to a label sorted past it.
+        self._vocab = label_array(vocab + vocab[-1:])
+        self._table = np.array(table, dtype=dtype).ravel()
+        self._longest = max(lengths, default=0)
+        self._ones = np.array([(1 << m) - 1 for m in lengths], dtype=dtype)
+
+    def __call__(
+        self,
+        labels: np.ndarray,
+        which: np.ndarray | None = None,
+        words: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Per row of ``labels``, the int64 edit distance of its words, in
+        order, to reference ``which[row]`` (reference 0 for every row when
+        ``which`` is None).  The words are the entries where ``words`` is
+        true; by default, all but epsilon and -1 padding (labels are
+        nonnegative)."""
+        if words is None:
+            words = labels > EPSILON
+        num_columns = len(self._vocab)
+        # Column-major, so each step reads contiguous rows.
+        labels, words = labels.T, words.T
+        index = np.searchsorted(self._vocab[:-1], labels)
+        index[self._vocab[index] != labels] = num_columns - 1
+        if which is None:
+            which = np.zeros(labels.shape[1], dtype=np.intp)
+        else:
+            index += which * num_columns
+        eqs = self._table[index]
+        del index
+        ones = self._ones[which]
+        pv = ones.copy()
+        mv = np.zeros_like(pv)
+        one = pv.dtype.type(1)
+        for eq, word in zip(eqs, words):
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            # Row 0 of a global distance grows by one per hypothesis word.
+            ph = (mv | ~(xh | pv)) << one | one
+            mh = (pv & xh) << one
+            np.copyto(pv, mh | ~(xv | ph), where=word)
+            np.copyto(mv, ph & xv, where=word)
+        # The last column: row 0 holds the word count, and the low
+        # len(ref) bits of pv and mv are its +1 and -1 steps down.
+        pv &= ones
+        mv &= ones
+        distance = words.sum(axis=0)
+        for shift in range(0, self._longest, 8):
+            distance += _BYTE_BITS[(pv >> shift & 255).astype(np.intp)]
+            distance -= _BYTE_BITS[(mv >> shift & 255).astype(np.intp)]
+        return distance
 
 
 def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
@@ -99,13 +154,11 @@ def edge_loss_annotation(fst: Wfst, ref: Sequence[int]) -> np.ndarray:
 class WordEditLoss:
     """Edit distance between a path's output words and a reference transcript.
 
-    The reference's match masks are built once, and each distinct output
-    word tuple is scored once: ``of_words`` memoizes the distance per tuple
-    for the life of the object, and ``batch`` per row of output labels,
-    epsilons included, in the same memo.  The keys are labels alone, so
-    one loss object may score paths of any lattice.  The CLI and training
-    make one loss per command, step or dev utterance, which bounds the
-    memo by the hypotheses those draw or enumerate.
+    The reference's match masks are built once, with the object; ``batch``
+    is one gather of the output labels and one lockstep bit-parallel run
+    over all rows, epsilons masked, so its cost grows with the rows and
+    their length whether or not they repeat.  One loss object may score
+    paths of any lattice.
     """
 
     def __init__(self, reference: Sequence[int]):
@@ -113,37 +166,15 @@ class WordEditLoss:
         if any(w == EPSILON for w in reference):
             raise ValueError("reference transcript contains epsilon")
         self.reference = reference
-        self._peq = _match_masks(reference)
-        self._memo: dict[tuple[int, ...], float] = {}
+        self._distances = _EditDistances([reference])
 
     def __call__(self, fst: Wfst, path: Path) -> float:
         return float(self.batch(fst, edge_id_matrix([path]))[0])
 
-    def of_words(self, words: tuple[int, ...]) -> float:
-        """Edit distance of an output-word tuple to the reference."""
-        value = self._memo.get(words)
-        if value is None:
-            value = float(_distance(words, self._peq, len(self.reference)))
-            self._memo[words] = value
-        return value
-
     def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
-        """Losses of the paths in the rows of an edge-id matrix.
-
-        The output labels are one gather, and the memo key is the gathered
-        row; a row with no epsilon is its own word tuple, so both kinds of
-        key give the same value.
-        """
-        memo, peq, m = self._memo, self._peq, len(self.reference)
-        values = []
-        for row in fst.olabel[edge_ids].tolist():
-            key = tuple(row)
-            value = memo.get(key)
-            if value is None:
-                words = [w for w in row if w != EPSILON]
-                value = memo[key] = float(_distance(words, peq, m))
-            values.append(value)
-        return np.array(values)
+        """Losses of the paths in the rows of an edge-id matrix; the -1
+        row padding reads the label array's appended epsilon."""
+        return self._distances(fst.olabel[edge_ids]).astype(float)
 
 
 class FrameErrorLoss:

@@ -61,10 +61,12 @@ def backward(fst: Wfst) -> np.ndarray:
 
 
 def _log_sum(vals: list[float]) -> float:
-    """Max-subtracted log of the sum of exp(vals); -inf when all are -inf."""
+    """Max-subtracted log of the sum of exp(vals); -inf when all are -inf,
+    NaN when any is NaN."""
     m = max(vals)
     if m == NEG_INF:
-        return NEG_INF
+        # max skips a NaN that follows -inf; the plain sum does not.
+        return sum(vals)
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 

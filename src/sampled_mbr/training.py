@@ -39,10 +39,16 @@ from .fst import (
     Wfst,
     edge_id_matrix,
     enumerate_paths,
+    label_array,
     label_rows,
     normalized,
 )
-from .losses import FrameErrorLoss, WordEditLoss, edge_loss_annotation
+from .losses import (
+    FrameErrorLoss,
+    WordEditLoss,
+    _EditDistances,
+    edge_loss_annotation,
+)
 from .sampling import (
     KERNEL_ROWS,
     longest_path_edges,
@@ -280,8 +286,9 @@ class _DevLattice:
     most DEV_PATH_BOUND paths of the topology's ``lattice``: their
     ``edge_ids`` matrix, each path's ``score_index`` entries ``flat``, the
     indices of its scores in ``z.ravel()``, and their decoder offsets.
-    ``words`` lists the distinct output-word tuples by first appearance,
-    and ``word_index`` maps each path to its tuple.
+    ``words`` holds the distinct output-word tuples by first appearance,
+    as the rows of one label matrix padded with epsilons, and
+    ``word_index`` maps each path to its row.
     """
 
     def __init__(self, topology: LatticeTopology):
@@ -300,7 +307,10 @@ class _DevLattice:
             ids.setdefault(words, len(ids))
             for words in label_rows(lattice.olabel, self.edge_ids)
         ])
-        self.words = list(ids)
+        width = max(map(len, ids))
+        self.words = label_array(
+            [words + (EPSILON,) * (width - len(words)) for words in ids]
+        ).reshape(len(ids), width)
 
 
 class EnumeratedObjective:
@@ -308,18 +318,18 @@ class EnumeratedObjective:
 
     The paths, score indices and offsets are those of the utterance's
     shared ``_DevLattice``; only the per-path loss vector is its own.
-    Word-edit scores each distinct output-word tuple once against the
-    reference's match masks and gathers the values per path; frame-error
-    sums each path's ``edge_loss_annotation`` costs.  Re-evaluating
-    at new scores is one gather of the scores at the cached flat indices
-    and a vectorized softmax.
+    Word-edit scores the rows of the shared word matrix in one kernel call
+    and gathers the values per path; frame-error sums each path's
+    ``edge_loss_annotation`` costs.  Re-evaluating at new scores is one
+    gather of the scores at the cached flat indices and a vectorized
+    softmax.
     """
 
     def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
         self.loss = make_loss(loss_kind, utterance)
         if loss_kind == "word-edit":
-            distinct = [self.loss.of_words(words) for words in dev.words]
-            self.losses = np.array(distinct)[dev.word_index]
+            distances = _EditDistances([self.loss.reference])(dev.words)
+            self.losses = distances.astype(float)[dev.word_index]
         else:
             costs = edge_loss_annotation(dev.lattice, self.loss.alignment)
             # The -1 row padding reads the appended zero cost.
@@ -382,15 +392,17 @@ def run_experiment(
     one utterance per step.  Each record holds the exact (enumerated) dev
     expected loss, a sampled dev estimate, and elapsed wall time.  Dev
     utterances on the same decoder graph and frame count share one
-    enumeration; each keeps one loss object for the whole run.  With
-    identical inputs the records are bit-identical except for wall time.
+    enumeration.  With identical inputs the records are bit-identical
+    except for wall time.
 
     Every sampled path of the run walks a row of as many uniforms as the
     longest path of any utterance lattice has edges.  Lattice topology does
     not depend on the scores, so each (decoder graph, frame count) of the
     dataset is composed once, into a LatticeTopology that gives its
     lattices at every step and record and that count.  A record walks the
-    rows of all dev utterances on one topology in one call.
+    rows of all dev utterances on one topology in one call, and scores
+    them in one word-edit kernel call (frame error: one call per
+    utterance).
     """
     if config.samples_per_step < 1:
         raise ValueError("samples_per_step must be positive")
@@ -422,6 +434,16 @@ def run_experiment(
     # can never collide with training-sample indices.
     dev_seed = config.seed + 1 if config.seed + 1 < 2**64 else 0
     samples = config.samples_per_step
+    # Word edit scores a group's sampled rows, across its dev utterances,
+    # in one kernel call; row r was walked for member r // samples.
+    group_distances = {
+        k: (
+            _EditDistances([objectives[d].loss.reference for d in members]),
+            np.repeat(np.arange(len(members)), samples),
+        )
+        for k, members in dev_groups.items()
+        if config.loss == "word-edit"
+    }
     started = time.perf_counter()
     records: list[CurveRecord] = []
 
@@ -439,10 +461,19 @@ def run_experiment(
         for k, members in dev_groups.items():
             group = [topologies[k].at(scores[d]) for d in members]
             edge_ids = walk_paths(group, rows[members].reshape(-1, num_draws))
-            for i, d in enumerate(members):
-                block = edge_ids[i * samples:(i + 1) * samples]
-                losses = objectives[d].loss.batch(group[i], block)
-                sampled[d] = float(np.mean(losses))
+            if k in group_distances:
+                distances, owner = group_distances[k]
+                labels = topologies[k].lattice.olabel[edge_ids]
+                losses = distances(labels, owner).astype(float)
+                losses = losses.reshape(len(members), samples)
+            else:
+                blocks = edge_ids.reshape(len(members), samples, -1)
+                losses = [
+                    objectives[d].loss.batch(lattice, block)
+                    for d, lattice, block in zip(members, group, blocks)
+                ]
+            for d, row in zip(members, losses):
+                sampled[d] = float(np.mean(row))
         wall_ms = (time.perf_counter() - started) * 1000.0
         records.append(
             CurveRecord(

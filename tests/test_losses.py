@@ -40,6 +40,13 @@ def test_edit_distance_identity():
     assert edit_distance((), ()) == 0
 
 
+def test_edit_distance_counts_label_zero_as_a_word():
+    # Only WordEditLoss reads label 0 as epsilon; the plain function
+    # compares whatever labels it is given.
+    assert edit_distance((0, 1), (1,)) == 1
+    assert edit_distance((1,), (0, 1)) == 1
+
+
 def test_edit_distance_pure_insertions():
     assert edit_distance((), (1, 2)) == 2
     assert edit_distance((1, 2), ()) == 2

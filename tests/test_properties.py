@@ -40,6 +40,7 @@ from sampled_mbr import (
     walk_paths,
 )
 from sampled_mbr.fst import edge_id_matrix, enumerated_distribution
+from sampled_mbr.losses import _EditDistances
 from sampled_mbr.sampling import longest_path_edges
 
 from helpers import (
@@ -52,6 +53,7 @@ from helpers import (
     reference_edge_loss_annotation,
     reference_enumerate_paths,
     reference_topological_order,
+    reference_word_edit_batch,
     reweight_stochastic,
     sample_path,
     word_chain_decoder,
@@ -229,6 +231,47 @@ def test_edit_distance_matches_dynamic_program(hyp, ref):
     assert edit_distance(ref, hyp) == expected
 
 
+# Reference lengths around the 64-bit word size switch the kernel's bit
+# vectors from uint64 to Python ints.
+KERNEL_REFERENCES = st.lists(
+    st.one_of(
+        st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 8),
+        st.integers(101, 140),
+    ).flatmap(
+        lambda n: st.lists(st.integers(1, 6), min_size=n, max_size=n)
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    refs=KERNEL_REFERENCES,
+    width=st.sampled_from([0, 1, 7, 80, 160]),
+    data=st.data(),
+)
+def test_word_edit_kernel_matches_per_row_oracle(refs, width, data):
+    # Rows of words 1..8 with epsilons (0) inside and -1 padding after,
+    # each scored against a reference of its own; N may be 0.
+    num_rows = data.draw(st.integers(0, 6))
+    rows, owners = [], []
+    for _ in range(num_rows):
+        row = data.draw(st.lists(st.integers(0, 8), max_size=width))
+        rows.append(row + [-1] * (width - len(row)))
+        owners.append(data.draw(st.integers(0, len(refs) - 1)))
+    labels = np.array(rows, dtype=np.int64).reshape(num_rows, width)
+    which = np.array(owners, dtype=np.intp)
+    got = _EditDistances(refs)(labels, which)
+    assert got.shape == (num_rows,)
+    per_row = [refs[k] for k in owners]
+    expected = [
+        dp_edit_distance([w for w in row if w > 0], ref)
+        for row, ref in zip(rows, per_row)
+    ]
+    assert got.tolist() == expected
+    assert reference_word_edit_batch(labels, per_row) == expected
+
+
 def _word_chain(words, fillers) -> tuple[Wfst, Path]:
     """Chain lattice spelling ``words`` with ``fillers[i]`` epsilon-output
     edges before word i, and its one path."""
@@ -249,7 +292,8 @@ def _word_chain(words, fillers) -> tuple[Wfst, Path]:
 )
 def test_word_edit_loss_scores_each_word_tuple_by_its_words(ref, hyps, data):
     # One loss object scores every tuple twice, each time on a lattice and
-    # path of its own; the memoized value must be the tuple's distance.
+    # path of its own, its epsilon fillers skipped; the value must be the
+    # tuple's distance.
     loss = WordEditLoss(ref)
     for words in hyps + hyps[::-1]:
         fillers = data.draw(

@@ -113,6 +113,23 @@ def test_backward_survives_huge_scores():
     assert math.isclose(backward(fst)[0], 1401.5, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("dead_edge_first", [True, False])
+def test_backward_reports_overflow_behind_a_zero_weight_edge(dead_edge_first):
+    # State 1's suffix overflows to NaN; state 0 also has a zero-weight
+    # (-inf) edge straight to the final state, listed before or after the
+    # edge into the overflow.  Python's max skips a NaN that follows -inf,
+    # so the log-sum must not rest on max alone.
+    dead, live = Edge(0, 3, 1, 1, NEG_INF), Edge(0, 1, 1, 1, 0.0)
+    first = [dead, live] if dead_edge_first else [live, dead]
+    fst = Wfst(
+        4,
+        first + [Edge(1, 2, 1, 1, 1e308), Edge(2, 3, 1, 1, 1e308)],
+        final=3,
+    )
+    with pytest.raises(DegenerateLatticeError, match="overflows"):
+        backward(fst)
+
+
 # ---------------------------------------------------------------------------
 # Reweighting
 # ---------------------------------------------------------------------------

@@ -39,11 +39,12 @@ from sampled_mbr import (
     split_train_dev,
     stream_uniforms,
     train_step,
+    walk_paths,
     zero_wall_times,
 )
 from sampled_mbr import sampling, training
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
-from sampled_mbr.sampling import KERNEL_ROWS
+from sampled_mbr.sampling import KERNEL_ROWS, longest_path_edges
 from sampled_mbr.training import _DevLattice
 
 from helpers import (
@@ -293,9 +294,42 @@ def test_dev_lattice_groups_paths_by_output_words():
     assert len(paths) == len(dev.word_index) == 4**6
     assert len(dev.words) == len(set(words)) == 1093
     firsts = list(dict.fromkeys(words))
-    assert dev.words == firsts
+    # Each row of the word matrix is one tuple, padded with epsilons.
+    assert dev.words.shape == (1093, 6)
+    rows = dev.words.tolist()
+    assert [tuple(w for w in row if w != EPSILON) for row in rows] == firsts
+    assert all(row[:len(w)] == list(w) for row, w in zip(rows, firsts))
     for k, w in enumerate(words):
         assert firsts[dev.word_index[k]] == w
+
+
+def test_word_edit_dev_record_scores_each_utterance_by_its_own_reference():
+    # One kernel call scores both dev utterances' sampled rows; each must
+    # read its own reference, as its own WordEditLoss.batch does.
+    dataset = _tiny_dataset(num_utterances=20)
+    _, dev = split_train_dev(dataset)
+    assert len(dev) == 2 and dev[0].reference != dev[1].reference
+    config = _tiny_config(steps=2, eval_interval=2)
+    records, model = run_experiment(dataset, config)
+    topology = LatticeTopology(dev[0].decoder_graph, 3, 2)
+    num_draws = longest_path_edges(topology.lattice)
+    samples = config.samples_per_step
+    # The last record samples at the returned model, from stream index
+    # len(dev) * samples_per_step on.
+    first = len(dev) * samples
+    means = []
+    for d, utterance in enumerate(dev):
+        lattice = topology.at(forward(model, utterance.features))
+        start = first + d * samples
+        rows = stream_uniforms(
+            config.seed + 1, range(start, start + samples), num_draws
+        )
+        losses = WordEditLoss(utterance.reference).batch(
+            lattice, walk_paths([lattice], rows)
+        )
+        means.append(float(np.mean(losses)))
+    assert records[-1].step == 2
+    assert records[-1].sampled_expected_loss == float(np.mean(means))
 
 
 def _mixed_dev_dataset():
