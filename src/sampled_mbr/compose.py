@@ -20,7 +20,14 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import EPSILON, Wfst, edge_lists, empty_wfst, frame_depths
+from .fst import (
+    EPSILON,
+    Wfst,
+    edge_lists,
+    empty_wfst,
+    frame_depths,
+    out_edge_groups,
+)
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -63,8 +70,8 @@ class LatticeTopology:
     id, frame t times Q plus symbol q - 1, the index of its score in
     ``z.ravel()``; epsilon-input edges keep -1.  ``at`` then adds the
     scores to the weights as compose adds them, bit for bit.  The lattice
-    builds its topological order and list view here, before any copy, so
-    every lattice ``at`` gives shares them.
+    builds its topological order, list view and out-degree groups here,
+    before any copy, so every lattice ``at`` gives shares them.
     """
 
     def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
@@ -77,6 +84,7 @@ class LatticeTopology:
         inputs = lattice.ilabel[:-1]
         index = frame_depths(lattice)[lattice.src] * num_symbols + inputs - 1
         self.score_index = np.where(inputs != EPSILON, index, -1)
+        out_edge_groups(lattice)
 
     def at(self, log_scores: np.ndarray) -> Wfst:
         """The lattice at score matrix ``log_scores``.

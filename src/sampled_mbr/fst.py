@@ -79,7 +79,8 @@ class Wfst:
 
     __slots__ = (
         "num_states", "final", "src", "dst", "ilabel", "olabel", "log_weight",
-        "first_out", "out_ids", "_edges", "_order", "_lists", "_beta",
+        "first_out", "out_ids", "_edges", "_order", "_lists", "_groups",
+        "_beta",
     )
 
     initial = 0
@@ -116,16 +117,19 @@ class Wfst:
         for array in (self.first_out, self.out_ids, *self._fields()):
             array.flags.writeable = False
         # Filled by the first successful edges, topological_order,
-        # edge_lists and backward calls; racing threads store equal values.
-        self._edges = self._order = self._lists = self._beta = None
+        # edge_lists, out_edge_groups and backward calls; racing threads
+        # store equal values.
+        self._edges = self._order = self._lists = self._groups = None
+        self._beta = None
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
         The copy shares every array but the weights, and the topological
-        order and list view once built.  Raises InvalidFstError for a vector
-        of the wrong length and for a NaN or +inf weight, naming the first
-        such edge as the constructor does.
+        order, list view and degree groups once built.  Raises
+        InvalidFstError for a vector of the wrong length and for a NaN or
+        +inf weight, naming the first such edge as the constructor does:
+        the shared edges passed its other checks at construction.
         """
         log_weights = np.array(log_weights, dtype=float)
         if log_weights.shape != (self.num_edges,):
@@ -133,11 +137,15 @@ class Wfst:
                 f"expected {self.num_edges} log-weights, "
                 f"got shape {log_weights.shape}"
             )
+        bad = _bad_weights(log_weights)
+        if bad.any():
+            raise InvalidFstError(
+                f"edge {int(np.argmax(bad))} has an invalid log-weight"
+            )
         copy = object.__new__(Wfst)
         for name in self.__slots__:
             setattr(copy, name, getattr(self, name))
         copy.log_weight = log_weights
-        _check_edges(copy)
         log_weights.flags.writeable = False
         copy._edges = copy._beta = None
         return copy
@@ -184,12 +192,12 @@ class Wfst:
 def _check_edges(fst: Wfst):
     """InvalidFstError naming the lowest-numbered bad edge and the first
     check, in this order, that it fails."""
-    n, weight = fst.num_states, fst.log_weight
+    n = fst.num_states
     checks = {
         "references an unknown state":
             (fst.src < 0) | (fst.src >= n) | (fst.dst < 0) | (fst.dst >= n),
         "has a negative label": (fst.ilabel[:-1] < 0) | (fst.olabel[:-1] < 0),
-        "has an invalid log-weight": np.isnan(weight) | (weight == math.inf),
+        "has an invalid log-weight": _bad_weights(fst.log_weight),
         "leaves the final state": fst.src == fst.final,
     }
     bad = np.logical_or.reduce(list(checks.values()))
@@ -197,6 +205,11 @@ def _check_edges(fst: Wfst):
         k = int(np.argmax(bad))
         message = next(name for name, mask in checks.items() if mask[k])
         raise InvalidFstError(f"edge {k} {message}")
+
+
+def _bad_weights(log_weights: np.ndarray) -> np.ndarray:
+    """Where a log-weight is NaN or +inf."""
+    return np.isnan(log_weights) | (log_weights == math.inf)
 
 
 def edge_lists(fst: Wfst) -> tuple[list[list[int]], list[int]]:
@@ -208,6 +221,36 @@ def edge_lists(fst: Wfst) -> tuple[list[list[int]], list[int]]:
         out = [ids[start:stop] for start, stop in zip(first, first[1:])]
         fst._lists = out, fst.dst.tolist()
     return fst._lists
+
+
+def out_edge_groups(
+    fst: Wfst,
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The out-edges in ``out_ids`` order as arrays for per-state work.
+
+    Per position in ``out_ids``, its edge's source and destination state;
+    then the states that have out-edges, grouped by out-degree in
+    increasing order, each group as its state ids and the (states, degree)
+    matrix of their out-edges' positions.  Cached on the transducer and
+    shared with later ``with_weights`` copies; read-only.
+    """
+    if fst._groups is None:
+        first = fst.first_out
+        degrees = np.diff(first)
+        by_degree = np.argsort(degrees, kind="stable")
+        sorted_degrees = degrees[by_degree]
+        bounds = np.flatnonzero(np.diff(sorted_degrees)) + 1
+        groups = []
+        for states in np.split(by_degree, bounds):
+            degree = int(degrees[states[0]])
+            if degree:
+                positions = first[states][:, None] + np.arange(degree)
+                groups.append((states, positions))
+        src_at, dst_at = fst.src[fst.out_ids], fst.dst[fst.out_ids]
+        for array in (src_at, dst_at, *(a for g in groups for a in g)):
+            array.flags.writeable = False
+        fst._groups = src_at, dst_at, tuple(groups)
+    return fst._groups
 
 
 def label_array(labels: Sequence[int]) -> np.ndarray:
@@ -234,7 +277,40 @@ def empty_wfst() -> Wfst:
 
 
 def parse_fst_text(text: str) -> Wfst:
-    """Parse the five-field arc / one-field final text format into a Wfst."""
+    """Parse the five-field arc / one-field final text format into a Wfst.
+
+    The fields are converted column by column, and the Wfst constructor
+    checks them as arrays.  When a conversion or check fails, the
+    line-by-line parser reruns to raise the error of the first bad line,
+    with its message and line number.
+    """
+    records = list(filter(None, map(str.split, text.splitlines())))
+    arcs = [tokens for tokens in records if len(tokens) == 5]
+    finals = [tokens[0] for tokens in records if len(tokens) == 1]
+    if len(finals) != 1 or len(arcs) + 1 != len(records):
+        return _parse_lines(text)
+    columns = list(zip(*arcs)) or [()] * 5
+    try:
+        final = int(finals[0])
+        src, dst, ilabel, olabel = (
+            label_array(list(map(int, column))) for column in columns[:4]
+        )
+        log_weight = list(map(float, columns[4]))
+    except ValueError:
+        return _parse_lines(text)
+    num_states = 1 + max(final, src.max(initial=0), dst.max(initial=0))
+    try:
+        return Wfst._from_arrays(
+            int(num_states), final, src, dst, ilabel, olabel, log_weight
+        )
+    except InvalidFstError:
+        # The constructor checks every field the text format bounds.
+        return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Wfst:
+    """``parse_fst_text`` one line at a time: raises FstParseError at the
+    first bad line."""
     arcs: list[tuple[int, Edge]] = []
     final: int | None = None
     max_state = 0

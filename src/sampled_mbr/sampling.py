@@ -1,13 +1,13 @@
 """Exact path sampling from acyclic weighted transducers.
 
 Sampling runs in two stages: a backward pass computes, per state, the log
-total weight of all suffixes reaching the final state; edge probabilities
-at each visited state are then formed on the fly from those suffix weights
-and a path is drawn ancestrally from the initial state.  Randomness is
-counter-based: sample i walks the Philox4x64-10 stream keyed by
-(i, seed), for stream indices 0..2^64-1, so it depends only on (seed, i),
-never on how samples are batched, and runs are reproducible under any
-scheduling.  A vectorized numpy kernel computes the draws of many streams
+total weight of all suffixes reaching the final state; the cumulative
+edge probabilities of every state are then formed at once from those
+suffix weights, and a path is drawn ancestrally from the initial state.
+Randomness is counter-based: sample i walks the Philox4x64-10 stream
+keyed by (i, seed), for stream indices 0..2^64-1, so it depends only on
+(seed, i), never on how samples are batched, and runs are reproducible
+under any scheduling.  A vectorized numpy kernel computes the draws of many streams
 at once, bit for bit equal to numpy's own ``Philox`` generator, in calls
 of up to KERNEL_ROWS streams whatever lattice walks them: ``stream_uniforms``
 draws the rows and ``walk_paths`` walks a lattice over them, and
@@ -23,7 +23,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateLatticeError
-from .fst import NEG_INF, Path, Wfst, edge_lists, reverse_fold
+from .fst import (
+    NEG_INF,
+    Path,
+    Wfst,
+    edge_lists,
+    out_edge_groups,
+    reverse_fold,
+)
 
 _TWO64 = 1 << 64
 
@@ -229,9 +236,12 @@ def walk_paths(lattices: Sequence[Wfst], uniforms: np.ndarray) -> np.ndarray:
     gives do, and split the rows into len(lattices) equal blocks: row
     block d walks lattices[d].  Each walk takes one uniform of its row
     per edge, so a row must hold at least as many draws as the longest
-    initial-to-final path has edges (ValueError otherwise).  Returns the
-    (rows, longest) matrix of the paths' edge ids, -1 after the final
-    state; ``sample_paths`` turns such rows into Paths.
+    initial-to-final path has edges (ValueError otherwise).  The CDF
+    rows of every state of every lattice are built before the first step,
+    in array passes whose topology-only part (``out_edge_groups``) the
+    lattices share.  Returns the (rows, longest) matrix of the paths' edge
+    ids, -1 after the final state; ``sample_paths`` turns such rows into
+    Paths.
     """
     if not lattices or len(uniforms) % len(lattices):
         raise ValueError(
@@ -318,10 +328,6 @@ def longest_path_edges(fst: Wfst) -> float:
     return depth[fst.initial]
 
 
-# ``_Walker.last`` entry of a state whose CDF row is not built yet.
-_UNBUILT = -2
-
-
 class _Walker:
     """Lockstep ancestral walks over lattices that share one topology.
 
@@ -329,12 +335,15 @@ class _Walker:
     lattice d the row's uniform u picks the edge whose index is the count
     of the state's cumulative out-edge probabilities that are <= u times
     their total, clamped at the last positive edge: exactly the
-    ``bisect_right`` of an inverse-CDF draw.  Each state's CDF row is
-    built once, on the first visit, with ``math.exp`` in out-edge order.
-    The rows of all states and lattices share one flat
-    array, laid out as the lattices' ``out_ids`` repeated once per
-    lattice, so memory grows with edges, never with states times
-    out-degree.  State q of lattice d is key d * num_states + q.
+    ``bisect_right`` of an inverse-CDF draw.  The CDF rows of every state
+    of every lattice are built at once, bit for bit as a Python loop over
+    each state's out-edges builds them: the log-ratios w + beta[dst] -
+    beta[q] in numpy, ``math.exp`` of the finite ones, and one running sum
+    per row, taken by ``np.cumsum`` over the states of each out-degree
+    (``out_edge_groups``).  The rows share one flat array, laid out as the
+    lattices' ``out_ids`` repeated once per lattice, so memory grows with
+    edges, never with states times out-degree.  State q of lattice d is
+    key d * num_states + q.
     """
 
     def __init__(self, lattices: Sequence[Wfst], longest: float):
@@ -347,43 +356,42 @@ class _Walker:
             ):
                 raise ValueError("lattices must share one topology")
         self.lattices = lattices
-        # The inputs of the CDF rows, as lists.
-        self.betas = [backward(fst).tolist() for fst in lattices]
-        self.weights = [fst.log_weight.tolist() for fst in lattices]
-        self.out, self.dst_list = edge_lists(first)
+        beta = np.array([backward(fst) for fst in lattices])
         # Finite now: backward found a path from the initial state.
         self.width = int(longest)
         self.dst = first.dst
-        # Per key, its CDF row's flat span [start, end); per flat position,
+        src_at, dst_at, groups = out_edge_groups(first)
+        weight = np.array([fst.log_weight for fst in lattices])
+        # (w + beta[dst]) - beta[q], as Python floats sum it; dead states
+        # give -inf - -inf.
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratio = weight[:, first.out_ids] + beta[:, dst_at]
+            ratio -= beta[:, src_at]
+        finite = np.isfinite(ratio)
+        prob = np.zeros(ratio.shape)
+        prob[finite] = np.fromiter(
+            map(math.exp, ratio[finite].tolist()), float, int(finite.sum())
+        )
+        del ratio, finite
+        # Per key, its CDF row's flat span [start, last], through its last
+        # positive entry (last -1 where there is none); per flat position,
         # the edge id.  Flat entry p is stored at cdf[p + 1], so cdf[i]
         # reads the value before position i.
         blocks = np.arange(len(lattices))[:, None] * first.num_edges
         self.start = (blocks + first.first_out[:-1]).ravel()
-        self.end = (blocks + first.first_out[1:]).ravel()
         self.edge_at = np.tile(first.out_ids, len(lattices))
         self.cdf = np.zeros(1 + len(self.edge_at))
-        self.total = np.zeros(len(self.start))
-        self.last = np.full(len(self.start), _UNBUILT)
-
-    def _build(self, keys: set[int]):
-        """The CDF rows of the given keys: cumulative out-edge
-        probabilities, reweighted on the fly by beta."""
-        num_states, dst = self.lattices[0].num_states, self.dst_list
-        for key in keys:
-            d, state = divmod(key, num_states)
-            weight, beta = self.weights[d], self.betas[d]
-            cum, total, last_positive = [], 0.0, -1
-            for idx, k in enumerate(self.out[state]):
-                w = weight[k] + beta[dst[k]] - beta[state]
-                p = math.exp(w) if math.isfinite(w) else 0.0
-                if p > 0.0:
-                    last_positive = idx
-                total += p
-                cum.append(total)
-            start = 1 + int(self.start[key])
-            self.cdf[start:start + len(cum)] = cum
-            self.total[key] = total
-            self.last[key] = last_positive
+        cdf = self.cdf[1:].reshape(prob.shape)
+        total = np.zeros((len(lattices), first.num_states))
+        last = np.full(total.shape, -1)
+        for states, positions in groups:
+            rows = prob[:, positions]
+            cum = np.cumsum(rows, axis=2)
+            cdf[:, positions] = cum
+            total[:, states] = cum[:, :, -1]
+            last[:, states] = np.where(rows > 0.0, positions, -1).max(axis=2)
+        self.total = total.ravel()
+        self.last = np.where(last >= 0, last + blocks, -1).ravel()
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
         """The (rows, width) edge-id matrix of one walk per row."""
@@ -399,10 +407,6 @@ class _Walker:
             keys = key_base + state
             last = self.last[keys]
             if last.min() < 0:
-                unbuilt = last == _UNBUILT
-                if unbuilt.any():
-                    self._build(set(keys[unbuilt].tolist()))
-                    last = self.last[keys]
                 live = last >= 0
                 stuck += zip(rows[~live].tolist(), state[~live].tolist())
                 rows, key_base, keys, last = (
@@ -410,19 +414,18 @@ class _Walker:
                 )
                 if not len(rows):
                     break
-            start, end = self.start[keys], self.end[keys]
+            start = self.start[keys]
             x = self.total[keys]
             x *= uniforms[:, j] if len(rows) == num_rows else uniforms[rows, j]
-            # Largest pos in [start, end] with no CDF value before it
+            # Largest pos in [start, last] with no CDF value before it
             # above x: powers of two, largest first.
             pos = start
-            step = 1 << (int((end - start).max()).bit_length() - 1)
+            step = (1 << int((last - start).max()).bit_length()) >> 1
             while step:
-                probe = np.minimum(pos + step, end)
+                probe = np.minimum(pos + step, last)
                 pos = np.where(x < self.cdf[probe], pos, probe)
                 step >>= 1
-            last += start
-            edge = self.edge_at[np.minimum(pos, last, out=last)]
+            edge = self.edge_at[pos]
             if len(rows) == num_rows:
                 out[:, j] = edge
             else:

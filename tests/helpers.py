@@ -260,6 +260,34 @@ def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
     return Path(tuple(ids), log_weight)
 
 
+def reference_cdf_rows(
+    lattices: list[Wfst],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walker's CDF rows, built one state at a time by a Python-float
+    loop over its out-edges (test oracle).
+
+    Returns the flat CDF array (a leading 0.0, then each lattice's rows in
+    ``out_ids`` order), and per key d * num_states + q the row's total and
+    the flat position of its last positive entry, -1 where none is.
+    """
+    cdf, totals, lasts = [0.0], [], []
+    for fst in lattices:
+        beta, weight = backward(fst).tolist(), fst.log_weight.tolist()
+        dst = fst.dst.tolist()
+        for state in range(fst.num_states):
+            total, last_positive = 0.0, -1
+            for k in fst.out_edge_ids(state):
+                w = weight[k] + beta[dst[k]] - beta[state]
+                p = math.exp(w) if math.isfinite(w) else 0.0
+                if p > 0.0:
+                    last_positive = len(cdf) - 1
+                total += p
+                cdf.append(total)
+            totals.append(total)
+            lasts.append(last_positive)
+    return np.array(cdf), np.array(totals), np.array(lasts)
+
+
 def utterance_lattice(model: LinearModel, utterance: Utterance) -> Wfst:
     """Compose the current scores with the utterance's decoder graph."""
     return compose(

@@ -28,7 +28,7 @@ from sampled_mbr import (
     stream_uniforms,
     walk_paths,
 )
-from sampled_mbr.fst import edge_id_matrix, edge_lists
+from sampled_mbr.fst import edge_id_matrix, edge_lists, out_edge_groups
 
 from helpers import (
     format_logits_csv,
@@ -272,9 +272,11 @@ def test_topology_lattices_share_one_list_view():
         backward(lattice)
         expected_additive_loss(lattice, np.zeros(lattice.num_edges))
     out, dst = edge_lists(topology.lattice)
+    groups = out_edge_groups(topology.lattice)
     for lattice in lattices:
         assert edge_lists(lattice)[0] is out
         assert edge_lists(lattice)[1] is dst
+        assert out_edge_groups(lattice) is groups
 
 
 # ---------------------------------------------------------------------------

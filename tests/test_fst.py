@@ -25,7 +25,8 @@ from sampled_mbr import (
     path_output_labels,
     topological_order,
 )
-from sampled_mbr.fst import edge_lists
+from sampled_mbr import fst as fst_module
+from sampled_mbr.fst import edge_lists, out_edge_groups
 from helpers import (
     InvalidPathError,
     make_path,
@@ -218,7 +219,12 @@ def test_parse_accepts_minus_inf_and_blank_lines():
     assert fst.edges[0].log_weight == float("-inf")
 
 
-def test_round_trip_bit_equality():
+def test_round_trip_bit_equality(monkeypatch):
+    # Valid text is parsed by column alone, never by the line parser.
+    def unused(text):
+        raise AssertionError("valid text reached the line parser")
+
+    monkeypatch.setattr(fst_module, "_parse_lines", unused)
     rng = np.random.default_rng(101)
     for _ in range(20):
         fst = random_acyclic_wfst(rng, max_states=12)
@@ -372,6 +378,32 @@ def test_topological_order_is_computed_once():
         assert sorted(order) == list(range(fst.num_states))
         assert all(position[e.src] < position[e.dst] for e in fst.edges)
         assert topological_order(fst) is order
+
+
+def test_out_edge_groups_are_built_once_and_shared_by_copies():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        fst = random_acyclic_wfst(rng)
+        groups = out_edge_groups(fst)
+        assert out_edge_groups(fst) is groups
+        assert out_edge_groups(fst.with_weights(fst.log_weight)) is groups
+        src_at, dst_at, by_degree = groups
+        assert src_at.tolist() == fst.src[fst.out_ids].tolist()
+        assert dst_at.tolist() == fst.dst[fst.out_ids].tolist()
+        # Every state with out-edges once, its positions in out_ids order.
+        degrees = [positions.shape[1] for _, positions in by_degree]
+        assert degrees == sorted(set(degrees)) and 0 not in degrees
+        rows = {}
+        for states, positions in by_degree:
+            rows.update(zip(states.tolist(), positions.tolist()))
+        assert rows == {
+            q: list(range(fst.first_out[q], fst.first_out[q + 1]))
+            for q in range(fst.num_states) if fst.out_edge_ids(q)
+        }
+    # A copy made before the groups are built builds its own.
+    fst = random_acyclic_wfst(rng)
+    copy = fst.with_weights(fst.log_weight)
+    assert out_edge_groups(copy) is not out_edge_groups(fst)
 
 
 def test_enumeration_matches_brute_force_recount():

@@ -2,6 +2,7 @@
 code on random inputs."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sampled_mbr import (
     DimensionMismatchError,
     Edge,
     FrameErrorLoss,
+    FstParseError,
     InvalidFstError,
     LatticeTopology,
     Path,
@@ -32,6 +34,7 @@ from sampled_mbr import (
     enumerate_paths,
     expected_additive_loss,
     format_fst_text,
+    parse_fst_text,
     path_input_labels,
     path_occupancy,
     sample_paths,
@@ -39,9 +42,15 @@ from sampled_mbr import (
     topological_order,
     walk_paths,
 )
-from sampled_mbr.fst import edge_id_matrix, enumerated_distribution
+from sampled_mbr.fst import (
+    MAX_STATE_ID,
+    _parse_lines,
+    edge_id_matrix,
+    enumerated_distribution,
+    out_edge_groups,
+)
 from sampled_mbr.losses import _EditDistances
-from sampled_mbr.sampling import longest_path_edges
+from sampled_mbr.sampling import _Walker, longest_path_edges
 
 from helpers import (
     bigram_decoder,
@@ -49,6 +58,7 @@ from helpers import (
     log_total_weight,
     occupancy_matrix,
     random_acyclic_wfst,
+    reference_cdf_rows,
     reference_compose,
     reference_edge_loss_annotation,
     reference_enumerate_paths,
@@ -416,6 +426,129 @@ def test_path_occupancy_matches_per_path_matrices(seed, stream_seed):
                 assert got == expected
 
 
+
+
+def _cdf_row_bits(lattices: list[Wfst], build) -> tuple:
+    """The bits of the (cdf, total, last) arrays ``build`` returns for
+    lattices, or its DegenerateLatticeError."""
+    def bits():
+        cdf, total, last = build(lattices)
+        return cdf.tobytes(), total.tobytes(), last.tolist()
+
+    return _raised_or(DegenerateLatticeError, bits)
+
+
+def _walker_rows(lattices: list[Wfst]) -> tuple:
+    walker = _Walker(lattices, longest_path_edges(lattices[0]))
+    return walker.cdf, walker.total, walker.last
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), copies=st.integers(0, 3))
+def test_cdf_rows_match_reference_loop_on_random_dags(seed, copies):
+    # -inf edges, dead ends and reweighted copies walked together; a copy
+    # whose -inf weights cut every path fails in both builds alike.
+    rng = np.random.default_rng(seed)
+    fst = random_acyclic_wfst(rng)
+    lattices = [fst]
+    for _ in range(copies):
+        weights = rng.normal(0.0, 2.0, size=fst.num_edges)
+        weights[rng.random(fst.num_edges) < 0.1] = -math.inf
+        lattices.append(fst.with_weights(weights))
+    assert _cdf_row_bits(lattices, _walker_rows) == (
+        _cdf_row_bits(lattices, reference_cdf_rows)
+    )
+
+
+def test_cdf_rows_match_reference_loop_over_many_degree_groups():
+    # State 0 enters states 1..300 and state q has q parallel edges to the
+    # final state, so out-degrees run from 1 to 300 in 300 groups.  Some
+    # edges weigh -inf, and all of state 3's do, which makes it dead.
+    final = 301
+    edges = [Edge(0, q, 1, 1, 0.0) for q in range(1, final)]
+    edges += [
+        Edge(q, final, q, q, 0.0) for q in range(1, final) for _ in range(q)
+    ]
+    fst = Wfst(final + 1, edges, final=final)
+    assert len(out_edge_groups(fst)[2]) == 300
+    rng = np.random.default_rng(16)
+    lattices = [fst]
+    for _ in range(2):
+        weights = rng.normal(0.0, 2.0, size=fst.num_edges)
+        weights[rng.random(fst.num_edges) < 0.1] = -math.inf
+        weights[final - 2] = 0.0  # keeps a path through state 300
+        weights[final + 2:final + 5] = -math.inf
+        lattices.append(fst.with_weights(weights))
+    got = _cdf_row_bits(lattices, _walker_rows)
+    assert isinstance(got[0], bytes)
+    assert got == _cdf_row_bits(lattices, reference_cdf_rows)
+
+
+# Replacement tokens for the parser test: per column kind, tokens that
+# int() or float() reject, that parse to values the format rejects, and
+# valid ones, small ints included so that states stay in range.
+_INT_TOKENS = [
+    "-1", "-7", "-1_0", str(-2**63 - 1), "-0", "x", "1.5", "0x1", "_1", "",
+    "1_0", "+2", "٣", str(2**63), str(MAX_STATE_ID + 1), str(2**70),
+    "0", "1", "2", "7", "30",
+]
+_WEIGHT_TOKENS = [
+    "nan", "-nan", "inf", "+inf", "Infinity", "-inf", "-0.0", "0.0", "1e308",
+    "1e309", "1_0.5", "x", "1,5", "0x1p3", "-2.5",
+]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_column_parser_matches_line_parser(seed):
+    # Valid texts of random DAGs, then up to two edits, each picked
+    # uniformly by the seed: a replaced token in one arc column or in the
+    # final line, an arc moved to leave the final state, a field dropped
+    # or added, a final line dropped or repeated, or a blank line.
+    pick = random.Random(seed)
+    fst = random_acyclic_wfst(np.random.default_rng(seed), max_states=12)
+    lines = [line.split() for line in format_fst_text(fst).splitlines()]
+    for _ in range(pick.randrange(3)):
+        kind = pick.choice([
+            0, 1, 2, 3, 4, "final", "leave final", "drop field", "add field",
+            "drop final", "add final", "blank",
+        ])
+        arcs = [row for row in lines if len(row) == 5]
+        finals = [row for row in lines if len(row) == 1]
+        if kind in (0, 1, 2, 3, 4) and arcs:
+            tokens = _WEIGHT_TOKENS if kind == 4 else _INT_TOKENS
+            pick.choice(arcs)[kind] = pick.choice(tokens)
+        elif kind == "final" and finals:
+            pick.choice(finals)[0] = pick.choice(_INT_TOKENS)
+        elif kind == "leave final" and arcs:
+            pick.choice(arcs)[0] = str(fst.final)
+        elif kind == "drop field" and lines:
+            row = pick.choice(lines)
+            if row:
+                del row[pick.randrange(len(row))]
+        elif kind == "add field" and lines:
+            row = pick.choice(lines)
+            row.insert(pick.randrange(len(row) + 1), pick.choice(_INT_TOKENS))
+        elif kind == "drop final":
+            lines = [row for row in lines if len(row) != 1]
+        elif kind in ("add final", "blank"):
+            row = [pick.choice(_INT_TOKENS)] if kind == "add final" else []
+            lines.insert(pick.randrange(len(lines) + 1), row)
+    text = "\n".join(" ".join(row) for row in lines)
+
+    def parsed(parse):
+        try:
+            result = parse(text)
+        except (FstParseError, InvalidFstError) as exc:
+            return type(exc), str(exc)
+        return result, format_fst_text(result)
+
+    got, expected = parsed(parse_fst_text), parsed(_parse_lines)
+    if isinstance(expected[0], Wfst):
+        assert isinstance(got[0], Wfst) and got[0] == expected[0]
+        assert got[1] == expected[1]
+    else:
+        assert got == expected
 
 
 def _raised_or(expected_errors, run):
