@@ -28,6 +28,7 @@ from .fst import (
     frame_depths,
     out_edge_groups,
 )
+from .sampling import longest_path_edges
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -70,8 +71,9 @@ class LatticeTopology:
     id, frame t times Q plus symbol q - 1, the index of its score in
     ``z.ravel()``; epsilon-input edges keep -1.  ``at`` then adds the
     scores to the weights as compose adds them, bit for bit.  The lattice
-    builds its topological order, list view and out-degree groups here,
-    before any copy, so every lattice ``at`` gives shares them.
+    builds its topological order, list view, out-degree groups and
+    longest-path count here, before any copy, so every lattice ``at``
+    gives shares them.
     """
 
     def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
@@ -85,6 +87,7 @@ class LatticeTopology:
         index = frame_depths(lattice)[lattice.src] * num_symbols + inputs - 1
         self.score_index = np.where(inputs != EPSILON, index, -1)
         out_edge_groups(lattice)
+        longest_path_edges(lattice)
 
     def at(self, log_scores: np.ndarray) -> Wfst:
         """The lattice at score matrix ``log_scores``.
@@ -123,62 +126,77 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
         raise UnsupportedCompositionError(
             "left transducer has epsilon output labels"
         )
+    # A pair (qa, qb) is keyed by the int qa * nb + qb.  Per a state, its
+    # moves as (a edge, label, key of the destination with qb 0): its
+    # out-edges, then (-1, EPSILON, its own key) for b moving alone, which
+    # is legal because a has no output epsilons.  Per b state, its
+    # out-edges as (edge, destination) pairs by input label.
+    nb = b.num_states
     a_out, a_dst = edge_lists(a)
-    a_olabel, b_dst = a.olabel.tolist(), edge_lists(b)[1]
+    a_olabel = a.olabel.tolist()
+    a_moves = [
+        [(ka, a_olabel[ka], a_dst[ka] * nb) for ka in ids]
+        + [(-1, EPSILON, qa * nb)]
+        for qa, ids in enumerate(a_out)
+    ]
+    b_moves: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(nb)]
+    b_fields = zip(b.src.tolist(), b.ilabel.tolist(), b.dst.tolist())
+    for kb, (qb, ilabel, dst) in enumerate(b_fields):
+        b_moves[qb].setdefault(ilabel, []).append((kb, dst))
 
-    # Index b's out-edge ids by input label for the match step.
-    b_by_label: list[dict[int, list[int]]] = [{} for _ in range(b.num_states)]
-    for kb, (src, ilabel) in enumerate(zip(b.src.tolist(), b.ilabel.tolist())):
-        b_by_label[src].setdefault(ilabel, []).append(kb)
+    # The BFS queue is the list of discovered keys, indexed by state id.
+    # The arcs are three flat columns, destination state, a edge and b
+    # edge, in source-state order; arc_counts[q] counts state q's arcs.
+    keys = [a.initial * nb + b.initial]
+    state_id = {keys[0]: 0}
+    arc_dst, arc_a, arc_b, arc_counts = [], [], [], []
+    for key in keys:
+        qa, qb = divmod(key, nb)
+        before = len(arc_dst)
+        by_label = b_moves[qb]
+        for ka, label, base in a_moves[qa]:
+            for kb, dst in by_label.get(label, ()):
+                q = state_id.get(base + dst)
+                if q is None:
+                    q = state_id[base + dst] = len(keys)
+                    keys.append(base + dst)
+                arc_dst.append(q)
+                arc_a.append(ka)
+                arc_b.append(kb)
+        arc_counts.append(len(arc_dst) - before)
 
-    # The BFS queue is the list of discovered pairs, indexed by state id.
-    # Each arc records its source and destination states and the a and b
-    # edges it pairs, a's as -1 where b moves alone.
-    pairs = [(a.initial, b.initial)]
-    state_id = {pairs[0]: 0}
-    arcs: list[tuple[int, int, int, int]] = []
-    for src, (qa, qb) in enumerate(pairs):
-        moves = [
-            ((a_dst[ka], b_dst[kb]), ka, kb)
-            for ka in a_out[qa]
-            for kb in b_by_label[qb].get(a_olabel[ka], ())
-        ]
-        # b moves alone; legal because a has no output epsilons.
-        moves += [
-            ((qa, b_dst[kb]), -1, kb) for kb in b_by_label[qb].get(EPSILON, ())
-        ]
-        for pair, ka, kb in moves:
-            if pair not in state_id:
-                state_id[pair] = len(pairs)
-                pairs.append(pair)
-            arcs.append((src, state_id[pair], ka, kb))
-
-    final = state_id.get((a.final, b.final))
+    final = state_id.get(a.final * nb + b.final)
     if final is None:
         return empty_wfst()
+    num_arcs = len(arc_dst)
+    dst = np.fromiter(arc_dst, np.intp, num_arcs)
+    src = np.repeat(np.arange(len(keys)), np.fromiter(arc_counts, np.intp))
     # Every state is reachable from state 0, so one reverse sweep from the
     # final state keeps exactly those on a complete path, state 0 included.
-    preds: list[list[int]] = [[] for _ in pairs]
-    for arc in arcs:
-        preds[arc[1]].append(arc[0])
-    alive = [final]
-    seen = {final}
-    for q in alive:
-        for p in preds[q]:
-            if p not in seen:
-                seen.add(p)
-                alive.append(p)
-    renumber = np.full(len(pairs), -1, dtype=np.intp)
-    renumber[sorted(alive)] = np.arange(len(alive))
-    table = np.array(arcs, dtype=np.intp).reshape(-1, 4)
-    src, dst, ka, kb = table[renumber[table[:, 1]] >= 0].T
+    by_dst = np.argsort(dst, kind="stable")
+    preds = src[by_dst].tolist()
+    first = np.searchsorted(dst[by_dst], np.arange(len(keys) + 1)).tolist()
+    seen = bytearray(len(keys))
+    seen[final] = True
+    queue = [final]
+    for q in queue:
+        for p in preds[first[q]:first[q + 1]]:
+            if not seen[p]:
+                seen[p] = True
+                queue.append(p)
+    alive = np.frombuffer(seen, dtype=bool)
+    renumber = np.cumsum(alive) - 1
+    kept = alive[dst]
+    src, dst = src[kept], dst[kept]
+    ka = np.fromiter(arc_a, np.intp, num_arcs)[kept]
+    kb = np.fromiter(arc_b, np.intp, num_arcs)[kept]
     # Entry -1, read where b moves alone, is a's input epsilon and a weight
     # of -0.0, which leaves every b weight unchanged.  A sum past the float
     # range is +inf, which the Wfst check rejects, without a warning.
     with np.errstate(over="ignore"):
         log_weight = np.append(a.log_weight, -0.0)[ka] + b.log_weight[kb]
     return Wfst._from_arrays(
-        len(alive), int(renumber[final]), renumber[src], renumber[dst],
+        len(queue), int(renumber[final]), renumber[src], renumber[dst],
         a.ilabel[ka], b.olabel[kb], log_weight,
     )
 

@@ -44,12 +44,16 @@ def expected_loss_exact(fst: Wfst, loss) -> float:
     """Expected path loss by full enumeration of the lattice.
 
     One ``loss.batch`` call scores the paths; the value sums probability
-    times loss left to right.  Raises PathOverflowError past
+    times loss from 0.0 left to right.  Raises PathOverflowError past
     MAX_ENUMERATED_PATHS paths.
     """
     paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
     losses = loss.batch(fst, edge_id_matrix(paths))
-    return float(sum(p * value for p, value in zip(probs, losses)))
+    # Not builtin sum, which compensates from Python 3.12 on.
+    total = 0.0
+    for p, value in zip(probs.tolist(), losses.tolist()):
+        total += p * value
+    return total
 
 
 def expected_loss_gradient_exact(

@@ -80,7 +80,7 @@ class Wfst:
     __slots__ = (
         "num_states", "final", "src", "dst", "ilabel", "olabel", "log_weight",
         "first_out", "out_ids", "_edges", "_order", "_lists", "_groups",
-        "_beta",
+        "_longest", "_beta",
     )
 
     initial = 0
@@ -117,19 +117,19 @@ class Wfst:
         for array in (self.first_out, self.out_ids, *self._fields()):
             array.flags.writeable = False
         # Filled by the first successful edges, topological_order,
-        # edge_lists, out_edge_groups and backward calls; racing threads
-        # store equal values.
+        # edge_lists, out_edge_groups, longest_path_edges and backward
+        # calls; racing threads store equal values.
         self._edges = self._order = self._lists = self._groups = None
-        self._beta = None
+        self._longest = self._beta = None
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
         The copy shares every array but the weights, and the topological
-        order, list view and degree groups once built.  Raises
-        InvalidFstError for a vector of the wrong length and for a NaN or
-        +inf weight, naming the first such edge as the constructor does:
-        the shared edges passed its other checks at construction.
+        order, list view, degree groups and longest-path count once built.
+        Raises InvalidFstError for a vector of the wrong length and for a
+        NaN or +inf weight, naming the first such edge as the constructor
+        does: the shared edges passed its other checks at construction.
         """
         log_weights = np.array(log_weights, dtype=float)
         if log_weights.shape != (self.num_edges,):

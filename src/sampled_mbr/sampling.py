@@ -69,12 +69,22 @@ def backward(fst: Wfst) -> np.ndarray:
 
 def _log_sum(vals: list[float]) -> float:
     """Max-subtracted log of the sum of exp(vals); -inf when all are -inf,
-    NaN when any is NaN."""
+    NaN when any is NaN.
+
+    Both sums add from 0.0, left to right: builtin ``sum`` compensates
+    float sums from Python 3.12 on, which would make the bits depend on
+    the Python version.
+    """
     m = max(vals)
+    total = 0.0
     if m == NEG_INF:
         # max skips a NaN that follows -inf; the plain sum does not.
-        return sum(vals)
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+        for v in vals:
+            total += v
+        return total
+    for v in vals:
+        total += math.exp(v - m)
+    return m + math.log(total)
 
 
 def stochasticity_deviation(fst: Wfst) -> float:
@@ -319,13 +329,18 @@ def _sampled_chunks(
 
 
 def longest_path_edges(fst: Wfst) -> float:
-    """Edge count of the longest initial-to-final path (-inf when none)."""
-    dst = edge_lists(fst)[1]
-    depth = reverse_fold(
-        fst, 0, NEG_INF,
-        lambda depth, q, ids: 1 + max(depth[dst[k]] for k in ids),
-    )
-    return depth[fst.initial]
+    """Edge count of the longest initial-to-final path (-inf when none).
+
+    Cached on the transducer and shared with later ``with_weights`` copies.
+    """
+    if fst._longest is None:
+        dst = edge_lists(fst)[1]
+        depth = reverse_fold(
+            fst, 0, NEG_INF,
+            lambda depth, q, ids: 1 + max(depth[dst[k]] for k in ids),
+        )
+        fst._longest = depth[fst.initial]
+    return fst._longest
 
 
 class _Walker:

@@ -28,7 +28,9 @@ from sampled_mbr import (
     stream_uniforms,
     walk_paths,
 )
+from sampled_mbr import sampling
 from sampled_mbr.fst import edge_id_matrix, edge_lists, out_edge_groups
+from sampled_mbr.sampling import longest_path_edges
 
 from helpers import (
     format_logits_csv,
@@ -277,6 +279,23 @@ def test_topology_lattices_share_one_list_view():
         assert edge_lists(lattice)[0] is out
         assert edge_lists(lattice)[1] is dst
         assert out_edge_groups(lattice) is groups
+
+
+def test_topology_lattices_share_one_longest_path_count(monkeypatch):
+    topology = LatticeTopology(word_chain_decoder(3, 4, 2), 3, 4)
+    rng = np.random.default_rng(8)
+    lattices = [topology.at(rng.normal(size=(3, 4))) for _ in range(2)]
+    for lattice in lattices:
+        backward(lattice)
+
+    def refold(*args):
+        raise AssertionError("longest path counted again")
+
+    # With every backward pass cached, a fold now can only be a count.
+    monkeypatch.setattr(sampling, "reverse_fold", refold)
+    walk_paths(lattices, stream_uniforms(0, range(20), 3))
+    for lattice in (topology.lattice, *lattices):
+        assert longest_path_edges(lattice) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -564,10 +564,15 @@ def _raised_or(expected_errors, run):
     left_seed=st.integers(0, 2**32 - 1),
     right_seed=st.integers(0, 2**32 - 1),
     left=st.sampled_from(["sausage", "dag", "dag without output epsilons"]),
+    back_edge=st.sampled_from([None, "labelled", "epsilon input"]),
 )
-def test_compose_matches_reference_on_random_dags(left_seed, right_seed, left):
-    # The right DAG has epsilons on both tapes, -inf edges and dead ends; a
-    # left DAG with epsilon outputs must be rejected by both.
+def test_compose_matches_reference_on_random_dags(
+    left_seed, right_seed, left, back_edge
+):
+    # The right DAG has epsilons on both tapes, -inf edges and dead ends,
+    # and some gain one backward edge, so a cycle: one with an epsilon
+    # input also makes the composition cyclic.  A left DAG with epsilon
+    # outputs must be rejected by both.
     rng = np.random.default_rng(left_seed)
     if left == "sausage":
         z = rng.normal(0.0, 2.0, size=rng.integers(1, 6, size=2))
@@ -580,7 +585,16 @@ def test_compose_matches_reference_on_random_dags(left_seed, right_seed, left):
                 Edge(e.src, e.dst, e.ilabel, e.olabel or 1, e.log_weight)
                 for e in a.edges
             ], final=a.final)
-    b = random_acyclic_wfst(np.random.default_rng(right_seed), max_states=12)
+    right_rng = np.random.default_rng(right_seed)
+    b = random_acyclic_wfst(right_rng, max_states=12)
+    if back_edge:
+        dst, src = sorted(right_rng.choice(b.final, size=2, replace=False))
+        ilabel, olabel = right_rng.integers(1, 4, size=2).tolist()
+        if back_edge == "epsilon input":
+            ilabel = EPSILON
+        b = Wfst(b.num_states,
+                 b.edges + (Edge(int(src), int(dst), ilabel, olabel, 0.5),),
+                 final=b.final)
     got, expected = (
         _raised_or(UnsupportedCompositionError, lambda: run(a, b))
         for run in (compose, reference_compose)

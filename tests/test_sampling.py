@@ -130,6 +130,21 @@ def test_backward_reports_overflow_behind_a_zero_weight_edge(dead_edge_first):
         backward(fst)
 
 
+def test_log_sum_adds_left_to_right():
+    # Builtin sum compensates from Python 3.12 on, and math.fsum rounds
+    # once; both give a log-sum one bit away from the left-to-right one.
+    # The largest value is 0.0, so the terms are exp(v).
+    vals = [0.0] + [math.log(0.1)] * 10
+    terms = [math.exp(v) for v in vals]
+    left = 0.0
+    for term in terms:
+        left += term
+    assert math.log(left) != math.log(math.fsum(terms))
+    assert sampling._log_sum(vals) == math.log(left)
+    assert sampling._log_sum([NEG_INF, NEG_INF]) == NEG_INF
+    assert math.isnan(sampling._log_sum([NEG_INF, math.nan]))
+
+
 # ---------------------------------------------------------------------------
 # Reweighting
 # ---------------------------------------------------------------------------
