@@ -2,10 +2,11 @@
 
 Every subcommand runs on the inputs of acceptance criterion 10,
 ``estimate`` also runs on a T=50, Q=10 chain lattice, once per estimator
-and loss, and ``train`` also runs with three dev utterances, once per
-loss.  A change that moves any output bit fails here; such a change must
-refresh the digest in the commit that makes it and say why in
-CHANGES.md.  The digests hold for IEEE-754 doubles with numpy's default
+and loss, ``sample`` also draws 10,000 paths on a decoder where two edge
+paths carry the same words, and ``train`` also runs with three dev
+utterances, once per loss.  A change that moves any output bit fails
+here; such a change must refresh the digest in the commit that makes it
+and say why in CHANGES.md.  The digests hold for IEEE-754 doubles with numpy's default
 kernels on x86-64.
 """
 
@@ -49,6 +50,12 @@ GOLDEN = {
         "hist.txt": (
             "bfcef850d3e0354af1f76de37edf64ec"
             "4683927178f6c6aba1366d2c853d4b25"
+        ),
+    },
+    "sample-shared": {
+        "hist-shared.txt": (
+            "760f9199c2851b1a1a8e0950ab452ae9"
+            "644270c77039c67c68b65e0fc0f39ff5"
         ),
     },
     "train": {
@@ -117,6 +124,10 @@ def _inputs(tmp_path):
         "config-dev.txt": DEV_CONFIG,
         "config-frame.txt": DEV_CONFIG + "loss = frame-error\n",
         "chain.fst": format_fst_text(chain_decoder_graph(50, 10, 6)),
+        # Symbol 3 outputs no word, so edge paths (1, 3) and (3, 1) both
+        # carry the words (1,).
+        "shared.fst": format_fst_text(word_chain_decoder(2, 3, 2)),
+        "shared_z.csv": "0.2,-0.7,0.5\n-0.3,0.8,0.1\n",
     }
     rng = np.random.default_rng(50)
     files["chain_z.csv"] = format_logits_csv(rng.normal(size=(50, 10)))
@@ -145,6 +156,11 @@ def _argv(command, f, out):
         "sample": [
             "sample", *lattice, "--samples", "400", "--seed", "5",
             "--out", out["hist.txt"],
+        ],
+        "sample-shared": [
+            "sample", "--fst", f["shared.fst"], "--logits", f["shared_z.csv"],
+            "--samples", "10000", "--seed", "13",
+            "--out", out["hist-shared.txt"],
         ],
         "train": [
             "train", "--config", f["config.txt"], "--curve", out["curve.csv"],
