@@ -32,13 +32,14 @@ from .fst import (
     MAX_ENUMERATED_PATHS,
     Wfst,
     count_paths,
+    distinct_rows,
     is_acyclic,
     label_rows,
     parse_fst_text,
     path_distribution,
 )
 from .losses import FrameErrorLoss, WordEditLoss, parse_label_sequence
-from .sampling import sample_edge_ids, stochasticity_deviation
+from .sampling import sampled_chunks, stochasticity_deviation
 from .training import (
     build_task,
     format_curve_csv,
@@ -254,8 +255,14 @@ def cmd_gradcheck(args) -> int:
 def cmd_sample(args) -> int:
     _check_samples_and_seed(args)
     lattice, _, _ = _load_lattice(args)
-    edge_ids = sample_edge_ids(lattice, args.seed, args.samples)
-    counts = Counter(label_rows(lattice.olabel, edge_ids))
+    # Word sequences counted per chunk of draws, once per distinct edge
+    # row: two distinct rows may carry the same words.
+    counts: Counter[tuple[int, ...]] = Counter()
+    for edge_ids in sampled_chunks(lattice, args.seed, args.samples):
+        rows, inverse = distinct_rows(edge_ids)
+        hits = np.bincount(inverse).tolist()
+        for words, hit in zip(label_rows(lattice.olabel, rows), hits):
+            counts[words] += hit
     exact: dict[tuple[int, ...], float] | None = None
     # Sampling has already rejected a cyclic lattice.
     if count_paths(lattice) <= MAX_ENUMERATED_PATHS:

@@ -404,7 +404,11 @@ def path_input_labels(fst: Wfst, path: Path) -> tuple[int, ...]:
 
 def label_rows(labels: np.ndarray, edge_ids: np.ndarray) -> list[tuple]:
     """Per row of an edge-id matrix, the non-epsilon entries of a label
-    array (a transducer's ``ilabel`` or ``olabel``) along the path."""
+    array (a transducer's ``ilabel`` or ``olabel``) along the path.
+
+    One tuple per row: callers with many repeated rows pass the
+    ``distinct_rows`` of their matrix.
+    """
     return [
         tuple(label for label in row if label != EPSILON)
         for row in labels[edge_ids].tolist()
@@ -420,6 +424,32 @@ def edge_id_matrix(paths: Sequence[Path]) -> np.ndarray:
     width = max((len(p.edges) for p in paths), default=0)
     rows = [p.edges + (-1,) * (width - len(p.edges)) for p in paths]
     return np.array(rows, dtype=np.intp).reshape(len(paths), width)
+
+
+def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int matrix in first-appearance order, and
+    per row the index of its distinct row: ``distinct[inverse]`` equals
+    the matrix.
+
+    Each row is keyed by its bytes in one dict, with no sort: ``np.lexsort``
+    is slow on long rows, and ``np.unique`` imports ``numpy.ma``.
+    """
+    matrix = np.ascontiguousarray(matrix)
+    num_rows, width = matrix.shape
+    if not width:
+        # Zero-width rows give no bytes to key: all rows are the empty row.
+        return matrix[:1], np.zeros(num_rows, dtype=np.intp)
+    keys = matrix.view(np.dtype((np.void, width * matrix.itemsize)))
+    first_of: dict[bytes, int] = {}
+    # Per row, the first row with its bytes.
+    first = np.fromiter(
+        map(first_of.setdefault, keys.ravel().tolist(), range(num_rows)),
+        np.intp, num_rows,
+    )
+    starts = np.fromiter(first_of.values(), np.intp, len(first_of))
+    rank = np.empty(num_rows, dtype=np.intp)
+    rank[starts] = np.arange(len(starts))
+    return matrix[starts], rank[first]
 
 
 # ---------------------------------------------------------------------------

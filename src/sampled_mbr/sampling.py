@@ -27,6 +27,7 @@ from .fst import (
     NEG_INF,
     Path,
     Wfst,
+    distinct_rows,
     edge_lists,
     out_edge_groups,
     reverse_fold,
@@ -271,7 +272,7 @@ def sample_edge_ids(
     fst: Wfst, seed: int, num_samples: int, start_index: int = 0
 ) -> np.ndarray:
     """The paths of ``sample_paths`` as the rows of one edge-id matrix."""
-    chunks = list(_sampled_chunks(fst, seed, num_samples, start_index))
+    chunks = list(sampled_chunks(fst, seed, num_samples, start_index))
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
@@ -287,28 +288,33 @@ def sample_paths(
     draws are computed and walked KERNEL_ROWS samples at a time, which
     bounds the memory of the draws.  The returned paths carry
     original-lattice log-weights (unnormalized), summed left to right.
+    One Path is built per distinct row of a chunk, and equal rows of the
+    chunk share it: Paths are frozen, so sharing is safe.
     """
     weights = np.append(fst.log_weight, 0.0)
     out: list[Path] = []
-    for ids in _sampled_chunks(fst, seed, num_samples, start_index):
+    for ids in sampled_chunks(fst, seed, num_samples, start_index):
+        rows, inverse = distinct_rows(ids)
         # Padding adds 0.0, which leaves every sum from +0.0 unchanged.
-        log_weights = np.zeros(len(ids))
-        for column in ids.T:
+        log_weights = np.zeros(len(rows))
+        for column in rows.T:
             log_weights += weights[column]
-        lengths = (ids >= 0).sum(axis=1)
-        out += [
+        lengths = (rows >= 0).sum(axis=1)
+        paths = [
             Path(tuple(row[:n]), w)
             for row, n, w in zip(
-                ids.tolist(), lengths.tolist(), log_weights.tolist()
+                rows.tolist(), lengths.tolist(), log_weights.tolist()
             )
         ]
+        out += map(paths.__getitem__, inverse.tolist())
     return out
 
 
-def _sampled_chunks(
-    fst: Wfst, seed: int, num_samples: int, start_index: int
+def sampled_chunks(
+    fst: Wfst, seed: int, num_samples: int, start_index: int = 0
 ) -> Iterator[np.ndarray]:
-    """Edge-id matrices of the samples, KERNEL_ROWS rows at a time.
+    """The rows of ``sample_edge_ids`` as matrices of KERNEL_ROWS rows or
+    fewer, each walked as it is asked for.
 
     With no samples this yields one empty matrix.
     """

@@ -30,6 +30,7 @@ from sampled_mbr import (
     sampled_estimate,
 )
 from sampled_mbr.fst import normalized
+from sampled_mbr.sampling import sample_edge_ids
 from sampled_mbr.training import DEV_PATH_BOUND, make_loss
 
 
@@ -258,6 +259,26 @@ def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
         log_weight += e.log_weight
         state = e.dst
     return Path(tuple(ids), log_weight)
+
+
+def reference_sample_paths(
+    fst: Wfst, seed: int, num_samples: int, start_index: int = 0
+) -> list[Path]:
+    """``sample_paths`` with one fresh Path per drawn row.
+
+    The rows are those of ``sample_edge_ids``; each row's log-weight is
+    the left-to-right sum of its edges' log-weights from 0.0.
+    """
+    ids = sample_edge_ids(fst, seed, num_samples, start_index)
+    weight = fst.log_weight.tolist()
+    paths = []
+    for row in ids.tolist():
+        edges = tuple(k for k in row if k >= 0)
+        log_weight = 0.0
+        for k in edges:
+            log_weight += weight[k]
+        paths.append(Path(edges, log_weight))
+    return paths
 
 
 def reference_cdf_rows(

@@ -6,13 +6,23 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sampled_mbr
-from sampled_mbr import chain_decoder_graph, format_fst_text
+from sampled_mbr import (
+    LatticeTopology,
+    chain_decoder_graph,
+    cli,
+    format_fst_text,
+    parse_fst_text,
+)
 from sampled_mbr.cli import main
+from sampled_mbr.fst import label_rows
+from sampled_mbr.sampling import KERNEL_ROWS, sample_edge_ids
 
 # The directory holding the package, for a fresh interpreter's path.
 SRC = Path(sampled_mbr.__file__).resolve().parents[1]
@@ -268,6 +278,41 @@ def test_sample_omits_exact_column_beyond_path_bound(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert all(len(line.split("\t")) == 2 for line in lines)
     assert not any(line.startswith("tv_distance") for line in lines)
+
+
+def test_sample_counts_words_one_kernel_chunk_at_a_time(
+    tmp_path, capsys, monkeypatch
+):
+    # Two of the four edge paths output no word, so distinct edge rows
+    # share the word tuple ().
+    decoder = "0 1 1 1 0.0\n0 1 2 0 0.0\n0 1 3 0 0.0\n0 1 4 2 0.0\n1\n"
+    fst, z, _ = _files(tmp_path, decoder=decoder, logits="0.1,0.2,0.3,0.4\n")
+    sizes = []
+    distinct_rows = cli.distinct_rows
+
+    def counting_distinct_rows(matrix):
+        sizes.append(len(matrix))
+        return distinct_rows(matrix)
+
+    monkeypatch.setattr(cli, "distinct_rows", counting_distinct_rows)
+    samples = 2 * KERNEL_ROWS + 3
+    rc = main([
+        "sample", "--fst", fst, "--logits", z, "--samples", str(samples),
+    ])
+    assert rc == 0
+    assert sizes == [KERNEL_ROWS, KERNEL_ROWS, 3]
+    # The same frequencies as counting one word tuple per draw.
+    lattice = LatticeTopology(parse_fst_text(decoder), 1, 4).at(
+        np.array([[0.1, 0.2, 0.3, 0.4]])
+    )
+    per_draw = Counter(
+        label_rows(lattice.olabel, sample_edge_ids(lattice, 0, samples))
+    )
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split("\t")[:2] for line in lines[:-1]] == [
+        [" ".join(map(str, words)) or "-", repr(per_draw[words] / samples)]
+        for words in sorted(per_draw)
+    ]
 
 
 def test_sample_rerun_is_byte_identical(tmp_path):

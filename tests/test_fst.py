@@ -26,7 +26,7 @@ from sampled_mbr import (
     topological_order,
 )
 from sampled_mbr import fst as fst_module
-from sampled_mbr.fst import edge_lists, out_edge_groups
+from sampled_mbr.fst import distinct_rows, edge_lists, out_edge_groups
 from helpers import (
     InvalidPathError,
     make_path,
@@ -307,6 +307,48 @@ def test_output_projection_all_epsilon_and_duplicates():
         final=2,
     )
     assert path_output_labels(dup, make_path(dup, [0, 1])) == (3, 3)
+
+
+def _check_distinct_rows(matrix):
+    distinct, inverse = distinct_rows(matrix)
+    assert distinct.dtype == matrix.dtype
+    assert distinct.shape[1:] == matrix.shape[1:]
+    assert inverse.shape == (len(matrix),)
+    assert np.array_equal(distinct[inverse], matrix)
+    rows = [tuple(row) for row in distinct.tolist()]
+    assert len(set(rows)) == len(rows)
+    # First-appearance order: row i's first occurrence precedes row i + 1's.
+    firsts = [int(np.argmax(inverse == i)) for i in range(len(rows))]
+    assert firsts == sorted(firsts)
+    return rows, inverse.tolist()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0), (4, 0), (1, 0)])
+def test_distinct_rows_of_empty_matrices(shape):
+    rows, inverse = _check_distinct_rows(np.zeros(shape, dtype=np.intp))
+    # Zero-width rows are all the one empty row.
+    assert rows == ([()] if shape[0] and not shape[1] else [])
+    assert inverse == [0] * shape[0]
+
+
+def test_distinct_rows_tell_padding_apart():
+    matrix = np.array(
+        [[3, -1, -1], [3, 0, -1], [3, -1, -1], [3, 0, 0], [3, 0, -1]],
+        dtype=np.intp,
+    )
+    rows, inverse = _check_distinct_rows(matrix)
+    assert rows == [(3, -1, -1), (3, 0, -1), (3, 0, 0)]
+    assert inverse == [0, 1, 0, 2, 1]
+
+
+def test_distinct_rows_of_random_matrices():
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        shape = tuple(int(n) for n in rng.integers(0, 7, size=2))
+        matrix = rng.integers(-1, 3, size=shape).astype(np.intp)
+        # A non-contiguous view must give the same rows as its copy.
+        view = np.repeat(matrix, 2, axis=1)[:, ::2]
+        assert _check_distinct_rows(view) == _check_distinct_rows(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampled_mbr import (
@@ -42,6 +42,7 @@ from sampled_mbr import (
     topological_order,
     walk_paths,
 )
+from sampled_mbr import sampling
 from sampled_mbr.fst import (
     MAX_STATE_ID,
     _parse_lines,
@@ -62,6 +63,7 @@ from helpers import (
     reference_compose,
     reference_edge_loss_annotation,
     reference_enumerate_paths,
+    reference_sample_paths,
     reference_topological_order,
     reference_word_edit_batch,
     reweight_stochastic,
@@ -142,6 +144,36 @@ def test_walked_stream_rows_match_sample_paths_on_random_dags(
     for index, row in zip(indices, walk_paths([fst], rows), strict=True):
         path = sample_paths(fst, stream_seed, 1, index)[0]
         assert tuple(row[row >= 0]) == path.edges
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    stream_seed=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 40),
+    start=st.one_of(st.integers(0, 50), st.integers(2**64 - 90, 2**64 - 40)),
+    kernel_rows=st.integers(1, 6),
+)
+# The one-state lattice, whose only path is empty: zero-width rows.
+@example(seed=None, stream_seed=3, count=5, start=0, kernel_rows=2)
+@example(seed=0, stream_seed=3, count=0, start=2**64 - 40, kernel_rows=1)
+def test_sample_paths_match_per_row_reference_on_random_dags(
+    seed, stream_seed, count, start, kernel_rows
+):
+    # Small kernel calls make the draws cross many chunks; a DAG's paths
+    # have mixed lengths, so rows end in -1 padding.
+    if seed is None:
+        fst = Wfst(1, [], final=0)
+    else:
+        fst = random_acyclic_wfst(np.random.default_rng(seed))
+    expected = reference_sample_paths(fst, stream_seed, count, start)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "KERNEL_ROWS", kernel_rows)
+        got = sample_paths(fst, stream_seed, count, start)
+    assert len(got) == count
+    assert [(p.edges, p.log_weight.hex()) for p in got] == [
+        (p.edges, p.log_weight.hex()) for p in expected
+    ]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

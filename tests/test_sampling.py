@@ -367,6 +367,17 @@ def test_chunk_boundaries_redraw_identically():
         assert again == batch[i]
 
 
+def test_equal_rows_of_a_chunk_share_one_path():
+    # Two paths, drawn over two chunks: each chunk builds one Path per
+    # distinct row, so at most four objects back all the draws.
+    fst = two_path_fixture()
+    batch = sample_paths(fst, 12, KERNEL_ROWS + 7)
+    for chunk in (batch[:KERNEL_ROWS], batch[KERNEL_ROWS:]):
+        shared = {id(p) for p in chunk}
+        assert len(shared) == len(set(chunk)) == 2
+    assert len({id(p) for p in batch}) == 4
+
+
 def test_walk_paths_rejects_rows_one_draw_short():
     # Paths of 1 and 10 edges: rows must fit the longest, even where every
     # walk would end early.
