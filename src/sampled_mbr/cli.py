@@ -38,7 +38,7 @@ from .fst import (
     parse_fst_text,
     path_distribution,
 )
-from .losses import FrameErrorLoss, WordEditLoss, parse_label_sequence
+from .losses import LOSS_KINDS, parse_label_sequence
 from .sampling import sampled_chunks, stochasticity_deviation
 from .training import (
     build_task,
@@ -79,9 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _lattice_flags(estimate)
     estimate.add_argument("--ref", required=True, help="reference label file")
-    estimate.add_argument(
-        "--loss", choices=("word-edit", "frame-error"), default="word-edit"
-    )
+    estimate.add_argument("--loss", choices=LOSS_KINDS, default="word-edit")
     estimate.add_argument("--samples", type=int, default=100)
     estimate.add_argument("--seed", type=int, default=0)
     estimate.add_argument(
@@ -103,9 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _lattice_flags(gradcheck)
     gradcheck.add_argument("--ref", required=True)
-    gradcheck.add_argument(
-        "--loss", choices=("word-edit", "frame-error"), default="word-edit"
-    )
+    gradcheck.add_argument("--loss", choices=LOSS_KINDS, default="word-edit")
     gradcheck.add_argument("--eps", type=float, default=1e-5)
     gradcheck.add_argument("--tol", type=float, default=1e-4)
     gradcheck.add_argument("--out", help="output path (default stdout)")
@@ -165,10 +161,7 @@ def _load_lattice(args) -> tuple[Wfst, np.ndarray, LatticeTopology]:
 
 
 def _load_loss(args):
-    labels = parse_label_sequence(_read_text(args.ref))
-    if args.loss == "frame-error":
-        return FrameErrorLoss(labels)
-    return WordEditLoss(labels)
+    return LOSS_KINDS[args.loss](parse_label_sequence(_read_text(args.ref)))
 
 
 def _check_samples_and_seed(args):

@@ -432,7 +432,7 @@ def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the matrix.
 
     Each row is keyed by its bytes in one dict, with no sort: ``np.lexsort``
-    is slow on long rows, and ``np.unique`` imports ``numpy.ma``.
+    is slow on long rows, and numpy's ``unique`` imports ``numpy.ma``.
     """
     matrix = np.ascontiguousarray(matrix)
     num_rows, width = matrix.shape

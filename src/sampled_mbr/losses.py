@@ -5,12 +5,14 @@ small objects binding a reference, whose one protocol method is
 ``loss.batch(fst, edge_ids)``: the float losses of the paths in the rows
 of an edge-id matrix padded with -1.  Estimators, exact oracles and
 training score paths only through it; ``loss(fst, path)`` is its one-row
-view.  Word-edit losses are exact integer distances from one bit-parallel
-kernel run over every row of a label matrix at once, so a batch costs
-numpy work per label column, not Python work per path.
-``edge_loss_annotation`` is frame error's additive form, per-edge terms
-whose path sums are the loss, at the frame positions of
-``fst.frame_depths``.
+view, and ``score_blocks`` scores row blocks against one loss each, bit
+for bit as each loss's ``batch``, in one call.  Word-edit losses are
+exact integer distances from one bit-parallel kernel run over every row
+of a label matrix at once, so a batch costs numpy work per label column,
+not Python work per path.  ``LOSS_KINDS`` names the two loss classes for
+the CLI and training configs.  ``edge_loss_annotation`` is frame error's
+additive form, per-edge terms whose path sums are the loss, at the frame
+positions of ``fst.frame_depths``.
 """
 
 from __future__ import annotations
@@ -87,18 +89,13 @@ class _EditDistances:
         self._ones = np.array([(1 << m) - 1 for m in lengths], dtype=dtype)
 
     def __call__(
-        self,
-        labels: np.ndarray,
-        which: np.ndarray | None = None,
-        words: np.ndarray | None = None,
+        self, labels: np.ndarray, which: np.ndarray | None = None
     ) -> np.ndarray:
         """Per row of ``labels``, the int64 edit distance of its words, in
         order, to reference ``which[row]`` (reference 0 for every row when
-        ``which`` is None).  The words are the entries where ``words`` is
-        true; by default, all but epsilon and -1 padding (labels are
-        nonnegative)."""
-        if words is None:
-            words = labels > EPSILON
+        ``which`` is None).  The words are all entries but epsilon and -1
+        padding (labels are nonnegative)."""
+        words = labels > EPSILON
         num_columns = len(self._vocab)
         # Column-major, so each step reads contiguous rows.
         labels, words = labels.T, words.T
@@ -198,7 +195,6 @@ class FrameErrorLoss:
         if any(q < 1 for q in alignment):
             raise ValueError("alignment symbols must be positive")
         self.alignment = alignment
-        self._alignment = label_array(alignment)
 
     def __call__(self, fst: Wfst, path: Path) -> float:
         return float(self.batch(fst, edge_id_matrix([path]))[0])
@@ -206,17 +202,62 @@ class FrameErrorLoss:
     def batch(self, fst: Wfst, edge_ids: np.ndarray) -> np.ndarray:
         """Losses of the paths in the rows of an edge-id matrix: one gather
         of the input labels and one comparison against the alignment."""
-        inputs = fst.ilabel[edge_ids]
-        consumed = inputs != EPSILON
-        frames = consumed.sum(axis=1)
-        wrong = np.flatnonzero(frames != len(self.alignment))
-        if wrong.size:
-            raise DimensionMismatchError(
-                f"path consumes {frames[wrong[0]]} frames, alignment has "
-                f"{len(self.alignment)}"
-            )
-        symbols = inputs[consumed].reshape(len(inputs), len(self.alignment))
-        return (symbols != self._alignment).sum(axis=1).astype(float)
+        return score_blocks([self], fst, edge_ids)[0]
+
+
+def score_blocks(
+    losses: Sequence, fst: Wfst, edge_ids: np.ndarray
+) -> np.ndarray:
+    """The (len(losses), rows // len(losses)) float losses of the rows of
+    an edge-id matrix split into equal blocks, as ``walk_paths`` splits
+    them: block d is scored bit for bit as ``losses[d].batch`` scores it.
+
+    The losses are WordEditLoss or FrameErrorLoss objects of one class.
+    Word edit is one kernel call over all the references; frame error is
+    one comparison against the alignments, stacked with zero padding.
+    """
+    if not losses or len(edge_ids) % len(losses):
+        raise ValueError(
+            f"{len(edge_ids)} rows do not split into {len(losses)} "
+            "equal blocks"
+        )
+    kinds = {type(loss) for loss in losses}
+    if kinds not in ({WordEditLoss}, {FrameErrorLoss}):
+        raise ValueError("losses are not WordEditLoss or FrameErrorLoss "
+                         "objects of one class")
+    blocks, per = len(losses), len(edge_ids) // len(losses)
+    if kinds == {WordEditLoss}:
+        distances = _EditDistances([loss.reference for loss in losses])
+        which = np.repeat(np.arange(blocks), per)
+        distance = distances(fst.olabel[edge_ids], which)
+        return distance.astype(float).reshape(blocks, per)
+    inputs = fst.ilabel[edge_ids]
+    consumed = inputs != EPSILON
+    frames = consumed.sum(axis=1)
+    lengths = np.repeat([len(loss.alignment) for loss in losses], per)
+    wrong = np.flatnonzero(frames != lengths)
+    if wrong.size:
+        raise DimensionMismatchError(
+            f"path consumes {frames[wrong[0]]} frames, alignment has "
+            f"{lengths[wrong[0]]}"
+        )
+    width = max(len(loss.alignment) for loss in losses)
+    alignments = label_array([
+        loss.alignment + (0,) * (width - len(loss.alignment))
+        for loss in losses
+    ])
+    symbols = inputs[consumed]
+    if symbols.size != len(inputs) * width:
+        # Each row's symbols in order, then the zeros no symbol equals.
+        padded = np.zeros((len(inputs), width), dtype=inputs.dtype)
+        padded[np.arange(width) < lengths[:, None]] = symbols
+        symbols = padded
+    symbols = symbols.reshape(blocks, per, width)
+    return (symbols != alignments[:, None]).sum(axis=2).astype(float)
+
+
+# The loss classes by the names of the CLI's --loss and a config's loss.
+LOSS_KINDS = {"word-edit": WordEditLoss, "frame-error": FrameErrorLoss}
 
 
 def parse_label_sequence(text: str) -> tuple[int, ...]:

@@ -6,9 +6,10 @@ expected-loss gradient by path sampling, and applies one SGD update.
 Exact enumeration of the (small) dev lattices provides noise-free
 training curves; each distinct (decoder graph, frame count) is composed
 once per run, its dev lattice is enumerated once, and its paths are
-shared by every dev utterance on it.  The sampled paths' uniforms are
-drawn ahead of the walks, for a run of training steps or for a whole dev
-record per kernel call.
+shared by every dev utterance on it.  Paths are scored only through
+``loss.batch`` and ``losses.score_blocks``.  The sampled paths' uniforms
+are drawn ahead of the walks, for a run of training steps or for a whole
+dev record per kernel call.
 """
 
 from __future__ import annotations
@@ -39,16 +40,9 @@ from .fst import (
     Wfst,
     edge_id_matrix,
     enumerate_paths,
-    label_array,
-    label_rows,
     normalized,
 )
-from .losses import (
-    FrameErrorLoss,
-    WordEditLoss,
-    _EditDistances,
-    edge_loss_annotation,
-)
+from .losses import LOSS_KINDS, score_blocks
 from .sampling import (
     KERNEL_ROWS,
     longest_path_edges,
@@ -150,13 +144,14 @@ def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
 
 
 def make_loss(kind: str, utterance: Utterance):
+    """The utterance's ``LOSS_KINDS`` loss of this kind."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
     if kind == "word-edit":
-        return WordEditLoss(utterance.reference)
-    if kind == "frame-error":
-        if utterance.alignment is None:
-            raise ValueError("frame-error loss needs an utterance alignment")
-        return FrameErrorLoss(utterance.alignment)
-    raise ValueError(f"unknown loss kind {kind!r}")
+        return LOSS_KINDS[kind](utterance.reference)
+    if utterance.alignment is None:
+        raise ValueError("frame-error loss needs an utterance alignment")
+    return LOSS_KINDS[kind](utterance.alignment)
 
 
 def train_step(
@@ -286,9 +281,6 @@ class _DevLattice:
     most DEV_PATH_BOUND paths of the topology's ``lattice``: their
     ``edge_ids`` matrix, each path's ``score_index`` entries ``flat``, the
     indices of its scores in ``z.ravel()``, and their decoder offsets.
-    ``words`` holds the distinct output-word tuples by first appearance,
-    as the rows of one label matrix padded with epsilons, and
-    ``word_index`` maps each path to its row.
     """
 
     def __init__(self, topology: LatticeTopology):
@@ -302,38 +294,21 @@ class _DevLattice:
         self.flat = index[index >= 0].reshape(len(paths), topology.shape[0])
         # Per-path decoder contribution: the path weight at zero scores.
         self.offsets = np.array([p.log_weight for p in paths])
-        ids: dict[tuple[int, ...], int] = {}
-        self.word_index = np.array([
-            ids.setdefault(words, len(ids))
-            for words in label_rows(lattice.olabel, self.edge_ids)
-        ])
-        width = max(map(len, ids))
-        self.words = label_array(
-            [words + (EPSILON,) * (width - len(words)) for words in ids]
-        ).reshape(len(ids), width)
 
 
 class EnumeratedObjective:
     """Reusable exact expected loss for one dev utterance.
 
     The paths, score indices and offsets are those of the utterance's
-    shared ``_DevLattice``; only the per-path loss vector is its own.
-    Word-edit scores the rows of the shared word matrix in one kernel call
-    and gathers the values per path; frame-error sums each path's
-    ``edge_loss_annotation`` costs.  Re-evaluating at new scores is one
-    gather of the scores at the cached flat indices and a vectorized
-    softmax.
+    shared ``_DevLattice``; only the per-path loss vector is its own, one
+    ``loss.batch`` call over the shared edge-id matrix.  Re-evaluating at
+    new scores is one gather of the scores at the cached flat indices and
+    a vectorized softmax.
     """
 
     def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
         self.loss = make_loss(loss_kind, utterance)
-        if loss_kind == "word-edit":
-            distances = _EditDistances([self.loss.reference])(dev.words)
-            self.losses = distances.astype(float)[dev.word_index]
-        else:
-            costs = edge_loss_annotation(dev.lattice, self.loss.alignment)
-            # The -1 row padding reads the appended zero cost.
-            self.losses = np.append(costs, 0.0)[dev.edge_ids].sum(axis=1)
+        self.losses = self.loss.batch(dev.lattice, dev.edge_ids)
         self.dev = dev
 
     def expected_loss(self, z: np.ndarray) -> float:
@@ -401,8 +376,7 @@ def run_experiment(
     dataset is composed once, into a LatticeTopology that gives its
     lattices at every step and record and that count.  A record walks the
     rows of all dev utterances on one topology in one call, and scores
-    them in one word-edit kernel call (frame error: one call per
-    utterance).
+    them in one ``score_blocks`` call.
     """
     if config.samples_per_step < 1:
         raise ValueError("samples_per_step must be positive")
@@ -434,16 +408,6 @@ def run_experiment(
     # can never collide with training-sample indices.
     dev_seed = config.seed + 1 if config.seed + 1 < 2**64 else 0
     samples = config.samples_per_step
-    # Word edit scores a group's sampled rows, across its dev utterances,
-    # in one kernel call; row r was walked for member r // samples.
-    group_distances = {
-        k: (
-            _EditDistances([objectives[d].loss.reference for d in members]),
-            np.repeat(np.arange(len(members)), samples),
-        )
-        for k, members in dev_groups.items()
-        if config.loss == "word-edit"
-    }
     started = time.perf_counter()
     records: list[CurveRecord] = []
 
@@ -461,17 +425,11 @@ def run_experiment(
         for k, members in dev_groups.items():
             group = [topologies[k].at(scores[d]) for d in members]
             edge_ids = walk_paths(group, rows[members].reshape(-1, num_draws))
-            if k in group_distances:
-                distances, owner = group_distances[k]
-                labels = topologies[k].lattice.olabel[edge_ids]
-                losses = distances(labels, owner).astype(float)
-                losses = losses.reshape(len(members), samples)
-            else:
-                blocks = edge_ids.reshape(len(members), samples, -1)
-                losses = [
-                    objectives[d].loss.batch(lattice, block)
-                    for d, lattice, block in zip(members, group, blocks)
-                ]
+            losses = score_blocks(
+                [objectives[d].loss for d in members],
+                topologies[k].lattice,
+                edge_ids,
+            )
             for d, row in zip(members, losses):
                 sampled[d] = float(np.mean(row))
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -566,7 +524,7 @@ def parse_config(text: str) -> tuple[TrainConfig, TaskConfig]:
                 f"malformed value for {key!r}: {value!r}", lineno
             ) from None
     loss = values[TrainConfig].get("loss", "word-edit")
-    if loss not in ("word-edit", "frame-error"):
+    if loss not in LOSS_KINDS:
         raise FstParseError(f"unknown loss kind {loss!r}")
     train_config = TrainConfig(**values[TrainConfig])
     task_config = TaskConfig(**values[TaskConfig])

@@ -26,7 +26,7 @@ CONFIG = (
     "num_utterances = 12\nnoise = 0.2\n"
 )
 # Three dev utterances on a 27-path lattice whose third symbol outputs no
-# word, so paths share output-word tuples and dev losses are per tuple.
+# word, so distinct paths share output words and word-edit losses.
 DEV_CONFIG = (
     "steps = 6\nsamples_per_step = 25\nseed = 1\neval_interval = 3\n"
     "vocab_size = 2\nframes = 3\nclusters = 3\nfeature_dim = 3\n"

@@ -50,10 +50,11 @@ from sampled_mbr.fst import (
     enumerated_distribution,
     out_edge_groups,
 )
-from sampled_mbr.losses import _EditDistances
-from sampled_mbr.sampling import _Walker, longest_path_edges
+from sampled_mbr.losses import _EditDistances, score_blocks
+from sampled_mbr.sampling import _Walker, longest_path_edges, sample_edge_ids
 
 from helpers import (
+    ShiftedLoss,
     bigram_decoder,
     dp_edit_distance,
     log_total_weight,
@@ -312,6 +313,119 @@ def test_word_edit_kernel_matches_per_row_oracle(refs, width, data):
     ]
     assert got.tolist() == expected
     assert reference_word_edit_batch(labels, per_row) == expected
+
+
+def _blocks_match(losses, fst: Wfst, edge_ids: np.ndarray):
+    """score_blocks gives each block the bits of its own loss's batch."""
+    got = score_blocks(losses, fst, edge_ids)
+    per = len(edge_ids) // len(losses)
+    assert got.shape == (len(losses), per)
+    for d, loss in enumerate(losses):
+        expected = loss.batch(fst, edge_ids[d * per:(d + 1) * per])
+        assert got[d].tobytes() == expected.tobytes()
+
+
+# One to five references: empty, short, or past 64 words (object vectors).
+BLOCK_REFERENCES = st.lists(
+    st.one_of(
+        st.just([]),
+        st.lists(st.integers(1, 6), max_size=8),
+        st.lists(st.integers(1, 6), min_size=65, max_size=90),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), refs=BLOCK_REFERENCES,
+       per=st.integers(0, 6))
+@example(seed=0, refs=[[], [1] * 70, [2, 5]], per=3)
+def test_score_blocks_word_edit_matches_each_blocks_batch(seed, refs, per):
+    # Sampled DAG rows; output label 0 is epsilon, so rows carry epsilons
+    # and -1 padding.
+    fst = random_acyclic_wfst(np.random.default_rng(seed))
+    edge_ids = sample_edge_ids(fst, seed, len(refs) * max(per, 1))
+    losses = [WordEditLoss(ref) for ref in refs]
+    _blocks_match(losses, fst, edge_ids[:len(refs) * per])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_symbols=st.integers(1, 3),
+    alignments=st.lists(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        min_size=1, max_size=5,
+    ),
+    per=st.integers(0, 6),
+)
+@example(seed=1, num_symbols=2, alignments=[[1, 2**70], [2]], per=2)
+def test_score_blocks_frame_error_matches_each_blocks_batch(
+    seed, num_symbols, alignments, per
+):
+    # Every path of a LatticeTopology lattice consumes its frame count, the
+    # first alignment's length; the others are cut or repeated to it.  A
+    # symbol past int64 makes the stacked alignments an object array.
+    rng = np.random.default_rng(seed)
+    num_frames = len(alignments[0])
+    decoder = bigram_decoder(rng, num_symbols, num_symbols)
+    topology = LatticeTopology(decoder, num_frames, num_symbols)
+    lattice = topology.at(rng.normal(size=(num_frames, num_symbols)))
+    blocks = len(alignments)
+    edge_ids = sample_edge_ids(lattice, seed, blocks * max(per, 1))
+    losses = [
+        FrameErrorLoss((a * num_frames)[:num_frames]) for a in alignments
+    ]
+    _blocks_match(losses, lattice, edge_ids[:blocks * per])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.integers(1, 5),
+    per=st.integers(1, 4),
+    data=st.data(),
+)
+def test_score_blocks_frame_error_on_blocks_of_other_frame_counts(
+    seed, blocks, per, data
+):
+    # Input label 0 is epsilon, so DAG paths consume different frame
+    # counts; each block's rows share one count, its alignment's length.
+    fst = random_acyclic_wfst(np.random.default_rng(seed))
+    sampled = sample_edge_ids(fst, seed, 12)
+    frames = (fst.ilabel[sampled] != EPSILON).sum(axis=1)
+    rows, alignments = [], []
+    for _ in range(blocks):
+        count = data.draw(st.sampled_from(sorted(set(frames.tolist()))))
+        same = np.flatnonzero(frames == count)
+        rows += [same[i % len(same)] for i in range(per)]
+        alignments.append(
+            data.draw(st.lists(st.integers(1, 4), min_size=count,
+                               max_size=count))
+        )
+    losses = [FrameErrorLoss(a) for a in alignments]
+    _blocks_match(losses, fst, sampled[rows])
+
+
+def test_score_blocks_rejects_bad_blocks_as_batch_does():
+    # A 3-frame chain with 2 symbols: 8 paths, each consuming 3 frames.
+    lattice = LatticeTopology(word_chain_decoder(3, 2, 2), 3, 2).lattice
+    edge_ids = edge_id_matrix(enumerate_paths(lattice, 8))
+    word, frame = WordEditLoss((1, 2)), FrameErrorLoss((1, 2, 1))
+    with pytest.raises(ValueError, match="8 rows do not split into 3"):
+        score_blocks([word] * 3, lattice, edge_ids)
+    with pytest.raises(ValueError, match="8 rows do not split into 0"):
+        score_blocks([], lattice, edge_ids)
+    for mixed in ([word, frame], [frame, word], [ShiftedLoss(word, 1.0)]):
+        with pytest.raises(ValueError, match="objects of one class"):
+            score_blocks(mixed, lattice, edge_ids)
+    # A wrong-length alignment in block 1 raises batch's error for it.
+    short = FrameErrorLoss((1, 2))
+    with pytest.raises(DimensionMismatchError) as expected:
+        short.batch(lattice, edge_ids[4:])
+    with pytest.raises(DimensionMismatchError) as got:
+        score_blocks([frame, short], lattice, edge_ids)
+    assert str(got.value) == str(expected.value)
 
 
 def _word_chain(words, fillers) -> tuple[Wfst, Path]:

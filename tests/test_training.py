@@ -34,7 +34,6 @@ from sampled_mbr import (
     init_model,
     make_synthetic_task,
     parse_config,
-    path_output_labels,
     run_experiment,
     split_train_dev,
     stream_uniforms,
@@ -285,22 +284,20 @@ def test_enumerated_objective_zero_weight_is_degenerate():
         objective.expected_loss(np.full((3, 2), -np.inf))
 
 
-def test_dev_lattice_groups_paths_by_output_words():
-    # The default task's 4^6 paths; symbol 4 outputs no word.
-    topology = LatticeTopology(chain_decoder_graph(6, 4, 3), 6, 4)
+def test_dev_objective_losses_equal_per_path_losses():
+    # The default task's 4^6 paths; symbol 4 outputs no word, so paths
+    # share output words.  Each objective's loss vector is one batch call
+    # and must hold every path's own loss, bit for bit.
+    utterance = make_synthetic_task(3, 6, 4, 8, 1, seed=0)[0]
+    topology = LatticeTopology(utterance.decoder_graph, 6, 4)
     dev = _DevLattice(topology)
-    paths = enumerate_paths(topology.lattice, 4**6)
-    words = [path_output_labels(topology.lattice, p) for p in paths]
-    assert len(paths) == len(dev.word_index) == 4**6
-    assert len(dev.words) == len(set(words)) == 1093
-    firsts = list(dict.fromkeys(words))
-    # Each row of the word matrix is one tuple, padded with epsilons.
-    assert dev.words.shape == (1093, 6)
-    rows = dev.words.tolist()
-    assert [tuple(w for w in row if w != EPSILON) for row in rows] == firsts
-    assert all(row[:len(w)] == list(w) for row, w in zip(rows, firsts))
-    for k, w in enumerate(words):
-        assert firsts[dev.word_index[k]] == w
+    lattice = topology.lattice
+    paths = enumerate_paths(lattice, 4**6)
+    assert len(paths) == 4**6
+    for kind in ("word-edit", "frame-error"):
+        objective = EnumeratedObjective(utterance, kind, dev)
+        per_path = np.array([objective.loss(lattice, p) for p in paths])
+        assert objective.losses.tobytes() == per_path.tobytes()
 
 
 def test_word_edit_dev_record_scores_each_utterance_by_its_own_reference():
