@@ -11,6 +11,7 @@ deterministic given flags and seed; error paths print
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -53,8 +54,7 @@ STOCHASTIC_TOLERANCE = 1e-9
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except SampledMbrError as exc:
@@ -65,6 +65,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+# Built on the first ``main`` call and reused by every later call of the
+# process; parsing leaves the parser unchanged.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sampled-mbr",

@@ -431,25 +431,49 @@ def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     per row the index of its distinct row: ``distinct[inverse]`` equals
     the matrix.
 
-    Each row is keyed by its bytes in one dict, with no sort: ``np.lexsort``
-    is slow on long rows, and numpy's ``unique`` imports ``numpy.ma``.
+    The rows are ranked with no Python work per row.  Each pass packs the
+    rank so far and as many further columns as fit into one int64 code
+    per row below 2^63, and ranks the rows by a stable ``argsort`` of the
+    code, cast to the smallest dtype that holds it (numpy radix-sorts
+    codes below 2^16).  Passes stop once every row is distinct.  The rows
+    times the span of the entries must stay below 2^63 (ValueError
+    otherwise).  numpy's ``unique`` would import ``numpy.ma``.
     """
-    matrix = np.ascontiguousarray(matrix)
     num_rows, width = matrix.shape
-    if not width:
-        # Zero-width rows give no bytes to key: all rows are the empty row.
+    if num_rows < 2 or not width:
+        # Zero-width rows are all the empty row.
         return matrix[:1], np.zeros(num_rows, dtype=np.intp)
-    keys = matrix.view(np.dtype((np.void, width * matrix.itemsize)))
-    first_of: dict[bytes, int] = {}
-    # Per row, the first row with its bytes.
-    first = np.fromiter(
-        map(first_of.setdefault, keys.ravel().tolist(), range(num_rows)),
-        np.intp, num_rows,
-    )
-    starts = np.fromiter(first_of.values(), np.intp, len(first_of))
-    rank = np.empty(num_rows, dtype=np.intp)
-    rank[starts] = np.arange(len(starts))
-    return matrix[starts], rank[first]
+    low = int(matrix.min())
+    span = int(matrix.max()) - low + 1
+    if num_rows * span > 1 << 63:
+        raise ValueError("matrix entries span too wide a range")
+    rank = np.zeros(num_rows, dtype=np.intp)
+    count, column = 1, 0
+    while count < num_rows and column < width:
+        code, size = rank.astype(np.int64), count
+        while column < width and size * span <= 1 << 63:
+            code *= span
+            code += matrix[:, column]
+            code -= low
+            size *= span
+            column += 1
+        order = np.argsort(
+            code.astype(np.min_scalar_type(size - 1)), kind="stable"
+        )
+        code = code[order]
+        # Whether each position of the sorted codes starts a new rank.
+        starts_rank = np.empty(num_rows, dtype=bool)
+        starts_rank[0] = True
+        np.not_equal(code[1:], code[:-1], out=starts_rank[1:])
+        rank[order] = np.cumsum(starts_rank) - 1
+        count = int(np.count_nonzero(starts_rank))
+    # The sort is stable, so each rank's first sorted row is its first row.
+    first = np.zeros(num_rows, dtype=bool)
+    first[order[starts_rank]] = True
+    starts = np.flatnonzero(first)
+    label = np.empty(count, dtype=np.intp)
+    label[rank[starts]] = np.arange(count)
+    return matrix[starts], label[rank]
 
 
 # ---------------------------------------------------------------------------

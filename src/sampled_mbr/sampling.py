@@ -4,14 +4,14 @@ Sampling runs in two stages: a backward pass computes, per state, the log
 total weight of all suffixes reaching the final state; the cumulative
 edge probabilities of every state are then formed at once from those
 suffix weights, and a path is drawn ancestrally from the initial state.
-Randomness is counter-based: sample i walks the Philox4x64-10 stream
-keyed by (i, seed), for stream indices 0..2^64-1, so it depends only on
-(seed, i), never on how samples are batched, and runs are reproducible
-under any scheduling.  A vectorized numpy kernel computes the draws of many streams
-at once, bit for bit equal to numpy's own ``Philox`` generator, in calls
-of up to KERNEL_ROWS streams whatever lattice walks them: ``stream_uniforms``
-draws the rows and ``walk_paths`` walks a lattice over them, and
-``sample_paths`` composes the two.
+Randomness is counter-based: block b of sample i's stream is the
+Philox4x64-10 block at counter (i, b, 0, 0) under key ``seed``, for stream
+indices 0..2^64-1, so sample i depends only on (seed, i), never on how
+samples are batched, and runs are reproducible under any scheduling.
+numpy's own ``Philox`` draws a block of a whole run of consecutive
+streams in one C call, in calls of up to KERNEL_ROWS streams whatever
+lattice walks them: ``stream_uniforms`` draws the rows and ``walk_paths``
+walks a lattice over them, and ``sample_paths`` composes the two.
 """
 
 from __future__ import annotations
@@ -104,14 +104,19 @@ def stochasticity_deviation(fst: Wfst) -> float:
 
 
 class SampleStream:
-    """numpy's own generators for the sample streams of one seed.
+    """numpy's own Philox4x64-10 generators, positioned in the sample
+    streams of one seed.
 
-    Stream index i (0 <= i < 2^64) is the Philox4x64-10 counter-based
-    generator keyed by the words (i, seed), so the draws for index i are
-    identical whether samples are taken one at a time, in one big batch,
-    or out of order.  ``stream_uniforms`` computes those draws with a numpy
-    kernel; ``generator`` returns numpy's generator for the same stream,
-    the reference the kernel is tested against.
+    Block b (b >= 1) of stream index i (0 <= i < 2^64) is the Philox4x64-10
+    block at counter (i, b, 0, 0) under key ``seed``, and draws
+    4(b-1)..4b-1 of the stream are its four words w, each mapped to
+    (w >> 11) * 2^-53.  So the draws for index i depend only on (seed, i),
+    whether samples are taken one at a time, in one big batch, or out of
+    order.  The stream index is the low counter word, so block b of
+    consecutive streams is a run of consecutive counters:
+    ``generator(i, b)``'s ``random`` yields block b of stream i, then block
+    b of stream i + 1, and so on.  ``stream_uniforms`` draws every row
+    through it.
     """
 
     def __init__(self, seed: int):
@@ -120,111 +125,55 @@ class SampleStream:
             raise ValueError("seed must fit in 64 bits")
         self.seed = seed
 
-    def generator(self, index: int) -> np.random.Generator:
+    def generator(self, index: int, block: int = 1) -> np.random.Generator:
         if not 0 <= index < _TWO64:
             raise ValueError("sample index must lie in 0..2^64-1")
-        key = (self.seed << 64) | index
-        return np.random.Generator(np.random.Philox(key=key))
+        if not 1 <= block < _TWO64:
+            raise ValueError("block must lie in 1..2^64-1")
+        # numpy's Philox adds one to its counter before each block.
+        counter = (block << 64) + index - 1
+        return np.random.Generator(
+            np.random.Philox(key=self.seed, counter=counter)
+        )
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11) with numpy's constants: multipliers, key-schedule increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_MASK32 = 0xFFFFFFFF
-_MASK64 = _TWO64 - 1
-
-# The kernel's constants as numpy scalars, so no ufunc converts a Python
-# int: each multiplier with its 32-bit halves, the shifts and mask, and the
-# index-side round keys (r * W0) mod 2^64.
-_M_WORDS = tuple(
-    tuple(np.uint64(v) for v in (m, m & _MASK32, m >> 32)) for m in _PHILOX_M
-)
-_U32 = np.uint64(32)
-_U11 = np.uint64(11)
-_U32_MASK = np.uint64(_MASK32)
-_INDEX_KEYS = tuple(
-    np.uint64((r * _PHILOX_W[0]) & _MASK64) for r in range(_PHILOX_ROUNDS)
-)
-
-# Streams whose draws one kernel call computes; bounds the kernel's memory.
+# Streams whose draws one ``_philox_uniforms`` call computes; bounds the
+# memory of the draws.
 KERNEL_ROWS = 4096
 
 
-def _mulhilo(
-    m_words: tuple[np.uint64, np.uint64, np.uint64], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves.
-
-    ``m_words`` is the multiplier m with its low and high 32-bit halves.
-    The partial products are combined in place, which keeps few arrays of
-    the size of ``x`` alive at once.
-    """
-    m, m_lo, m_hi = m_words
-    x_lo, x_hi = x & _U32_MASK, x >> _U32
-    hi_lo = x_hi * m_lo
-    # cross = (lo_lo >> 32) + (hi_lo & mask) + x_lo * m_hi is at most
-    # 2^64 - 1, so the uint64 sum cannot wrap.
-    cross = x_lo * m_lo
-    cross >>= _U32
-    cross += hi_lo & _U32_MASK
-    x_lo *= m_hi
-    cross += x_lo
-    cross >>= _U32
-    hi_lo >>= _U32
-    x_hi *= m_hi
-    x_hi += hi_lo
-    x_hi += cross
-    return x_hi, x * m
-
-
 def _philox_uniforms(
-    seed: int, indices: np.ndarray, num_blocks: int
+    stream: SampleStream, indices: np.ndarray, num_blocks: int
 ) -> np.ndarray:
-    """The first 4*num_blocks uniforms in [0, 1) of each uint64 stream index.
+    """The first 4*num_blocks uniforms of each uint64 stream index.
 
-    Row r, draw k is word k mod 4 of the Philox4x64-10 block with counter
-    (floor(k/4)+1, 0, 0, 0) and key (indices[r], seed), mapped to
-    (word >> 11) * 2^-53: bit for bit the values
-    ``SampleStream(seed).generator(indices[r]).random()`` returns.
+    One ``generator(first, b).random`` call draws block b of a whole run
+    of consecutive indices.  Index 0 always starts a run, so counter word
+    0 never carries into the block word.
     """
-    x0 = np.arange(1, num_blocks + 1, dtype=np.uint64)[None, :]
-    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
-    k0 = indices[:, None]
-    # Seed-side round keys are reduced as Python ints: numpy scalar
-    # arithmetic would warn on the wrap.
-    seed_keys = [
-        np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
-        for r in range(_PHILOX_ROUNDS)
-    ]
-    for index_key, seed_key in zip(_INDEX_KEYS, seed_keys):
-        hi0, lo0 = _mulhilo(_M_WORDS[0], x0)
-        hi1, lo1 = _mulhilo(_M_WORDS[1], x2)
-        x0, x1, x2, x3 = (
-            hi1 ^ x1 ^ (k0 + index_key),
-            lo1,
-            hi0 ^ x3 ^ seed_key,
-            lo0,
-        )
-    draws = np.empty((len(indices), num_blocks, 4))
-    for k, word in enumerate((x0, x1, x2, x3)):
-        draws[:, :, k] = word >> _U11
-    draws *= 2.0**-53
-    return draws.reshape(len(indices), 4 * num_blocks)
+    num_rows = len(indices)
+    draws = np.empty((num_blocks, num_rows, 4))
+    starts_run = np.ones(num_rows, dtype=bool)
+    starts_run[1:] = (np.diff(indices) != 1) | (indices[1:] == 0)
+    starts = np.flatnonzero(starts_run)
+    ends = np.append(starts[1:], num_rows).tolist()
+    for lo, hi, first in zip(starts.tolist(), ends, indices[starts].tolist()):
+        for b in range(num_blocks):
+            stream.generator(first, b + 1).random(out=draws[b, lo:hi])
+    return draws.transpose(1, 0, 2).reshape(num_rows, 4 * num_blocks)
 
 
 def stream_uniforms(seed: int, indices, num_draws: int) -> np.ndarray:
     """The first ``num_draws`` uniforms in [0, 1) of each sample stream.
 
     Row r holds the draws of stream index ``indices[r]`` under ``seed``,
-    bit for bit the values ``SampleStream(seed).generator(indices[r])
-    .random()`` returns.  ``indices`` is a uint64 array or a sequence of
-    ints; the seed and every index must lie in 0..2^64-1 (ValueError
-    otherwise).  The kernel runs once per KERNEL_ROWS rows.
+    laid out as ``SampleStream`` says: block b is numpy's ``Philox`` block
+    at counter (indices[r], b, 0, 0) under key ``seed``.  ``indices`` is a
+    uint64 array or a sequence of ints; the seed and every index must lie
+    in 0..2^64-1 (ValueError otherwise).  The draws are computed
+    KERNEL_ROWS rows at a time.
     """
-    if not 0 <= seed < _TWO64:
-        raise ValueError("seed must fit in 64 bits")
+    stream = SampleStream(seed)
     if not (isinstance(indices, np.ndarray) and indices.dtype == np.uint64):
         values = [operator.index(i) for i in indices]
         if values and not (min(values) >= 0 and max(values) < _TWO64):
@@ -232,9 +181,9 @@ def stream_uniforms(seed: int, indices, num_draws: int) -> np.ndarray:
         indices = np.array(values, dtype=np.uint64)
     blocks = max(1, math.ceil(num_draws / 4))
     if len(indices) <= KERNEL_ROWS:
-        return _philox_uniforms(seed, indices, blocks)[:, :num_draws]
+        return _philox_uniforms(stream, indices, blocks)[:, :num_draws]
     chunks = [
-        _philox_uniforms(seed, indices[first:first + KERNEL_ROWS], blocks)
+        _philox_uniforms(stream, indices[first:first + KERNEL_ROWS], blocks)
         for first in range(0, len(indices), KERNEL_ROWS)
     ]
     return np.concatenate(chunks)[:, :num_draws]

@@ -9,7 +9,7 @@ once per run, its dev lattice is enumerated once, and its paths are
 shared by every dev utterance on it.  Paths are scored only through
 ``loss.batch`` and ``losses.score_blocks``.  The sampled paths' uniforms
 are drawn ahead of the walks, for a run of training steps or for a whole
-dev record per kernel call.
+dev record per ``stream_uniforms`` call.
 """
 
 from __future__ import annotations
@@ -340,20 +340,21 @@ def _training_uniforms(config: TrainConfig, num_draws: int):
 
     Step s walks the stream indices from 2 * s * samples_per_step on under
     ``config.seed``: samples_per_step rows, twice that without variance
-    reduction.  The rows of as many consecutive steps as fit in
-    KERNEL_ROWS are drawn by one ``stream_uniforms`` call.
+    reduction.  The streams of as many consecutive steps as fit in
+    KERNEL_ROWS are drawn by one ``stream_uniforms`` call over their whole
+    index range, one run of consecutive streams, and each step keeps the
+    rows it walks.
     """
     samples = config.samples_per_step
     batch = samples if config.variance_reduction else 2 * samples
-    offsets = np.arange(batch, dtype=np.uint64)
-    run = max(1, KERNEL_ROWS // batch)
+    run = max(1, KERNEL_ROWS // (2 * samples))
     for first in range(0, config.steps, run):
-        stop = min(first + run, config.steps)
-        steps = np.arange(first, stop, dtype=np.uint64)
-        indices = (steps[:, None] * np.uint64(2 * samples) + offsets).ravel()
+        count = min(run, config.steps - first)
+        indices = np.arange(2 * samples * count, dtype=np.uint64)
+        indices += np.uint64(2 * samples * first)
         rows = stream_uniforms(config.seed, indices, num_draws)
-        yield from rows.reshape(len(steps), batch, num_draws)
-        # Free this run's rows before the next kernel call.
+        yield from rows.reshape(count, 2 * samples, num_draws)[:, :batch]
+        # Free this run's rows before the next draw.
         del rows
 
 

@@ -234,14 +234,33 @@ def log_total_weight(fst: Wfst) -> float:
     return float(backward(fst)[fst.initial])
 
 
-def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
+def stream_draws(seed: int, index: int, num_draws: int) -> list[float]:
+    """The first ``num_draws`` uniforms of sample stream ``index``, one
+    Philox4x64-10 block at a time from numpy's own ``Philox``.
+
+    Block b (from 1) is numpy's block at counter words (index, b, 0, 0)
+    under key words (seed, 0); each word w gives (w >> 11) * 2^-53.
+    numpy adds one to its counter before each block, so the generator is
+    set one below, borrowing from word 1 when word 0 is 0.
+    """
+    draws: list[float] = []
+    for block in range(1, num_draws // 4 + 2):
+        low, high = (index - 1) % 2**64, block - (index == 0)
+        bits = np.random.Philox(key=seed, counter=low + (high << 64))
+        draws += [(w >> 11) * 2.0**-53 for w in bits.random_raw(4).tolist()]
+    return draws[:num_draws]
+
+
+def sample_path(fst: Wfst, draws) -> Path:
     """One ancestral draw from an already-stochastic acyclic transducer.
 
-    At each state one uniform picks the outgoing edge by inverse CDF over
-    the edge probabilities in edge-id order, never choosing a trailing
-    zero-probability edge.  The returned log-weight sums the stochastic
-    edge weights, i.e. it is the log probability of the draw.
+    At each state the next uniform of ``draws`` picks the outgoing edge by
+    inverse CDF over the edge probabilities in edge-id order, never
+    choosing a trailing zero-probability edge.  The returned log-weight
+    sums the stochastic edge weights, i.e. it is the log probability of
+    the draw.
     """
+    draws = iter(draws)
     ids: list[int] = []
     log_weight = 0.0
     state = fst.initial
@@ -252,13 +271,30 @@ def sample_path(fst: Wfst, rng: np.random.Generator) -> Path:
             for w in (fst.edges[k].log_weight for k in out)
         ]
         cum = list(accumulate(probs))
-        idx = bisect_right(cum, rng.random() * cum[-1])
+        idx = bisect_right(cum, next(draws) * cum[-1])
         idx = min(idx, max(i for i, p in enumerate(probs) if p > 0.0))
         e = fst.edges[out[idx]]
         ids.append(out[idx])
         log_weight += e.log_weight
         state = e.dst
     return Path(tuple(ids), log_weight)
+
+
+def reference_distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fst.distinct_rows`` by a dict keyed by each row's bytes.
+
+    The distinct rows come in first-appearance order, and per row the
+    index of its distinct row.
+    """
+    matrix = np.ascontiguousarray(matrix)
+    first_of: dict[bytes, int] = {}
+    inverse = [
+        first_of.setdefault(row.tobytes(), len(first_of)) for row in matrix
+    ]
+    starts = {}
+    for row, label in enumerate(inverse):
+        starts.setdefault(label, row)
+    return matrix[list(starts.values())], np.array(inverse, dtype=np.intp)
 
 
 def reference_sample_paths(

@@ -646,3 +646,34 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_import_leaves_numpy_random_unloaded_and_builds_no_parser():
+    # numpy.random's first import costs a fresh process milliseconds and
+    # megabytes of peak RSS; only drawing samples or building a task pays it.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import sampled_mbr; "
+        "from sampled_mbr import cli; "
+        "print('numpy.random' in sys.modules, "
+        "cli._build_parser.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False 0\n"
+
+
+def test_main_builds_the_parser_once_and_reuses_it(monkeypatch, capsys):
+    # A reused parser must report the same usage errors, byte for byte.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()
+    errors = []
+    for _ in range(2):
+        for argv in (["estimate"], ["sample", "--samples", "x"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            errors.append(capsys.readouterr().err)
+    assert errors[:2] == errors[2:]
+    assert "the following arguments are required: --fst" in errors[0]
+    assert cli._build_parser.cache_info().misses == 1

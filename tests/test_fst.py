@@ -32,6 +32,7 @@ from helpers import (
     make_path,
     path_log_weight,
     random_acyclic_wfst,
+    reference_distinct_rows,
     two_path_fixture,
 )
 
@@ -311,6 +312,9 @@ def test_output_projection_all_epsilon_and_duplicates():
 
 def _check_distinct_rows(matrix):
     distinct, inverse = distinct_rows(matrix)
+    expected, expected_inverse = reference_distinct_rows(matrix)
+    assert distinct.tobytes() == expected.tobytes()
+    assert inverse.tobytes() == expected_inverse.tobytes()
     assert distinct.dtype == matrix.dtype
     assert distinct.shape[1:] == matrix.shape[1:]
     assert inverse.shape == (len(matrix),)
@@ -349,6 +353,28 @@ def test_distinct_rows_of_random_matrices():
         # A non-contiguous view must give the same rows as its copy.
         view = np.repeat(matrix, 2, axis=1)[:, ::2]
         assert _check_distinct_rows(view) == _check_distinct_rows(matrix)
+
+
+def test_distinct_rows_of_long_peaked_rows():
+    # 100 columns of a 14,000-edge range, mostly one path: every pass packs
+    # a few columns, and the rows become distinct only near the end.
+    rng = np.random.default_rng(21)
+    usual = np.arange(100) * 140
+    matrix = np.where(
+        rng.random((300, 100)) < 0.99, usual, rng.integers(0, 14_000, (300, 100))
+    )
+    rows, _ = _check_distinct_rows(matrix)
+    assert 1 < len(rows) < 300
+
+
+def test_distinct_rows_rejects_entries_too_far_apart_to_rank():
+    # Rows times the span of the entries must stay within 2^63.
+    matrix = np.array([[0], [(1 << 62) - 1], [1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="too wide a range"):
+        distinct_rows(matrix)
+    rows, inverse = distinct_rows(matrix[:2])
+    assert rows.tolist() == [[0], [(1 << 62) - 1]]
+    assert inverse.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ DEV_CONFIG = (
 GOLDEN = {
     "estimate": {
         "est.json": (
-            "5e31aa9429677aca514b819f127779b4"
-            "7f625fbf048ac70a9e4546ff3fd88d7a"
+            "4739ce411c9d57f780846ed487eaa431"
+            "ec1feed6a7383908056d96e03bc347e5"
         ),
     },
     "gradcheck": {
@@ -48,44 +48,44 @@ GOLDEN = {
     },
     "sample": {
         "hist.txt": (
-            "bfcef850d3e0354af1f76de37edf64ec"
-            "4683927178f6c6aba1366d2c853d4b25"
+            "eaab64248aba55f1e40d76d5546e7662"
+            "650e9befd261628717672519563074a9"
         ),
     },
     "sample-shared": {
         "hist-shared.txt": (
-            "760f9199c2851b1a1a8e0950ab452ae9"
-            "644270c77039c67c68b65e0fc0f39ff5"
+            "d6b2f43dbbf97076def7581fb22d7cfd"
+            "9643a128eee103b51d5779e98d8bb5db"
         ),
     },
     "train": {
         "curve.csv": (
-            "2eb4f2282a9d50c9a2c69325f2663618"
-            "6a47e1a53e19e2b5a7f15f6cf2ed17a5"
+            "a8ac02bc53fbca2134414303345be489"
+            "73d32a9ad02f29e52b4815cb7fad50f6"
         ),
         "model.txt": (
-            "41e5acfb76616c5166fd4e03f4bcfca2"
-            "98185aee455630bc3725fe008b82311e"
+            "e1a0f8b992a0f79909b2acc1093734b3"
+            "d50ba425c7e63afce1327a217a4006af"
         ),
     },
     "train-dev": {
         "curve-dev.csv": (
-            "a2a3b48e4573f4c3e774b88e3c620761"
-            "ba30d57a105b4d9d6908343e2e905243"
+            "de0d28e8d762d9998ec7e91b793bc28e"
+            "c69de6951b24527c81d15ba4c639faf1"
         ),
         "model-dev.txt": (
-            "fafc6b0ee998f2bdc026f0ff3356b4ef"
-            "1e35f28969846944385d272d401d3bd1"
+            "f9aa1dbb2ccc1f3150d804c8c6e431c1"
+            "9a6120a1979aa3cd9501e64ee5a3ef03"
         ),
     },
     "train-frame": {
         "curve-frame.csv": (
-            "bb7555cdebb9118dbd858d7617778c73"
-            "f83bf8e5cc69851ab8e0bcbbb7a8bd91"
+            "b47396177d02348bf9e568388b149e1b"
+            "82ce9bc5f67e538c36719bff77ee304b"
         ),
         "model-frame.txt": (
-            "262b4c021e58a7872d9819b6b5d78587"
-            "1f030a421d6366207ee488acca1e420e"
+            "5c3203e3247b87b1e530f94381914593"
+            "fe506b1d63f46b24ea1a239153e0492b"
         ),
     },
     "inspect": {
@@ -96,20 +96,20 @@ GOLDEN = {
     },
     "estimate-chain": {
         "chain.json": (
-            "5fd54c6e98e702e1a7f6163ad3357839"
-            "1e563eb32e2fbcdde2cf59ec4560ea9e"
+            "4b7dffb8bfe19dc0cbe115d1238e1f94"
+            "902542f09b2df59724cb41011335f048"
         ),
     },
     "estimate-chain-plain": {
         "chain-plain.json": (
-            "fa6e2b4d8c787a115dbeea6cbe5f245d"
-            "8db33f282fdb7ffe0b6aa2df8b672345"
+            "dcf718fdc78c7a2edec5ec336f393e18"
+            "7a35c8fd2d43a30429b0602a0a4aa522"
         ),
     },
     "estimate-chain-frame": {
         "chain-frame.json": (
-            "0e12d8a0ad47dd45841ae8f341619515"
-            "e8862d70568b13c3867b6f2b92bc98bb"
+            "fbd0aa926799f026201ff90a0e35bb75"
+            "63c737e67c041fb006bf981ead4b3cda"
         ),
     },
 }

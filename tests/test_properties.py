@@ -21,7 +21,6 @@ from sampled_mbr import (
     LatticeTopology,
     Path,
     PathOverflowError,
-    SampleStream,
     UnsupportedCompositionError,
     UnsupportedTopologyError,
     Wfst,
@@ -46,6 +45,7 @@ from sampled_mbr import sampling
 from sampled_mbr.fst import (
     MAX_STATE_ID,
     _parse_lines,
+    distinct_rows,
     edge_id_matrix,
     enumerated_distribution,
     out_edge_groups,
@@ -62,6 +62,7 @@ from helpers import (
     random_acyclic_wfst,
     reference_cdf_rows,
     reference_compose,
+    reference_distinct_rows,
     reference_edge_loss_annotation,
     reference_enumerate_paths,
     reference_sample_paths,
@@ -69,6 +70,7 @@ from helpers import (
     reference_word_edit_batch,
     reweight_stochastic,
     sample_path,
+    stream_draws,
     word_chain_decoder,
 )
 
@@ -119,11 +121,68 @@ def test_sample_paths_match_reference_walk_on_random_dags(
     # Mixed path lengths, -inf edges and dead ends: every row must hold
     # enough draws for the longest path, and sample i must follow stream i.
     fst = random_acyclic_wfst(np.random.default_rng(seed))
-    stream = SampleStream(stream_seed)
     pushed = reweight_stochastic(fst)
     for i, path in enumerate(sample_paths(fst, stream_seed, 20, start)):
-        expected = sample_path(pushed, stream.generator(start + i))
-        assert path.edges == expected.edges
+        draws = stream_draws(stream_seed, start + i, len(path.edges))
+        assert path.edges == sample_path(pushed, draws).edges
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from([0, 2**64 - 3]) | st.integers(0, 2**64 - 1),
+            st.integers(1, 5),
+        ),
+        max_size=6,
+    ),
+    num_draws=st.integers(0, 13),
+    kernel_rows=st.integers(1, 6),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_stream_uniforms_match_numpy_philox_per_stream(
+    seed, runs, num_draws, kernel_rows, shuffle
+):
+    # Runs of consecutive indices, clipped at 2^64 - 1, some shuffled into
+    # reversed or gapped order; small kernel calls split them anywhere.
+    indices = [
+        i for first, n in runs for i in range(first, min(first + n, 2**64))
+    ]
+    if shuffle.random() < 0.5:
+        shuffle.shuffle(indices)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "KERNEL_ROWS", kernel_rows)
+        rows = stream_uniforms(seed, indices, num_draws)
+    assert rows.shape == (len(indices), num_draws)
+    for row, index in zip(rows.tolist(), indices):
+        assert row == stream_draws(seed, index, num_draws)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_rows=st.integers(0, 40),
+    pool=st.integers(1, 40),
+    width=st.integers(0, 70),
+    span=st.sampled_from([1, 2, 3, 500, 2**20, 2**50]),
+    low=st.sampled_from([-1, 0]) | st.integers(-(2**40), 2**40),
+)
+def test_distinct_rows_match_dict_of_row_bytes(
+    seed, num_rows, pool, width, span, low
+):
+    # Rows drawn from a pool of random rows, so a small pool repeats them;
+    # wide spans pack one column per pass, narrow ones many.
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(low, low + span, size=(pool, width))
+    matrix = rows[rng.integers(0, pool, num_rows)]
+    distinct, inverse = distinct_rows(matrix)
+    expected, expected_inverse = reference_distinct_rows(matrix)
+    assert distinct.dtype == matrix.dtype
+    assert distinct.shape == expected.shape
+    assert distinct.tobytes() == expected.tobytes()
+    assert inverse.dtype == np.intp
+    assert inverse.tobytes() == expected_inverse.tobytes()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -29,6 +29,7 @@ from helpers import (
     random_acyclic_wfst,
     reweight_stochastic,
     sample_path,
+    stream_draws,
     two_path_fixture,
     uniform_lattice,
 )
@@ -244,9 +245,12 @@ def test_stream_validation():
         sample_paths(fst, 1 << 64, 1)
     with pytest.raises(ValueError):
         SampleStream(0).generator(-1)
-    # (seed << 64) | index would give (4, 2^64) the stream of (5, 0).
+    # Counter (2^64, 1) would carry into the block word: block 2 of stream 0.
     with pytest.raises(ValueError):
         SampleStream(4).generator(1 << 64)
+    for block in (0, 1 << 64):
+        with pytest.raises(ValueError):
+            SampleStream(4).generator(0, block)
 
 
 def test_sample_paths_rejects_indices_beyond_64_bits():
@@ -258,24 +262,55 @@ def test_sample_paths_rejects_indices_beyond_64_bits():
         sample_paths(fst, 4, 1, start_index=-1)
     last = sample_paths(fst, 4, 1, start_index=top)[0]
     pushed = reweight_stochastic(fst)
-    assert last.edges == sample_path(pushed, SampleStream(4).generator(top)).edges
+    assert last.edges == sample_path(pushed, stream_draws(4, top, 4)).edges
+
+
+def test_numpy_philox_gives_the_published_philox4x64_10_blocks():
+    # Known-answer vectors of Random123's philox4x64-10 (counter words,
+    # key words, output words), all zero and all ones; numpy adds one to
+    # its counter before each block.
+    top = (1 << 64) - 1
+    for word, expected in [
+        (0, [0x16554D9ECA36314C, 0xDB20FE9D672D0FDC,
+             0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]),
+        (top, [0x87B092C3013FE90B, 0x438C3C67BE8D0224,
+               0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0]),
+    ]:
+        counter = sum(word << (64 * k) for k in range(4))
+        key = word | (word << 64)
+        bits = np.random.Philox(key=key, counter=(counter - 1) % (1 << 256))
+        assert bits.random_raw(4).tolist() == expected
 
 
 def test_philox_kernel_matches_numpy_philox():
-    rng = np.random.default_rng(2011)
+    # Reversed, gapped and repeated indices around both ends of the range;
+    # 2^64 - 1 followed by 0 must not run on into block 2 of stream 0.
     top = (1 << 64) - 1
+    cases = [
+        [0, 1, 2, 3],
+        [3, 2, 1, 0],
+        [top - 1, top, 0, 1],
+        [top, 0, 0, 5, 7, 6, 8, 9, top],
+        [10, 12, 11, 13, 14, 15, 2],
+    ]
+    for seed in (0, 7, top):
+        for indices in cases:
+            rows = stream_uniforms(seed, indices, 13)
+            assert rows.shape == (len(indices), 13)
+            for row, index in zip(rows.tolist(), indices, strict=True):
+                assert row == stream_draws(seed, index, 13)
 
-    def draw_words(size):
-        words = rng.integers(0, top, size, dtype=np.uint64, endpoint=True)
-        return [0, top] + [int(v) for v in words]
 
-    for seed in draw_words(8):
-        indices = draw_words(10)
-        words = np.array(indices, dtype=np.uint64)
-        draws = _philox_uniforms(seed, words, 3)
-        for row, index in enumerate(indices):
-            expected = SampleStream(seed).generator(index).random(12)
-            assert draws[row].tolist() == expected.tolist()
+def test_generator_draws_one_block_of_consecutive_streams():
+    # generator(i, b) yields block b of stream i, then of stream i + 1.
+    top = (1 << 64) - 1
+    for index, block in [(0, 1), (5, 3), (top - 1, 2)]:
+        got = SampleStream(11).generator(index, block).random(8).tolist()
+        span = slice(4 * block - 4, 4 * block)
+        assert got == (
+            stream_draws(11, index, 4 * block)[span]
+            + stream_draws(11, index + 1, 4 * block)[span]
+        )
 
 
 @pytest.mark.parametrize(
@@ -289,18 +324,24 @@ def test_stream_uniforms_rejects_out_of_range_seed_or_index(seed, indices):
 def test_stream_uniforms_runs_the_kernel_once_per_kernel_rows(monkeypatch):
     calls = []
 
-    def counting_kernel(seed, indices, num_blocks):
+    def counting_kernel(stream, indices, num_blocks):
         calls.append(len(indices))
-        return _philox_uniforms(seed, indices, num_blocks)
+        return _philox_uniforms(stream, indices, num_blocks)
 
     monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
-    indices = np.arange(KERNEL_ROWS + 1, dtype=np.uint64)[::-1]
-    rows = stream_uniforms(9, indices, 5)
-    assert calls == [KERNEL_ROWS, 1]
-    assert rows.shape == (KERNEL_ROWS + 1, 5)
-    for r in (0, KERNEL_ROWS - 1, KERNEL_ROWS):
-        expected = SampleStream(9).generator(int(indices[r])).random(5)
-        assert rows[r].tolist() == expected.tolist()
+    ascending = np.arange(KERNEL_ROWS + 1, dtype=np.uint64)
+    # Reversed indices, and one run of consecutive streams up to
+    # 2^64 - 1 that the chunk boundary splits.
+    for indices in (
+        ascending[::-1],
+        ascending + np.uint64((1 << 64) - KERNEL_ROWS - 1),
+    ):
+        calls.clear()
+        rows = stream_uniforms(9, indices, 5)
+        assert calls == [KERNEL_ROWS, 1]
+        assert rows.shape == (KERNEL_ROWS + 1, 5)
+        for r in (0, 1, KERNEL_ROWS - 1, KERNEL_ROWS):
+            assert rows[r].tolist() == stream_draws(9, int(indices[r]), 5)
 
 
 def test_stream_is_schedule_independent():
@@ -327,12 +368,12 @@ def test_sample_paths_deterministic_and_empty():
 
 def test_sample_paths_matches_sample_path_on_materialized_fst():
     fst = uniform_lattice(2, 3)
-    stream = SampleStream(41)
     batch = sample_paths(fst, 41, 20)
     pushed = reweight_stochastic(fst)
     log_z = log_total_weight(fst)
+    width = sampling.longest_path_edges(fst)
     for i, expected in enumerate(batch):
-        single = sample_path(pushed, stream.generator(i))
+        single = sample_path(pushed, stream_draws(41, i, width))
         assert single.edges == expected.edges
         # materialized draw carries its own log probability
         assert math.isclose(
@@ -343,11 +384,10 @@ def test_sample_paths_matches_sample_path_on_materialized_fst():
 def test_long_paths_match_sample_path_across_blocks():
     # 12 edges per path: the walk outgrows one block (4 draws) and two.
     fst = build_score_fst(np.random.default_rng(5).normal(size=(12, 3)))
-    stream = SampleStream(123)
     pushed = reweight_stochastic(fst)
     for i, path in enumerate(sample_paths(fst, 123, 30)):
         assert len(path.edges) == 12
-        assert path.edges == sample_path(pushed, stream.generator(i)).edges
+        assert path.edges == sample_path(pushed, stream_draws(123, i, 12)).edges
 
 
 def test_chunk_boundaries_redraw_identically():

@@ -423,14 +423,15 @@ def test_training_rows_follow_each_steps_stream_indices(
 
 
 def test_default_run_draws_uniforms_in_few_kernel_calls(monkeypatch):
-    # One call per 40 training steps and one per dev record: 16 in all,
-    # against one per sample_paths call (420) when each walk drew its own.
+    # One call per 20 training steps, whose 2 x 100 streams per step are
+    # drawn as one run, and one per dev record: 21 in all, against one per
+    # sample_paths call (420) when each walk drew its own.
     calls = []
     kernel = sampling._philox_uniforms
 
-    def counting_kernel(seed, indices, num_blocks):
+    def counting_kernel(stream, indices, num_blocks):
         calls.append(len(indices))
-        return kernel(seed, indices, num_blocks)
+        return kernel(stream, indices, num_blocks)
 
     monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
     train_config, task_config = parse_config("")
