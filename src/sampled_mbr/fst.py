@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -280,15 +280,15 @@ def parse_fst_text(text: str) -> Wfst:
     """Parse the five-field arc / one-field final text format into a Wfst.
 
     The fields are converted column by column, and the Wfst constructor
-    checks them as arrays.  When a conversion or check fails, the
-    line-by-line parser reruns to raise the error of the first bad line,
-    with its message and line number.
+    checks them as arrays.  When a conversion or check fails, the text
+    is read again one line at a time to raise the FstParseError of the
+    first bad line, with its message and line number.
     """
     records = list(filter(None, map(str.split, text.splitlines())))
     arcs = [tokens for tokens in records if len(tokens) == 5]
     finals = [tokens[0] for tokens in records if len(tokens) == 1]
     if len(finals) != 1 or len(arcs) + 1 != len(records):
-        return _parse_lines(text)
+        _raise_first_bad_line(text)
     columns = list(zip(*arcs)) or [()] * 5
     try:
         final = int(finals[0])
@@ -297,7 +297,7 @@ def parse_fst_text(text: str) -> Wfst:
         )
         log_weight = list(map(float, columns[4]))
     except ValueError:
-        return _parse_lines(text)
+        _raise_first_bad_line(text)
     num_states = 1 + max(final, src.max(initial=0), dst.max(initial=0))
     try:
         return Wfst._from_arrays(
@@ -305,44 +305,35 @@ def parse_fst_text(text: str) -> Wfst:
         )
     except InvalidFstError:
         # The constructor checks every field the text format bounds.
-        return _parse_lines(text)
+        _raise_first_bad_line(text)
 
 
-def _parse_lines(text: str) -> Wfst:
-    """``parse_fst_text`` one line at a time: raises FstParseError at the
-    first bad line."""
-    arcs: list[tuple[int, Edge]] = []
-    final: int | None = None
-    max_state = 0
+def _raise_first_bad_line(text: str) -> NoReturn:
+    """Raise the FstParseError of the first line of ``text`` that the
+    format rejects, for text whose column parse failed."""
+    final = None
+    arcs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split()
-        if not tokens:
-            continue
         if len(tokens) == 1:
             if final is not None:
                 raise FstParseError("multiple final states", lineno)
             final = _parse_state(tokens[0], lineno)
-            max_state = max(max_state, final)
         elif len(tokens) == 5:
-            src = _parse_state(tokens[0], lineno)
-            dst = _parse_state(tokens[1], lineno)
-            ilabel = _parse_label(tokens[2], lineno)
-            olabel = _parse_label(tokens[3], lineno)
-            log_weight = _parse_log_weight(tokens[4], lineno)
-            arcs.append((lineno, Edge(src, dst, ilabel, olabel, log_weight)))
-            max_state = max(max_state, src, dst)
-        else:
+            arcs.append((lineno, _parse_state(tokens[0], lineno)))
+            _parse_state(tokens[1], lineno)
+            _parse_label(tokens[2], lineno)
+            _parse_label(tokens[3], lineno)
+            _parse_log_weight(tokens[4], lineno)
+        elif tokens:
             raise FstParseError(
                 f"expected 1 or 5 fields, found {len(tokens)}", lineno
             )
     if final is None:
         raise FstParseError("missing final-state line")
-    for lineno, edge in arcs:
-        if edge.src == final:
-            raise FstParseError(
-                f"edge leaves the final state {final}", lineno
-            )
-    return Wfst(max_state + 1, (e for _, e in arcs), final=final)
+    # Every token passed, so the constructor check that failed is this one.
+    lineno = next(lineno for lineno, src in arcs if src == final)
+    raise FstParseError(f"edge leaves the final state {final}", lineno)
 
 
 def format_fst_text(fst: Wfst) -> str:

@@ -9,9 +9,9 @@ Philox4x64-10 block at counter (i, b, 0, 0) under key ``seed``, for stream
 indices 0..2^64-1, so sample i depends only on (seed, i), never on how
 samples are batched, and runs are reproducible under any scheduling.
 numpy's own ``Philox`` draws a block of a whole run of consecutive
-streams in one C call, in calls of up to KERNEL_ROWS streams whatever
-lattice walks them: ``stream_uniforms`` draws the rows and ``walk_paths``
-walks a lattice over them, and ``sample_paths`` composes the two.
+streams in one C call, whatever lattice walks them: ``stream_uniforms``
+draws the rows and ``walk_paths`` walks lattices over them, and
+``sample_paths`` composes the two, KERNEL_ROWS samples at a time.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class SampleStream:
         )
 
 
-# Streams whose draws one ``_philox_uniforms`` call computes; bounds the
-# memory of the draws.
+# Rows that one walk of ``sampled_chunks`` or one run of training's draws
+# holds at once; bounds the memory of the draws.
 KERNEL_ROWS = 4096
 
 
@@ -170,23 +170,19 @@ def stream_uniforms(seed: int, indices, num_draws: int) -> np.ndarray:
     laid out as ``SampleStream`` says: block b is numpy's ``Philox`` block
     at counter (indices[r], b, 0, 0) under key ``seed``.  ``indices`` is a
     uint64 array or a sequence of ints; the seed and every index must lie
-    in 0..2^64-1 (ValueError otherwise).  The draws are computed
-    KERNEL_ROWS rows at a time.
+    in 0..2^64-1, and ``num_draws`` must be nonnegative (ValueError
+    otherwise).  One ``_philox_uniforms`` call draws every row.
     """
     stream = SampleStream(seed)
+    if num_draws < 0:
+        raise ValueError("num_draws must be nonnegative")
     if not (isinstance(indices, np.ndarray) and indices.dtype == np.uint64):
         values = [operator.index(i) for i in indices]
         if values and not (min(values) >= 0 and max(values) < _TWO64):
             raise ValueError("sample indices must lie in 0..2^64-1")
         indices = np.array(values, dtype=np.uint64)
     blocks = max(1, math.ceil(num_draws / 4))
-    if len(indices) <= KERNEL_ROWS:
-        return _philox_uniforms(stream, indices, blocks)[:, :num_draws]
-    chunks = [
-        _philox_uniforms(stream, indices[first:first + KERNEL_ROWS], blocks)
-        for first in range(0, len(indices), KERNEL_ROWS)
-    ]
-    return np.concatenate(chunks)[:, :num_draws]
+    return _philox_uniforms(stream, indices, blocks)[:, :num_draws]
 
 
 def walk_paths(lattices: Sequence[Wfst], uniforms: np.ndarray) -> np.ndarray:
@@ -196,7 +192,10 @@ def walk_paths(lattices: Sequence[Wfst], uniforms: np.ndarray) -> np.ndarray:
     gives do, and split the rows into len(lattices) equal blocks: row
     block d walks lattices[d].  Each walk takes one uniform of its row
     per edge, so a row must hold at least as many draws as the longest
-    initial-to-final path has edges (ValueError otherwise).  The CDF
+    initial-to-final path has edges, and every uniform must lie in
+    [0, 1), as ``stream_uniforms`` draws them (ValueError otherwise):
+    each step then takes an edge of positive probability into a state
+    that reaches the final state.  The CDF
     rows of every state of every lattice are built before the first step,
     in array passes whose topology-only part (``out_edge_groups``) the
     lattices share.  Returns the (rows, longest) matrix of the paths' edge
@@ -214,6 +213,8 @@ def walk_paths(lattices: Sequence[Wfst], uniforms: np.ndarray) -> np.ndarray:
             f"rows hold {uniforms.shape[1]} draws; the longest path has "
             f"{longest} edges"
         )
+    if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
+        raise ValueError("uniforms must lie in [0, 1)")
     return _Walker(lattices, longest).walk(uniforms)
 
 
@@ -344,9 +345,9 @@ class _Walker:
         )
         del ratio, finite
         # Per key, its CDF row's flat span [start, last], through its last
-        # positive entry (last -1 where there is none); per flat position,
-        # the edge id.  Flat entry p is stored at cdf[p + 1], so cdf[i]
-        # reads the value before position i.
+        # positive entry (last -1 where there is none, at states no walk
+        # reaches); per flat position, the edge id.  Flat entry p is stored
+        # at cdf[p + 1], so cdf[i] reads the value before position i.
         blocks = np.arange(len(lattices))[:, None] * first.num_edges
         self.start = (blocks + first.first_out[:-1]).ravel()
         self.edge_at = np.tile(first.out_ids, len(lattices))
@@ -364,7 +365,11 @@ class _Walker:
         self.last = np.where(last >= 0, last + blocks, -1).ravel()
 
     def walk(self, uniforms: np.ndarray) -> np.ndarray:
-        """The (rows, width) edge-id matrix of one walk per row."""
+        """The (rows, width) edge-id matrix of one walk per row.
+
+        The uniforms lie in [0, 1), so every step takes an edge of
+        positive probability, into a state that reaches the final state.
+        """
         first = self.lattices[0]
         num_rows = len(uniforms)
         out = np.full((num_rows, self.width), -1, dtype=np.intp)
@@ -372,19 +377,9 @@ class _Walker:
         block = num_rows // len(self.lattices) or 1
         key_base = rows // block * first.num_states
         state = np.full(num_rows, first.initial, dtype=np.intp)
-        stuck: list[tuple[int, int]] = []
         for j in range(self.width if num_rows else 0):
             keys = key_base + state
-            last = self.last[keys]
-            if last.min() < 0:
-                live = last >= 0
-                stuck += zip(rows[~live].tolist(), state[~live].tolist())
-                rows, key_base, keys, last = (
-                    rows[live], key_base[live], keys[live], last[live]
-                )
-                if not len(rows):
-                    break
-            start = self.start[keys]
+            start, last = self.start[keys], self.last[keys]
             x = self.total[keys]
             x *= uniforms[:, j] if len(rows) == num_rows else uniforms[rows, j]
             # Largest pos in [start, last] with no CDF value before it
@@ -407,8 +402,4 @@ class _Walker:
                 state = state[going]
                 if not len(rows):
                     break
-        if stuck:
-            raise DegenerateLatticeError(
-                f"sampling reached dead-end state {min(stuck)[1]}"
-            )
         return out

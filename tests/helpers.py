@@ -29,7 +29,12 @@ from sampled_mbr import (
     path_input_labels,
     sampled_estimate,
 )
-from sampled_mbr.fst import normalized
+from sampled_mbr.fst import (
+    _parse_label,
+    _parse_log_weight,
+    _parse_state,
+    normalized,
+)
 from sampled_mbr.sampling import sample_edge_ids
 from sampled_mbr.training import DEV_PATH_BOUND, make_loss
 
@@ -278,6 +283,43 @@ def sample_path(fst: Wfst, draws) -> Path:
         log_weight += e.log_weight
         state = e.dst
     return Path(tuple(ids), log_weight)
+
+
+def _parse_lines(text: str) -> Wfst:
+    """``parse_fst_text`` one line at a time, building the Wfst from Edges:
+    raises FstParseError at the first bad line (test oracle)."""
+    arcs: list[tuple[int, Edge]] = []
+    final: int | None = None
+    max_state = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) == 1:
+            if final is not None:
+                raise FstParseError("multiple final states", lineno)
+            final = _parse_state(tokens[0], lineno)
+            max_state = max(max_state, final)
+        elif len(tokens) == 5:
+            src = _parse_state(tokens[0], lineno)
+            dst = _parse_state(tokens[1], lineno)
+            ilabel = _parse_label(tokens[2], lineno)
+            olabel = _parse_label(tokens[3], lineno)
+            log_weight = _parse_log_weight(tokens[4], lineno)
+            arcs.append((lineno, Edge(src, dst, ilabel, olabel, log_weight)))
+            max_state = max(max_state, src, dst)
+        else:
+            raise FstParseError(
+                f"expected 1 or 5 fields, found {len(tokens)}", lineno
+            )
+    if final is None:
+        raise FstParseError("missing final-state line")
+    for lineno, edge in arcs:
+        if edge.src == final:
+            raise FstParseError(
+                f"edge leaves the final state {final}", lineno
+            )
+    return Wfst(max_state + 1, (e for _, e in arcs), final=final)
 
 
 def reference_distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

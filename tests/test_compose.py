@@ -391,6 +391,9 @@ def test_occupancy_is_exact_score_derivative():
 def test_parse_logits_csv_basic():
     z = parse_logits_csv("1.0,2.0\n-0.5,3.25\n")
     assert z.tolist() == [[1.0, 2.0], [-0.5, 3.25]]
+    # Blank and whitespace-only lines are skipped.
+    again = parse_logits_csv("\n1.0,2.0\n \t\n-0.5,3.25\n\n")
+    assert again.tolist() == z.tolist()
 
 
 def test_parse_logits_csv_round_trip():

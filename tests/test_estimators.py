@@ -23,6 +23,7 @@ from sampled_mbr import (
     sample_paths,
     sampled_estimate,
 )
+from sampled_mbr.estimators import estimate_from_paths
 from sampled_mbr.fst import enumerated_distribution
 
 from helpers import (
@@ -298,6 +299,13 @@ def test_sampled_estimate_validation():
     lattice, _ = two_path_lattice()
     with pytest.raises(ValueError):
         sampled_estimate(lattice, _loss_for_two_path(), 1, 2, 0, 1)
+    # No rows, or one row and so no baseline half: no samples.
+    for num_rows, variance_reduction in ((0, True), (0, False), (1, False)):
+        rows = np.zeros((num_rows, 1), dtype=np.intp)
+        with pytest.raises(ValueError, match="num_samples must be positive"):
+            estimate_from_paths(
+                lattice, _loss_for_two_path(), rows, 1, 2, 0, variance_reduction
+            )
 
 
 def test_single_sample_gradient_is_zero_matrix():

@@ -221,11 +221,11 @@ def test_parse_accepts_minus_inf_and_blank_lines():
 
 
 def test_round_trip_bit_equality(monkeypatch):
-    # Valid text is parsed by column alone, never by the line parser.
+    # Valid text is parsed by column alone, never read line by line.
     def unused(text):
-        raise AssertionError("valid text reached the line parser")
+        raise AssertionError("valid text reached the bad-line locator")
 
-    monkeypatch.setattr(fst_module, "_parse_lines", unused)
+    monkeypatch.setattr(fst_module, "_raise_first_bad_line", unused)
     rng = np.random.default_rng(101)
     for _ in range(20):
         fst = random_acyclic_wfst(rng, max_states=12)

@@ -25,6 +25,7 @@ from sampled_mbr import (
     UnsupportedTopologyError,
     Wfst,
     WordEditLoss,
+    backward,
     build_score_fst,
     compose,
     count_paths,
@@ -44,7 +45,6 @@ from sampled_mbr import (
 from sampled_mbr import sampling
 from sampled_mbr.fst import (
     MAX_STATE_ID,
-    _parse_lines,
     distinct_rows,
     edge_id_matrix,
     enumerated_distribution,
@@ -55,6 +55,7 @@ from sampled_mbr.sampling import _Walker, longest_path_edges, sample_edge_ids
 
 from helpers import (
     ShiftedLoss,
+    _parse_lines,
     bigram_decoder,
     dp_edit_distance,
     log_total_weight,
@@ -138,22 +139,19 @@ def test_sample_paths_match_reference_walk_on_random_dags(
         max_size=6,
     ),
     num_draws=st.integers(0, 13),
-    kernel_rows=st.integers(1, 6),
     shuffle=st.randoms(use_true_random=False),
 )
 def test_stream_uniforms_match_numpy_philox_per_stream(
-    seed, runs, num_draws, kernel_rows, shuffle
+    seed, runs, num_draws, shuffle
 ):
     # Runs of consecutive indices, clipped at 2^64 - 1, some shuffled into
-    # reversed or gapped order; small kernel calls split them anywhere.
+    # reversed or gapped order.
     indices = [
         i for first, n in runs for i in range(first, min(first + n, 2**64))
     ]
     if shuffle.random() < 0.5:
         shuffle.shuffle(indices)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampling, "KERNEL_ROWS", kernel_rows)
-        rows = stream_uniforms(seed, indices, num_draws)
+    rows = stream_uniforms(seed, indices, num_draws)
     assert rows.shape == (len(indices), num_draws)
     for row, index in zip(rows.tolist(), indices):
         assert row == stream_draws(seed, index, num_draws)
@@ -204,6 +202,44 @@ def test_walked_stream_rows_match_sample_paths_on_random_dags(
     for index, row in zip(indices, walk_paths([fst], rows), strict=True):
         path = sample_paths(fst, stream_seed, 1, index)[0]
         assert tuple(row[row >= 0]) == path.edges
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stream_seed=st.integers(0, 2**64 - 1),
+    extreme=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+)
+def test_walks_take_positive_edges_to_the_final_state_on_random_dags(
+    seed, stream_seed, extreme
+):
+    # DAGs with -inf edges and dead ends, some of whose weights are then
+    # moved to -inf or +-1.7e308.  Where backward accepts the lattice,
+    # every walk of stream draws takes edges of positive probability,
+    # w + beta[dst] - beta[src], and ends at the final state: no row can
+    # reach a dead end.
+    rng = np.random.default_rng(seed)
+    fst = random_acyclic_wfst(rng)
+    weights = fst.log_weight.copy()
+    moved = rng.random(fst.num_edges) < extreme
+    weights[moved] = rng.choice([-math.inf, -1.7e308, 1.7e308], moved.sum())
+    fst = fst.with_weights(weights)
+    try:
+        beta = backward(fst).tolist()
+    except DegenerateLatticeError:
+        return
+    weight, src, dst = weights.tolist(), fst.src.tolist(), fst.dst.tolist()
+    rows = stream_uniforms(stream_seed, range(64), longest_path_edges(fst))
+    for row in walk_paths([fst], rows).tolist():
+        edges = [k for k in row if k >= 0]
+        assert row[len(edges):] == [-1] * (len(row) - len(edges))
+        state = fst.initial
+        for k in edges:
+            assert src[k] == state
+            ratio = weight[k] + beta[dst[k]] - beta[state]
+            assert math.isfinite(ratio) and math.exp(ratio) > 0.0
+            state = dst[k]
+        assert state == fst.final
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -12,9 +12,11 @@ from sampled_mbr import (
     Edge,
     SampleStream,
     Wfst,
+    WordEditLoss,
     backward,
     build_score_fst,
     enumerate_paths,
+    expected_loss_exact,
     path_output_labels,
     sample_paths,
     stochasticity_deviation,
@@ -243,6 +245,8 @@ def test_stream_validation():
         sample_paths(fst, -1, 1)
     with pytest.raises(ValueError):
         sample_paths(fst, 1 << 64, 1)
+    with pytest.raises(ValueError, match="num_samples"):
+        sample_paths(fst, 0, -1)
     with pytest.raises(ValueError):
         SampleStream(0).generator(-1)
     # Counter (2^64, 1) would carry into the block word: block 2 of stream 0.
@@ -321,7 +325,14 @@ def test_stream_uniforms_rejects_out_of_range_seed_or_index(seed, indices):
         stream_uniforms(seed, indices, 4)
 
 
-def test_stream_uniforms_runs_the_kernel_once_per_kernel_rows(monkeypatch):
+@pytest.mark.parametrize("num_draws", [-1, -5])
+def test_stream_uniforms_rejects_negative_num_draws(num_draws):
+    with pytest.raises(ValueError, match="num_draws"):
+        stream_uniforms(0, [0, 1], num_draws)
+    assert stream_uniforms(0, [0, 1], 0).shape == (2, 0)
+
+
+def test_stream_uniforms_runs_the_kernel_once_per_call(monkeypatch):
     calls = []
 
     def counting_kernel(stream, indices, num_blocks):
@@ -331,14 +342,14 @@ def test_stream_uniforms_runs_the_kernel_once_per_kernel_rows(monkeypatch):
     monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
     ascending = np.arange(KERNEL_ROWS + 1, dtype=np.uint64)
     # Reversed indices, and one run of consecutive streams up to
-    # 2^64 - 1 that the chunk boundary splits.
+    # 2^64 - 1, both longer than a walk chunk.
     for indices in (
         ascending[::-1],
         ascending + np.uint64((1 << 64) - KERNEL_ROWS - 1),
     ):
         calls.clear()
         rows = stream_uniforms(9, indices, 5)
-        assert calls == [KERNEL_ROWS, 1]
+        assert calls == [KERNEL_ROWS + 1]
         assert rows.shape == (KERNEL_ROWS + 1, 5)
         for r in (0, 1, KERNEL_ROWS - 1, KERNEL_ROWS):
             assert rows[r].tolist() == stream_draws(9, int(indices[r]), 5)
@@ -442,6 +453,9 @@ def test_walk_paths_needs_lattices_of_one_topology():
     base = lattice((0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0))
     # Equal structures need not be the same objects; weights may differ.
     walk_paths([base, lattice((0, 1, 1.0), (1, 2, 0.0), (0, 2, -1.0))], rows)
+    for lattices in ([], [base, base, base]):
+        with pytest.raises(ValueError, match="equal blocks"):
+            walk_paths(lattices, rows)
     for other in (
         lattice((0, 1, 0.0), (1, 2, 0.0), (0, 1, 0.0)),  # one dst differs
         lattice((0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.0)),  # edge order differs
@@ -450,6 +464,18 @@ def test_walk_paths_needs_lattices_of_one_topology():
     ):
         with pytest.raises(ValueError, match="one topology"):
             walk_paths([base, other], rows)
+
+
+def test_walk_paths_rejects_uniforms_outside_zero_one():
+    # Edge 0 weighs -inf and enters live state 1: a uniform of -0.5 would
+    # take it, and NaN would take edge 1 whatever its weight.
+    fst = Wfst(3, [
+        Edge(0, 1, 1, 1, NEG_INF), Edge(0, 1, 2, 2, 0.0), Edge(1, 2, 1, 1, 0.0)
+    ], final=2)
+    assert walk_paths([fst], np.array([[0.0, 0.5]])).tolist() == [[1, 2]]
+    for bad in ([-0.5, 0.5], [math.nan, 0.5], [0.5, 1.0], [0.5, 0.5, -0.0, -1]):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            walk_paths([fst], np.array([bad]))
 
 
 def test_walk_memory_grows_with_edges_not_states_times_degree():
@@ -537,9 +563,14 @@ def test_sampling_requires_positive_total_weight():
 def test_walk_reports_overflowing_path_weights():
     # The path weight overflows to +inf, so the initial state's total is
     # inf - inf, NaN; the backward pass names the overflow before any step
-    # of the walk, where every edge probability would be NaN.
+    # of the walk, where every edge probability would be NaN.  Enumeration
+    # names it when it normalizes the path weights.
     fst = Wfst(3, [Edge(0, 1, 1, 1, 1e308), Edge(1, 2, 1, 1, 1e308)], final=2)
     with pytest.raises(DegenerateLatticeError, match="overflows"):
         sample_paths(fst, 0, 3)
+    with pytest.raises(
+        DegenerateLatticeError, match="largest path log-weight overflows"
+    ):
+        expected_loss_exact(fst, WordEditLoss((1,)))
     with pytest.raises(DegenerateLatticeError, match="overflows"):
         walk_paths([fst, fst], stream_uniforms(0, range(4), 2))

@@ -44,7 +44,7 @@ from sampled_mbr import (
 from sampled_mbr import sampling, training
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
 from sampled_mbr.sampling import KERNEL_ROWS, longest_path_edges
-from sampled_mbr.training import _DevLattice
+from sampled_mbr.training import _DevLattice, make_loss
 
 from helpers import (
     ReferenceEnumeratedObjective,
@@ -183,6 +183,19 @@ def test_train_step_single_path_decoder_is_a_fixed_point():
     assert estimate.expected_loss == 0.0
     assert not estimate.gradient.any()
     assert updated.weights.tobytes() == model.weights.tobytes()
+    # A topology of another decoder graph, of the same frame count.
+    other = LatticeTopology(chain_decoder_graph(3, 2, 1), 3, 1)
+    with pytest.raises(ValueError, match="decoder graph"):
+        train_step(model, utt, _tiny_config(), rows, other)
+
+
+def test_make_loss_rejects_unknown_kind_and_missing_alignment():
+    utt = Utterance(np.ones((3, 2)), chain_decoder_graph(3, 1, 1), (1, 1, 1))
+    assert make_loss("word-edit", utt).reference == (1, 1, 1)
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        make_loss("hinge", utt)
+    with pytest.raises(ValueError, match="needs an utterance alignment"):
+        make_loss("frame-error", utt)
 
 
 def test_exact_gradient_step_matches_finite_differences():
@@ -408,7 +421,8 @@ def test_training_rows_follow_each_steps_stream_indices(
     samples, variance_reduction
 ):
     # Step s owns indices 2 * s * samples onward; 2 x 2100 rows per step
-    # pass KERNEL_ROWS, so one step's rows take two kernel calls.
+    # pass KERNEL_ROWS, so each step's rows take a stream_uniforms call
+    # of their own.
     config = _tiny_config(
         steps=3, samples_per_step=samples, seed=5,
         variance_reduction=variance_reduction,
@@ -518,6 +532,8 @@ def test_parse_config_full():
         "vocab_size = 3\nclusters = 2",
         "samples_per_step = 0",
         "num_utterances = 0",
+        "steps = -1",
+        "eval_interval = 0",
         "learning_rate = nan",
         "learning_rate = inf",
         "noise = nan",
