@@ -11,7 +11,7 @@ samples are batched, and runs are reproducible under any scheduling.
 numpy's own ``Philox`` draws a block of a whole run of consecutive
 streams in one C call, whatever lattice walks them: ``stream_uniforms``
 draws the rows and ``walk_paths`` walks lattices over them, and
-``sample_paths`` composes the two, KERNEL_ROWS samples at a time.
+``sample_paths`` composes the two, CHUNK_ROWS samples at a time.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class SampleStream:
     consecutive streams is a run of consecutive counters:
     ``generator(i, b)``'s ``random`` yields block b of stream i, then block
     b of stream i + 1, and so on.  ``stream_uniforms`` draws every row
-    through it.
+    from one such generator per call, repositioned by assigning its state.
     """
 
     def __init__(self, seed: int):
@@ -130,16 +130,20 @@ class SampleStream:
             raise ValueError("sample index must lie in 0..2^64-1")
         if not 1 <= block < _TWO64:
             raise ValueError("block must lie in 1..2^64-1")
-        # numpy's Philox adds one to its counter before each block.
-        counter = (block << 64) + index - 1
         return np.random.Generator(
-            np.random.Philox(key=self.seed, counter=counter)
+            np.random.Philox(key=self.seed, counter=_counter(index, block))
         )
+
+
+def _counter(index: int, block: int) -> int:
+    """The Philox counter that draws block ``block`` of stream ``index``
+    next: numpy's Philox adds one to its counter before each block."""
+    return (block << 64) + index - 1
 
 
 # Rows that one walk of ``sampled_chunks`` or one run of training's draws
 # holds at once; bounds the memory of the draws.
-KERNEL_ROWS = 4096
+CHUNK_ROWS = 4096
 
 
 def _philox_uniforms(
@@ -147,9 +151,11 @@ def _philox_uniforms(
 ) -> np.ndarray:
     """The first 4*num_blocks uniforms of each uint64 stream index.
 
-    One ``generator(first, b).random`` call draws block b of a whole run
-    of consecutive indices.  Index 0 always starts a run, so counter word
-    0 never carries into the block word.
+    One ``random`` call draws block b of a whole run of consecutive
+    indices.  One ``generator`` per call is moved to each (run, block) by
+    assigning its state: the counter ``generator(first, b)`` starts at,
+    with the block buffer spent, as in a new generator.  Index 0 always
+    starts a run, so counter word 0 never carries into the block word.
     """
     num_rows = len(indices)
     draws = np.empty((num_blocks, num_rows, 4))
@@ -157,9 +163,18 @@ def _philox_uniforms(
     starts_run[1:] = (np.diff(indices) != 1) | (indices[1:] == 0)
     starts = np.flatnonzero(starts_run)
     ends = np.append(starts[1:], num_rows).tolist()
+    generator = stream.generator(0)
+    bits = generator.bit_generator
+    state = bits.state
     for lo, hi, first in zip(starts.tolist(), ends, indices[starts].tolist()):
         for b in range(num_blocks):
-            stream.generator(first, b + 1).random(out=draws[b, lo:hi])
+            counter = _counter(first, b + 1)
+            state["state"]["counter"] = np.array(
+                [counter % _TWO64, counter >> 64, 0, 0], dtype=np.uint64
+            )
+            state["buffer_pos"] = 4
+            bits.state = state
+            generator.random(out=draws[b, lo:hi])
     return draws.transpose(1, 0, 2).reshape(num_rows, 4 * num_blocks)
 
 
@@ -235,7 +250,7 @@ def sample_paths(
     ``seed``, as ``walk_paths`` walks the rows of ``stream_uniforms``, so
     the seed and every index must lie in 0..2^64-1 (ValueError
     otherwise).  The backward pass and the longest-path count run once;
-    draws are computed and walked KERNEL_ROWS samples at a time, which
+    draws are computed and walked CHUNK_ROWS samples at a time, which
     bounds the memory of the draws.  The returned paths carry
     original-lattice log-weights (unnormalized), summed left to right.
     One Path is built per distinct row of a chunk, and equal rows of the
@@ -263,7 +278,7 @@ def sample_paths(
 def sampled_chunks(
     fst: Wfst, seed: int, num_samples: int, start_index: int = 0
 ) -> Iterator[np.ndarray]:
-    """The rows of ``sample_edge_ids`` as matrices of KERNEL_ROWS rows or
+    """The rows of ``sample_edge_ids`` as matrices of CHUNK_ROWS rows or
     fewer, each walked as it is asked for.
 
     With no samples this yields one empty matrix.
@@ -278,8 +293,8 @@ def sampled_chunks(
     longest = longest_path_edges(fst)
     walker = _Walker([fst], longest)
     num_draws = max(1, walker.width)
-    for first in range(start_index, stop, KERNEL_ROWS) or (start_index,):
-        count = min(KERNEL_ROWS, stop - first)
+    for first in range(start_index, stop, CHUNK_ROWS) or (start_index,):
+        count = min(CHUNK_ROWS, stop - first)
         indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
         yield walker.walk(stream_uniforms(seed, indices, num_draws))
 

@@ -5,11 +5,14 @@ builds the utterance lattice from the current scores, estimates the
 expected-loss gradient by path sampling, and applies one SGD update.
 Exact enumeration of the (small) dev lattices provides noise-free
 training curves; each distinct (decoder graph, frame count) is composed
-once per run, its dev lattice is enumerated once, and its paths are
-shared by every dev utterance on it.  Paths are scored only through
-``loss.batch`` and ``losses.score_blocks``.  The sampled paths' uniforms
-are drawn ahead of the walks, for a run of training steps or for a whole
-dev record per ``stream_uniforms`` call.
+once per run, its dev lattice is enumerated once, and its paths, with
+their distinct output word sequences, are shared by every dev utterance
+on it; a word-edit dev loss scores each sequence once.  Paths are scored
+only through ``loss.batch`` and ``losses.score_blocks``.  The exact dev
+value adds each path's frame scores left to right, so with eight or more
+frames its low bits may differ from those of numpy's pairwise row sum.
+The sampled paths' uniforms are drawn ahead of the walks, for a run of
+training steps or for a whole dev record per ``stream_uniforms`` call.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from .fst import (
     EPSILON,
     Edge,
     Wfst,
+    distinct_rows,
     edge_id_matrix,
     enumerate_paths,
     normalized,
 )
 from .losses import LOSS_KINDS, score_blocks
 from .sampling import (
-    KERNEL_ROWS,
+    CHUNK_ROWS,
     longest_path_edges,
     stream_uniforms,
     walk_paths,
@@ -279,41 +283,79 @@ class _DevLattice:
     Lattice topology does not depend on the scores, so every dev utterance
     on the same (decoder graph, frame count) shares one enumeration of at
     most DEV_PATH_BOUND paths of the topology's ``lattice``: their
-    ``edge_ids`` matrix, each path's ``score_index`` entries ``flat``, the
-    indices of its scores in ``z.ravel()``, and their decoder offsets.
+    ``edge_ids`` matrix, their decoder ``offsets``, and the frame-major
+    (T, paths) matrix ``flat`` whose row t holds each path's frame-t score
+    index in ``z.ravel()``.  ``word_rows`` and ``word_inverse`` are the
+    paths' distinct output word sequences: one representative edge-id
+    row per sequence, in first-appearance order, and per path the index
+    of its sequence.
     """
 
     def __init__(self, topology: LatticeTopology):
         self.lattice = lattice = topology.lattice
+        self.shape = topology.shape
         paths = enumerate_paths(lattice, DEV_PATH_BOUND)
         if not paths:
             raise DegenerateLatticeError("no complete path")
-        self.edge_ids = edge_id_matrix(paths)
-        # The -1 row padding reads the appended -1, as epsilon inputs do.
-        index = np.append(topology.score_index, -1)[self.edge_ids]
-        self.flat = index[index >= 0].reshape(len(paths), topology.shape[0])
+        self.edge_ids = edge_ids = edge_id_matrix(paths)
         # Per-path decoder contribution: the path weight at zero scores.
         self.offsets = np.array([p.log_weight for p in paths])
+        # Free the Path objects before the matrix passes below.
+        del paths
+        # The -1 row padding reads the appended -1, as epsilon inputs do.
+        index = np.append(topology.score_index, -1)[edge_ids]
+        flat = index[index >= 0].reshape(len(edge_ids), self.shape[0])
+        self.flat = np.ascontiguousarray(flat.T)
+        # Each path's words, left-justified: a stable sort moves epsilons
+        # (and the padding, which reads epsilon) behind them.
+        labels = lattice.olabel[edge_ids]
+        order = np.argsort(labels == EPSILON, axis=1, kind="stable")
+        words, self.word_inverse = distinct_rows(
+            np.take_along_axis(labels, order, axis=1)
+        )
+        # Sequences are numbered by first appearance, so the running
+        # maximum of the inverse first reaches k at sequence k's first path.
+        first = np.searchsorted(
+            np.maximum.accumulate(self.word_inverse), np.arange(len(words))
+        )
+        self.word_rows = edge_ids[first]
 
 
 class EnumeratedObjective:
     """Reusable exact expected loss for one dev utterance.
 
-    The paths, score indices and offsets are those of the utterance's
-    shared ``_DevLattice``; only the per-path loss vector is its own, one
-    ``loss.batch`` call over the shared edge-id matrix.  Re-evaluating at
-    new scores is one gather of the scores at the cached flat indices and
-    a vectorized softmax.
+    It keeps the ``shape``, ``flat`` score indices and ``offsets`` of the
+    utterance's shared ``_DevLattice``; only its per-path ``losses`` are
+    its own, from one ``loss.batch`` call.  A word-edit loss depends only
+    on a path's words, so it scores one representative row per word
+    sequence; a frame-error loss reads the input tape and scores every
+    path.  Re-evaluating at new scores gathers them frame-major, adds the
+    T frame rows left to right from 0.0 (as numpy's row sum adds fewer
+    than eight terms; it adds eight or more pairwise), then the offsets,
+    and takes a vectorized softmax.
     """
 
     def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
         self.loss = make_loss(loss_kind, utterance)
-        self.losses = self.loss.batch(dev.lattice, dev.edge_ids)
-        self.dev = dev
+        if loss_kind == "word-edit":
+            words = self.loss.batch(dev.lattice, dev.word_rows)
+            self.losses = words[dev.word_inverse]
+        else:
+            self.losses = self.loss.batch(dev.lattice, dev.edge_ids)
+        self.shape, self.flat, self.offsets = dev.shape, dev.flat, dev.offsets
 
     def expected_loss(self, z: np.ndarray) -> float:
-        dev = self.dev
-        log_w = dev.offsets + z.ravel()[dev.flat].sum(axis=1)
+        """Raises DimensionMismatchError unless ``z`` has the (T, Q) shape
+        of the topology."""
+        z = np.asarray(z)
+        if z.shape != self.shape:
+            raise DimensionMismatchError(
+                f"score matrix has shape {z.shape}, expected {self.shape}"
+            )
+        log_w = np.zeros(len(self.offsets))
+        for frame in z.ravel()[self.flat]:
+            log_w += frame
+        log_w += self.offsets
         return float(normalized(log_w) @ self.losses)
 
 
@@ -341,13 +383,13 @@ def _training_uniforms(config: TrainConfig, num_draws: int):
     Step s walks the stream indices from 2 * s * samples_per_step on under
     ``config.seed``: samples_per_step rows, twice that without variance
     reduction.  The streams of as many consecutive steps as fit in
-    KERNEL_ROWS are drawn by one ``stream_uniforms`` call over their whole
+    CHUNK_ROWS are drawn by one ``stream_uniforms`` call over their whole
     index range, one run of consecutive streams, and each step keeps the
     rows it walks.
     """
     samples = config.samples_per_step
     batch = samples if config.variance_reduction else 2 * samples
-    run = max(1, KERNEL_ROWS // (2 * samples))
+    run = max(1, CHUNK_ROWS // (2 * samples))
     for first in range(0, config.steps, run):
         count = min(run, config.steps - first)
         indices = np.arange(2 * samples * count, dtype=np.uint64)
@@ -402,6 +444,8 @@ def run_experiment(
             lattices[k] = _DevLattice(topologies[k])
         dev_groups.setdefault(k, []).append(d)
         objectives.append(EnumeratedObjective(u, config.loss, lattices[k]))
+    # The objectives keep what they evaluate; free the enumerations.
+    del lattices
     longest = max(longest_path_edges(t.lattice) for t in topologies.values())
     num_draws = max(1, longest)
     step_topologies = [topologies[key(u)] for u in train]

@@ -22,7 +22,7 @@ from sampled_mbr import (
 )
 from sampled_mbr.cli import main
 from sampled_mbr.fst import label_rows
-from sampled_mbr.sampling import KERNEL_ROWS, sample_edge_ids
+from sampled_mbr.sampling import CHUNK_ROWS, sample_edge_ids
 
 # The directory holding the package, for a fresh interpreter's path.
 SRC = Path(sampled_mbr.__file__).resolve().parents[1]
@@ -295,12 +295,12 @@ def test_sample_counts_words_one_kernel_chunk_at_a_time(
         return distinct_rows(matrix)
 
     monkeypatch.setattr(cli, "distinct_rows", counting_distinct_rows)
-    samples = 2 * KERNEL_ROWS + 3
+    samples = 2 * CHUNK_ROWS + 3
     rc = main([
         "sample", "--fst", fst, "--logits", z, "--samples", str(samples),
     ])
     assert rc == 0
-    assert sizes == [KERNEL_ROWS, KERNEL_ROWS, 3]
+    assert sizes == [CHUNK_ROWS, CHUNK_ROWS, 3]
     # The same frequencies as counting one word tuple per draw.
     lattice = LatticeTopology(parse_fst_text(decoder), 1, 4).at(
         np.array([[0.1, 0.2, 0.3, 0.4]])

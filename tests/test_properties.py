@@ -248,15 +248,15 @@ def test_walks_take_positive_edges_to_the_final_state_on_random_dags(
     stream_seed=st.integers(0, 2**64 - 1),
     count=st.integers(0, 40),
     start=st.one_of(st.integers(0, 50), st.integers(2**64 - 90, 2**64 - 40)),
-    kernel_rows=st.integers(1, 6),
+    chunk_rows=st.integers(1, 6),
 )
 # The one-state lattice, whose only path is empty: zero-width rows.
-@example(seed=None, stream_seed=3, count=5, start=0, kernel_rows=2)
-@example(seed=0, stream_seed=3, count=0, start=2**64 - 40, kernel_rows=1)
+@example(seed=None, stream_seed=3, count=5, start=0, chunk_rows=2)
+@example(seed=0, stream_seed=3, count=0, start=2**64 - 40, chunk_rows=1)
 def test_sample_paths_match_per_row_reference_on_random_dags(
-    seed, stream_seed, count, start, kernel_rows
+    seed, stream_seed, count, start, chunk_rows
 ):
-    # Small kernel calls make the draws cross many chunks; a DAG's paths
+    # Small walk chunks make the draws cross many chunks; a DAG's paths
     # have mixed lengths, so rows end in -1 padding.
     if seed is None:
         fst = Wfst(1, [], final=0)
@@ -264,7 +264,7 @@ def test_sample_paths_match_per_row_reference_on_random_dags(
         fst = random_acyclic_wfst(np.random.default_rng(seed))
     expected = reference_sample_paths(fst, stream_seed, count, start)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampling, "KERNEL_ROWS", kernel_rows)
+        patch.setattr(sampling, "CHUNK_ROWS", chunk_rows)
         got = sample_paths(fst, stream_seed, count, start)
     assert len(got) == count
     assert [(p.edges, p.log_weight.hex()) for p in got] == [

@@ -24,7 +24,7 @@ from sampled_mbr import (
     walk_paths,
 )
 from sampled_mbr import sampling
-from sampled_mbr.sampling import KERNEL_ROWS, _philox_uniforms
+from sampled_mbr.sampling import CHUNK_ROWS, _philox_uniforms
 
 from helpers import (
     log_total_weight,
@@ -305,6 +305,26 @@ def test_philox_kernel_matches_numpy_philox():
                 assert row == stream_draws(seed, index, 13)
 
 
+def test_philox_kernel_builds_one_generator_per_call(monkeypatch):
+    # Ten gapped indices, each its own run, over 26 blocks: one generator
+    # repositioned 260 times draws what 260 fresh ones would.
+    built = []
+    generator = SampleStream.generator
+
+    def counting_generator(self, index, block=1):
+        built.append((index, block))
+        return generator(self, index, block)
+
+    top = (1 << 64) - 1
+    indices = [top, 0, 3, 9, 27, 81, 243, 729, 2187, top - 1]
+    monkeypatch.setattr(SampleStream, "generator", counting_generator)
+    rows = stream_uniforms(5, indices, 101)
+    assert len(built) == 1
+    monkeypatch.undo()
+    for row, index in zip(rows.tolist(), indices, strict=True):
+        assert row == stream_draws(5, index, 101)
+
+
 def test_generator_draws_one_block_of_consecutive_streams():
     # generator(i, b) yields block b of stream i, then of stream i + 1.
     top = (1 << 64) - 1
@@ -340,18 +360,18 @@ def test_stream_uniforms_runs_the_kernel_once_per_call(monkeypatch):
         return _philox_uniforms(stream, indices, num_blocks)
 
     monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
-    ascending = np.arange(KERNEL_ROWS + 1, dtype=np.uint64)
+    ascending = np.arange(CHUNK_ROWS + 1, dtype=np.uint64)
     # Reversed indices, and one run of consecutive streams up to
     # 2^64 - 1, both longer than a walk chunk.
     for indices in (
         ascending[::-1],
-        ascending + np.uint64((1 << 64) - KERNEL_ROWS - 1),
+        ascending + np.uint64((1 << 64) - CHUNK_ROWS - 1),
     ):
         calls.clear()
         rows = stream_uniforms(9, indices, 5)
-        assert calls == [KERNEL_ROWS + 1]
-        assert rows.shape == (KERNEL_ROWS + 1, 5)
-        for r in (0, 1, KERNEL_ROWS - 1, KERNEL_ROWS):
+        assert calls == [CHUNK_ROWS + 1]
+        assert rows.shape == (CHUNK_ROWS + 1, 5)
+        for r in (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS):
             assert rows[r].tolist() == stream_draws(9, int(indices[r]), 5)
 
 
@@ -410,9 +430,9 @@ def test_chunk_boundaries_redraw_identically():
         chain.edges + (Edge(0, 10, 3, 3, 10 * math.log(2)),),
         final=chain.final,
     )
-    batch = sample_paths(fst, 77, 2 * KERNEL_ROWS + 1)
+    batch = sample_paths(fst, 77, 2 * CHUNK_ROWS + 1)
     assert {len(p.edges) for p in batch} == {1, 10}
-    rows = KERNEL_ROWS
+    rows = CHUNK_ROWS
     for i in (0, rows - 1, rows, 2 * rows - 1, 2 * rows):
         again = sample_paths(fst, 77, 1, start_index=i)[0]
         assert again == batch[i]
@@ -422,8 +442,8 @@ def test_equal_rows_of_a_chunk_share_one_path():
     # Two paths, drawn over two chunks: each chunk builds one Path per
     # distinct row, so at most four objects back all the draws.
     fst = two_path_fixture()
-    batch = sample_paths(fst, 12, KERNEL_ROWS + 7)
-    for chunk in (batch[:KERNEL_ROWS], batch[KERNEL_ROWS:]):
+    batch = sample_paths(fst, 12, CHUNK_ROWS + 7)
+    for chunk in (batch[:CHUNK_ROWS], batch[CHUNK_ROWS:]):
         shared = {id(p) for p in chunk}
         assert len(shared) == len(set(chunk)) == 2
     assert len({id(p) for p in batch}) == 4

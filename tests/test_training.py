@@ -43,7 +43,8 @@ from sampled_mbr import (
 )
 from sampled_mbr import sampling, training
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
-from sampled_mbr.sampling import KERNEL_ROWS, longest_path_edges
+from sampled_mbr.fst import normalized, path_output_labels
+from sampled_mbr.sampling import CHUNK_ROWS, longest_path_edges
 from sampled_mbr.training import _DevLattice, make_loss
 
 from helpers import (
@@ -297,6 +298,17 @@ def test_enumerated_objective_zero_weight_is_degenerate():
         objective.expected_loss(np.full((3, 2), -np.inf))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (2, 2)])
+def test_enumerated_objective_rejects_scores_of_another_shape(shape):
+    # (2, 3) holds as many scores as (3, 2), and (4, 2) more; neither may
+    # be read through the (3, 2) topology's score indices.
+    utt = _tiny_dataset(num_utterances=1, seed=14)[0]
+    dev = _DevLattice(LatticeTopology(utt.decoder_graph, 3, 2))
+    objective = EnumeratedObjective(utt, "word-edit", dev)
+    with pytest.raises(DimensionMismatchError, match="expected \\(3, 2\\)"):
+        objective.expected_loss(np.zeros(shape))
+
+
 def test_dev_objective_losses_equal_per_path_losses():
     # The default task's 4^6 paths; symbol 4 outputs no word, so paths
     # share output words.  Each objective's loss vector is one batch call
@@ -311,6 +323,61 @@ def test_dev_objective_losses_equal_per_path_losses():
         objective = EnumeratedObjective(utterance, kind, dev)
         per_path = np.array([objective.loss(lattice, p) for p in paths])
         assert objective.losses.tobytes() == per_path.tobytes()
+
+
+def test_default_word_edit_objective_scores_each_word_sequence_once(
+    monkeypatch,
+):
+    # The default task's 4,096 paths carry 1,093 distinct word sequences.
+    utterance = make_synthetic_task(3, 6, 4, 8, 1, seed=0)[0]
+    dev = _DevLattice(LatticeTopology(utterance.decoder_graph, 6, 4))
+    rows = []
+    batch = WordEditLoss.batch
+
+    def counting_batch(self, fst, edge_ids):
+        rows.append(len(edge_ids))
+        return batch(self, fst, edge_ids)
+
+    monkeypatch.setattr(WordEditLoss, "batch", counting_batch)
+    objective = EnumeratedObjective(utterance, "word-edit", dev)
+    assert rows == [1093]
+    assert len(objective.losses) == len(dev.edge_ids) == 4**6
+
+
+def test_frame_major_scores_add_left_to_right_past_eight_frames():
+    # numpy's row sum adds eight or more terms pairwise; the objective adds
+    # the frames left to right from 0.0, then the path's decoder offset.
+    rng = np.random.default_rng(8)
+    frames, symbols = 8, 2
+    edges = [
+        Edge(t, t + 1, q, q, float(rng.normal()))
+        for t in range(frames)
+        for q in range(1, symbols + 1)
+    ]
+    decoder = Wfst(frames + 1, edges, final=frames)
+    utterance = Utterance(
+        rng.normal(size=(frames, 3)), decoder, (1, 2, 2, 1),
+        tuple(int(q) for q in rng.integers(1, symbols + 1, size=frames)),
+    )
+    topology = LatticeTopology(decoder, frames, symbols)
+    dev = _DevLattice(topology)
+    lattice = topology.lattice
+    paths = enumerate_paths(lattice, 10_000)
+    assert len(paths) == symbols**frames
+    for kind in ("word-edit", "frame-error"):
+        objective = EnumeratedObjective(utterance, kind, dev)
+        for _ in range(5):
+            z = rng.normal(0, 3, size=(frames, symbols))
+            log_w = []
+            for path in paths:
+                total = 0.0
+                for k in path.edges:
+                    index = topology.score_index[k]
+                    if index >= 0:
+                        total += float(z.ravel()[index])
+                log_w.append(total + path.log_weight)
+            expected = float(normalized(np.array(log_w)) @ objective.losses)
+            assert objective.expected_loss(z) == expected
 
 
 def test_word_edit_dev_record_scores_each_utterance_by_its_own_reference():
@@ -383,13 +450,37 @@ def test_dev_objectives_enumerate_once_per_graph_and_frame_count(
     run_experiment(dataset, _tiny_config(steps=0, loss=kind))
     assert len(enumerations) == len(keys)
     assert [id(u) for u, _ in built] == [id(u) for u in dev]
+    devs = {k: _DevLattice(LatticeTopology(*k, 3)) for k in keys}
     rng = np.random.default_rng(17)
     for utt, objective in built:
         oracle = ReferenceEnumeratedObjective(utt, kind, 3)
         assert objective.losses.tobytes() == oracle.losses.tobytes()
+        # Word edit scores one row per word sequence; either way the
+        # losses equal one batch call over every path.
+        dev = devs[utt.decoder_graph, utt.features.shape[0]]
+        full = objective.loss.batch(dev.lattice, dev.edge_ids)
+        assert objective.losses.tobytes() == full.tobytes()
         for _ in range(4):
             z = rng.normal(0, 1.5, size=(utt.features.shape[0], 3))
             assert objective.expected_loss(z) == oracle.expected_loss(z)
+    # Each path's words are its sequence representative's words, and the
+    # representatives' words are distinct.  Some sequence is shared by
+    # paths whose output-label rows differ, in epsilon or padding positions.
+    shared_across_epsilons = False
+    for dev in devs.values():
+        paths = enumerate_paths(dev.lattice, 10_000)
+        words = [path_output_labels(dev.lattice, p) for p in paths]
+        rows = [tuple(r) for r in dev.lattice.olabel[dev.edge_ids].tolist()]
+        firsts = {}
+        for path, sequence in enumerate(dev.word_inverse.tolist()):
+            first = firsts.setdefault(sequence, path)
+            assert words[path] == words[first]
+            shared_across_epsilons |= rows[path] != rows[first]
+        assert len(firsts) == len(dev.word_rows) == len(set(words))
+        assert dev.word_rows.tobytes() == dev.edge_ids[
+            sorted(firsts.values())
+        ].tobytes()
+    assert shared_across_epsilons
 
 
 def test_dev_utterance_that_does_not_fit_its_graph_is_degenerate():
@@ -421,7 +512,7 @@ def test_training_rows_follow_each_steps_stream_indices(
     samples, variance_reduction
 ):
     # Step s owns indices 2 * s * samples onward; 2 x 2100 rows per step
-    # pass KERNEL_ROWS, so each step's rows take a stream_uniforms call
+    # pass CHUNK_ROWS, so each step's rows take a stream_uniforms call
     # of their own.
     config = _tiny_config(
         steps=3, samples_per_step=samples, seed=5,
@@ -451,7 +542,7 @@ def test_default_run_draws_uniforms_in_few_kernel_calls(monkeypatch):
     train_config, task_config = parse_config("")
     run_experiment(build_task(train_config, task_config), train_config)
     assert len(calls) <= 25
-    assert max(calls) <= KERNEL_ROWS
+    assert max(calls) <= CHUNK_ROWS
 
 
 def test_run_experiment_rejects_zero_samples():
