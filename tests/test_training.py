@@ -309,28 +309,17 @@ def test_enumerated_objective_rejects_scores_of_another_shape(shape):
         objective.expected_loss(np.zeros(shape))
 
 
-def test_dev_objective_losses_equal_per_path_losses():
+def test_dev_objective_losses_equal_per_path_losses(monkeypatch):
     # The default task's 4^6 paths; symbol 4 outputs no word, so paths
-    # share output words.  Each objective's loss vector is one batch call
-    # and must hold every path's own loss, bit for bit.
+    # share output words: 1,093 distinct word sequences, which the
+    # word-edit objective scores in one batch call.  Each objective's loss
+    # vector must hold every path's own loss, bit for bit.
     utterance = make_synthetic_task(3, 6, 4, 8, 1, seed=0)[0]
     topology = LatticeTopology(utterance.decoder_graph, 6, 4)
     dev = _DevLattice(topology)
     lattice = topology.lattice
     paths = enumerate_paths(lattice, 4**6)
     assert len(paths) == 4**6
-    for kind in ("word-edit", "frame-error"):
-        objective = EnumeratedObjective(utterance, kind, dev)
-        per_path = np.array([objective.loss(lattice, p) for p in paths])
-        assert objective.losses.tobytes() == per_path.tobytes()
-
-
-def test_default_word_edit_objective_scores_each_word_sequence_once(
-    monkeypatch,
-):
-    # The default task's 4,096 paths carry 1,093 distinct word sequences.
-    utterance = make_synthetic_task(3, 6, 4, 8, 1, seed=0)[0]
-    dev = _DevLattice(LatticeTopology(utterance.decoder_graph, 6, 4))
     rows = []
     batch = WordEditLoss.batch
 
@@ -339,9 +328,15 @@ def test_default_word_edit_objective_scores_each_word_sequence_once(
         return batch(self, fst, edge_ids)
 
     monkeypatch.setattr(WordEditLoss, "batch", counting_batch)
-    objective = EnumeratedObjective(utterance, "word-edit", dev)
+    objectives = [
+        EnumeratedObjective(utterance, kind, dev)
+        for kind in ("word-edit", "frame-error")
+    ]
     assert rows == [1093]
-    assert len(objective.losses) == len(dev.edge_ids) == 4**6
+    monkeypatch.undo()
+    for objective in objectives:
+        per_path = np.array([objective.loss(lattice, p) for p in paths])
+        assert objective.losses.tobytes() == per_path.tobytes()
 
 
 def test_frame_major_scores_add_left_to_right_past_eight_frames():
