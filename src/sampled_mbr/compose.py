@@ -121,6 +121,11 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     States are numbered in breadth-first discovery order from the start
     pair, then trimmed to those on a complete path, keeping their order,
     as are the edges.  With no complete path this returns empty_wfst().
+    When ``a`` is a score sausage, the search runs level by level, and
+    once a level provably repeats the one before it shifted by a frame
+    (``_repeated_levels``), the levels up to the last frame are written
+    as array shifts of it, numbered as the search would number them.
+    The result then carries its ``frame_depths``: each state's frame.
     """
     if (a.olabel[:-1] == EPSILON).any():
         raise UnsupportedCompositionError(
@@ -143,34 +148,67 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     b_fields = zip(b.src.tolist(), b.ilabel.tolist(), b.dst.tolist())
     for kb, (qb, ilabel, dst) in enumerate(b_fields):
         b_moves[qb].setdefault(ilabel, []).append((kb, dst))
+    num_symbols = _sausage_symbols(a)
 
-    # The BFS queue is the list of discovered keys, indexed by state id.
-    # The arcs are three flat columns, destination state, a edge and b
-    # edge, in source-state order; arc_counts[q] counts state q's arcs.
+    # The BFS queue is the list of discovered keys, indexed by state id,
+    # and levels[i] is the first id of level i.  The arcs are three
+    # columns, destination state, a edge and b edge, in source-state
+    # order: flat lists, moved to ``blocks`` before each block of
+    # repeated levels; arc_counts[q] counts state q's arcs.
     keys = [a.initial * nb + b.initial]
     state_id = {keys[0]: 0}
     arc_dst, arc_a, arc_b, arc_counts = [], [], [], []
-    for key in keys:
-        qa, qb = divmod(key, nb)
-        before = len(arc_dst)
-        by_label = b_moves[qb]
-        for ka, label, base in a_moves[qa]:
-            for kb, dst in by_label.get(label, ()):
-                q = state_id.get(base + dst)
-                if q is None:
-                    q = state_id[base + dst] = len(keys)
-                    keys.append(base + dst)
-                arc_dst.append(q)
-                arc_a.append(ka)
-                arc_b.append(kb)
-        arc_counts.append(len(arc_dst) - before)
+    blocks = []
+    levels = [0]
+    while levels[-1] < len(keys):
+        start, stop = levels[-1], len(keys)
+        first_arc = len(arc_dst)
+        for key in keys[start:stop]:
+            qa, qb = divmod(key, nb)
+            before = len(arc_dst)
+            by_label = b_moves[qb]
+            for ka, label, base in a_moves[qa]:
+                for kb, dst in by_label.get(label, ()):
+                    q = state_id.get(base + dst)
+                    if q is None:
+                        q = state_id[base + dst] = len(keys)
+                        keys.append(base + dst)
+                    arc_dst.append(q)
+                    arc_a.append(ka)
+                    arc_b.append(kb)
+            arc_counts.append(len(arc_dst) - before)
+        levels.append(stop)
+        # A sausage's final state is its frame count.
+        repeats = num_symbols and _repeated_levels(keys, levels, nb, a.final)
+        if repeats:
+            # The j-th level after this one has this level's arcs with
+            # destinations j level sizes on, consuming a edges j frames
+            # on and the same b edges; it finds the next level's keys
+            # j frames on.
+            size = stop - start
+            shift = np.arange(1, repeats + 1)[:, None]
+            block = tuple(map(_int_array, (arc_dst, arc_a, arc_b)))
+            level_dst, level_a, level_b = (c[first_arc:] for c in block)
+            consumed = level_a >= 0
+            blocks += [block, (
+                (level_dst + size * shift).ravel(),
+                (level_a + consumed * (num_symbols * shift)).ravel(),
+                np.tile(level_b, repeats),
+            )]
+            arc_dst, arc_a, arc_b = [], [], []
+            arc_counts += arc_counts[start:stop] * repeats
+            found = (_int_array(keys[stop:]) + nb * shift).ravel().tolist()
+            ids = range(len(keys), len(keys) + len(found))
+            state_id.update(zip(found, ids))
+            keys += found
+            levels += range(stop + size, stop + size * repeats + 1, size)
 
     final = state_id.get(a.final * nb + b.final)
     if final is None:
         return empty_wfst()
-    num_arcs = len(arc_dst)
-    dst = np.fromiter(arc_dst, np.intp, num_arcs)
-    src = np.repeat(np.arange(len(keys)), np.fromiter(arc_counts, np.intp))
+    blocks.append(tuple(map(_int_array, (arc_dst, arc_a, arc_b))))
+    dst, ka, kb = map(np.concatenate, zip(*blocks))
+    src = np.repeat(np.arange(len(keys)), _int_array(arc_counts))
     # Every state is reachable from state 0, so one reverse sweep from the
     # final state keeps exactly those on a complete path, state 0 included.
     by_dst = np.argsort(dst, kind="stable")
@@ -187,18 +225,92 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     alive = np.frombuffer(seen, dtype=bool)
     renumber = np.cumsum(alive) - 1
     kept = alive[dst]
-    src, dst = src[kept], dst[kept]
-    ka = np.fromiter(arc_a, np.intp, num_arcs)[kept]
-    kb = np.fromiter(arc_b, np.intp, num_arcs)[kept]
+    src, dst, ka, kb = src[kept], dst[kept], ka[kept], kb[kept]
     # Entry -1, read where b moves alone, is a's input epsilon and a weight
     # of -0.0, which leaves every b weight unchanged.  A sum past the float
     # range is +inf, which the Wfst check rejects, without a warning.
     with np.errstate(over="ignore"):
         log_weight = np.append(a.log_weight, -0.0)[ka] + b.log_weight[kb]
-    return Wfst._from_arrays(
+    lattice = Wfst._from_arrays(
         len(queue), int(renumber[final]), renumber[src], renumber[dst],
         a.ilabel[ka], b.olabel[kb], log_weight,
     )
+    if num_symbols:
+        # A pair's sausage state is its frame, so every route to the pair
+        # consumes that many labels; every kept state is reachable.
+        depths = (_int_array(keys) // nb)[alive]
+        depths.flags.writeable = False
+        lattice._depths = depths
+    return lattice
+
+
+def _int_array(column: list[int]) -> np.ndarray:
+    return np.fromiter(column, np.intp, len(column))
+
+
+def _sausage_symbols(a: Wfst) -> int:
+    """Q when ``a`` has the structure of ``build_score_fst`` for some
+    (T, Q): T + 1 states, final T, and edge k from k // Q to k // Q + 1
+    with both labels k % Q + 1; otherwise 0."""
+    num_frames = a.num_states - 1
+    if num_frames < 1 or a.final != num_frames or a.num_edges % num_frames:
+        return 0
+    num_symbols = a.num_edges // num_frames
+    if not num_symbols:
+        return 0
+    frame, symbol = np.divmod(np.arange(a.num_edges), num_symbols)
+    symbol += 1
+    is_sausage = (
+        np.array_equal(a.src, frame) and np.array_equal(a.dst, frame + 1)
+        and np.array_equal(a.ilabel[:-1], symbol)
+        and np.array_equal(a.olabel[:-1], symbol)
+    )
+    return num_symbols if is_sausage else 0
+
+
+def _repeated_levels(
+    keys: list[int], levels: list[int], nb: int, num_frames: int
+) -> int:
+    """How many levels after the one just expanded ``compose``'s search
+    would expand as that level shifted by one more frame each, or 0 where
+    that is not shown.
+
+    The left operand is a sausage of ``num_frames`` frames (T).  ``keys``
+    holds the keys found so far by state id, and ``levels`` the first id
+    of each level found; the last level is the frontier.  Call the
+    expanded level L, its size n and its lowest and highest frames m and
+    M.  Expanding a level reads its keys in order and, for each candidate
+    key, whether it was found already and at which id.  A state of frame
+    t moves to frame t or t + 1, so level L's candidates lie in frames
+    m..M + 1, and below frame T each frame's moves are the previous
+    frame's moves one frame on.  So if the keys of frame m + 1 and up
+    found before level L + 1 is expanded are, with their ids, those of
+    frame m and up found before level L was, one frame and n ids on, then
+    level L + 1 expands as level L did, one frame and n ids on, and finds
+    the next level's keys one frame on.  The condition then holds one
+    level later, so the levels repeat until one reaches frame T - 1:
+    T - 1 - M levels.  A key of level i has a frame of at most i, so the
+    keys of frame m and up have ids from levels[m] on.
+    """
+    start, stop = levels[-2], levels[-1]
+    size = stop - start
+    if len(keys) - stop != size or keys[stop] != keys[start] + nb:
+        return 0
+    frames = keys[start:stop]
+    low, high = min(frames) // nb, max(frames) // nb
+    if high > num_frames - 2:
+        return 0
+    before = [
+        (i + size, key + nb)
+        for i, key in enumerate(keys[levels[low]:stop], levels[low])
+        if key >= low * nb
+    ]
+    after = [
+        (i, key)
+        for i, key in enumerate(keys[levels[low + 1]:], levels[low + 1])
+        if key >= (low + 1) * nb
+    ]
+    return num_frames - 1 - high if before == after else 0
 
 
 def path_occupancy(

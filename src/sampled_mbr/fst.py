@@ -80,7 +80,7 @@ class Wfst:
     __slots__ = (
         "num_states", "final", "src", "dst", "ilabel", "olabel", "log_weight",
         "first_out", "out_ids", "_edges", "_order", "_lists", "_groups",
-        "_longest", "_beta",
+        "_longest", "_beta", "_depths",
     )
 
     initial = 0
@@ -117,16 +117,18 @@ class Wfst:
         for array in (self.first_out, self.out_ids, *self._fields()):
             array.flags.writeable = False
         # Filled by the first successful edges, topological_order,
-        # edge_lists, out_edge_groups, longest_path_edges and backward
-        # calls; racing threads store equal values.
+        # edge_lists, out_edge_groups, longest_path_edges, backward and
+        # frame_depths calls (or by compose); racing threads store equal
+        # values.
         self._edges = self._order = self._lists = self._groups = None
-        self._longest = self._beta = None
+        self._longest = self._beta = self._depths = None
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
         The copy shares every array but the weights, and the topological
-        order, list view, degree groups and longest-path count once built.
+        order, list view, degree groups, longest-path count and frame
+        depths once built.
         Raises InvalidFstError for a vector of the wrong length and for a
         NaN or +inf weight, naming the first such edge as the constructor
         does: the shared edges passed its other checks at construction.
@@ -524,7 +526,13 @@ def frame_depths(fst: Wfst) -> np.ndarray:
     """Per state, the number of non-epsilon input labels that every route
     from the initial state consumes, by one forward topological sweep; -1
     where no route reaches.  Raises UnsupportedTopologyError naming a state
-    two routes reach at different depths, and CyclicFstError on cycles."""
+    two routes reach at different depths, and CyclicFstError on cycles.
+    Cached on the transducer and shared with later ``with_weights``
+    copies; read-only.  ``compose`` seeds the cache of a sausage's
+    composition, and the order is still checked on every call."""
+    topological_order(fst)
+    if fst._depths is not None:
+        return fst._depths
     out, dst = edge_lists(fst)
     consumes = (fst.ilabel[:-1] != EPSILON).tolist()
     depth = [-1] * fst.num_states
@@ -543,7 +551,10 @@ def frame_depths(fst: Wfst) -> np.ndarray:
                         "positions are ambiguous"
                     )
                 depth[j] = advanced
-    return np.array(depth)
+    depths = np.array(depth)
+    depths.flags.writeable = False
+    fst._depths = depths
+    return depths
 
 
 def count_paths(fst: Wfst) -> int:

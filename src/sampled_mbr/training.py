@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -288,7 +289,8 @@ class _DevLattice:
     index in ``z.ravel()``.  ``word_rows`` and ``word_inverse`` are the
     paths' distinct output word sequences: one representative edge-id
     row per sequence, in first-appearance order, and per path the index
-    of its sequence.
+    of its sequence.  Only word-edit objectives read them, so they are
+    found on first access.
     """
 
     def __init__(self, topology: LatticeTopology):
@@ -306,19 +308,24 @@ class _DevLattice:
         index = np.append(topology.score_index, -1)[edge_ids]
         flat = index[index >= 0].reshape(len(edge_ids), self.shape[0])
         self.flat = np.ascontiguousarray(flat.T)
+
+    @cached_property
+    def word_inverse(self) -> np.ndarray:
         # Each path's words, left-justified: a stable sort moves epsilons
         # (and the padding, which reads epsilon) behind them.
-        labels = lattice.olabel[edge_ids]
+        labels = self.lattice.olabel[self.edge_ids]
         order = np.argsort(labels == EPSILON, axis=1, kind="stable")
-        words, self.word_inverse = distinct_rows(
-            np.take_along_axis(labels, order, axis=1)
-        )
+        return distinct_rows(np.take_along_axis(labels, order, axis=1))[1]
+
+    @cached_property
+    def word_rows(self) -> np.ndarray:
         # Sequences are numbered by first appearance, so the running
         # maximum of the inverse first reaches k at sequence k's first path.
+        inverse = self.word_inverse
         first = np.searchsorted(
-            np.maximum.accumulate(self.word_inverse), np.arange(len(words))
+            np.maximum.accumulate(inverse), np.arange(inverse.max() + 1)
         )
-        self.word_rows = edge_ids[first]
+        return self.edge_ids[first]
 
 
 class EnumeratedObjective:

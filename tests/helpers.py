@@ -530,6 +530,29 @@ def bigram_decoder(
     return Wfst(final + 1, edges, final=final)
 
 
+def random_cyclic_decoder(rng: np.random.Generator, num_symbols: int) -> Wfst:
+    """Random decoder graph of 2..14 states with cycles and self-loops.
+
+    Each state but the final has 1..4 out-edges to any state.  An edge's
+    input is epsilon with a probability drawn from [0, 0.7), so epsilon
+    cycles occur, and otherwise a symbol in 1..num_symbols + 1, the last
+    of which no sausage edge carries; outputs are in 0..3.
+    """
+    num_states = int(rng.integers(2, 15))
+    epsilon_rate = rng.uniform(0.0, 0.7)
+    edges = []
+    for src in range(num_states - 1):
+        for _ in range(int(rng.integers(1, 5))):
+            ilabel = int(rng.integers(1, num_symbols + 2))
+            if rng.random() < epsilon_rate:
+                ilabel = EPSILON
+            edges.append(Edge(
+                src, int(rng.integers(0, num_states)), ilabel,
+                int(rng.integers(0, 4)), float(rng.normal(0.0, 1.0)),
+            ))
+    return Wfst(num_states, edges, final=num_states - 1)
+
+
 def random_task(rng: np.random.Generator, max_frames: int = 4,
                 max_symbols: int = 3):
     """Random (lattice, z, decoder, reference) tuple for gradient checks."""

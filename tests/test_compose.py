@@ -1,11 +1,13 @@
 """Score-FST construction, composition, and occupancy matrices."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from sampled_mbr import (
+    CyclicFstError,
     DegenerateLatticeError,
     DimensionMismatchError,
     Edge,
@@ -21,6 +23,8 @@ from sampled_mbr import (
     empty_wfst,
     enumerate_paths,
     expected_additive_loss,
+    format_fst_text,
+    parse_fst_text,
     parse_logits_csv,
     path_distribution,
     path_occupancy,
@@ -29,17 +33,29 @@ from sampled_mbr import (
     walk_paths,
 )
 from sampled_mbr import sampling
-from sampled_mbr.fst import edge_id_matrix, edge_lists, out_edge_groups
+from sampled_mbr.fst import (
+    edge_id_matrix,
+    edge_lists,
+    frame_depths,
+    out_edge_groups,
+)
 from sampled_mbr.sampling import longest_path_edges
 
 from helpers import (
+    bigram_decoder,
     format_logits_csv,
     identity_decoder,
     log_total_weight,
     make_path,
+    random_cyclic_decoder,
+    reference_compose,
     uniform_lattice,
     word_chain_decoder,
 )
+
+# The package re-exports ``compose`` (the function) under the name of its
+# module, so the module is imported by name.
+compose_module = importlib.import_module("sampled_mbr.compose")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +223,112 @@ def test_compose_total_weight_matches_enumeration():
         paths = enumerate_paths(lattice, 200)
         brute = math.log(sum(math.exp(p.log_weight) for p in paths))
         assert math.isclose(log_total_weight(lattice), brute, rel_tol=1e-10)
+
+
+def _recording_repeats(monkeypatch) -> list[int]:
+    """Record every value that compose's level-repeat check returns."""
+    repeats = []
+    check = compose_module._repeated_levels
+
+    def recording(*args):
+        repeats.append(check(*args))
+        return repeats[-1]
+
+    monkeypatch.setattr(compose_module, "_repeated_levels", recording)
+    return repeats
+
+
+def test_compose_extrapolates_the_repeated_levels_of_a_bigram_lattice(
+    monkeypatch,
+):
+    # The shape of the lattice-exact benchmark: from level 3 on, each
+    # search level is the one before it shifted by one frame (12 context
+    # states at frame t and one final-context state at frame t - 1).
+    rng = np.random.default_rng(11)
+    decoder = bigram_decoder(rng, 12, 9)
+    sausage = build_score_fst(rng.normal(size=(30, 12)))
+    repeats = _recording_repeats(monkeypatch)
+    lattice = compose(sausage, decoder)
+    # Fired once, after level 3, for the levels up to frame 29.
+    assert [r for r in repeats if r] == [26]
+    expected = reference_compose(sausage, decoder)
+    assert lattice == expected
+    assert format_fst_text(lattice) == format_fst_text(expected)
+    assert lattice.log_weight.tobytes() == expected.log_weight.tobytes()
+
+
+def test_compose_extrapolates_only_once_earlier_states_repeat_too(
+    monkeypatch,
+):
+    # Decoder state 1 loops on symbol 3, exits to the final state 2 on
+    # symbol 5 and returns to state 0 on epsilon.  Level 4 of the search
+    # (three states) is level 3 shifted by a frame, but level 3's return
+    # arcs enter level 2, which has two states, so the shifted ids are
+    # wrong until one level later.
+    decoder = Wfst(3, [
+        Edge(0, 1, 0, 2, 0.0), Edge(0, 2, 0, 3, -0.5), Edge(1, 0, 0, 3, 0.25),
+        Edge(1, 2, 5, 3, 1.0), Edge(1, 1, 3, 2, -1.0),
+    ], final=2)
+    sausage = build_score_fst(np.random.default_rng(7).normal(size=(10, 5)))
+    repeats = _recording_repeats(monkeypatch)
+    lattice = compose(sausage, decoder)
+    assert [r for r in repeats if r] == [6]
+    assert repeats.index(6) == 4
+    expected = reference_compose(sausage, decoder)
+    assert format_fst_text(lattice) == format_fst_text(expected)
+
+
+def test_compose_searches_other_left_operands_without_extrapolation(
+    monkeypatch,
+):
+    # A chain decoder's levels never repeat shifted, and an operand that
+    # is not a sausage (here one with labels not k % Q + 1) is never
+    # checked.
+    repeats = _recording_repeats(monkeypatch)
+    z = np.random.default_rng(3).normal(size=(20, 3))
+    compose(build_score_fst(z), word_chain_decoder(20, 3, 2))
+    assert repeats and not any(repeats)
+    repeats.clear()
+    swapped = Wfst(21, [
+        Edge(e.src, e.dst, 4 - e.ilabel, 4 - e.olabel, e.log_weight)
+        for e in build_score_fst(z).edges
+    ], final=20)
+    decoder = bigram_decoder(np.random.default_rng(4), 3, 3)
+    assert compose(swapped, decoder) == reference_compose(swapped, decoder)
+    assert repeats == []
+
+
+def test_compose_seeds_the_frame_depths_of_sausage_compositions():
+    rng = np.random.default_rng(13)
+    cyclic = 0
+    for case in range(80):
+        num_frames = int(rng.integers(1, 30))
+        num_symbols = int(rng.integers(1, 5))
+        sausage = build_score_fst(rng.normal(size=(num_frames, num_symbols)))
+        if case % 2:
+            decoder = bigram_decoder(rng, num_symbols, num_symbols)
+        else:
+            decoder = random_cyclic_decoder(rng, num_symbols)
+        lattice = compose(sausage, decoder)
+        if lattice == empty_wfst():
+            continue
+        seeded = lattice._depths
+        assert seeded is not None and not seeded.flags.writeable
+        # A parsed copy has no cache, so frame_depths folds.
+        try:
+            folded = frame_depths(parse_fst_text(format_fst_text(lattice)))
+        except CyclicFstError:
+            # The order is still checked before the seeded depths are read.
+            with pytest.raises(CyclicFstError):
+                frame_depths(lattice)
+            cyclic += 1
+            continue
+        assert seeded.dtype == folded.dtype
+        assert seeded.tolist() == folded.tolist()
+        assert frame_depths(lattice) is seeded
+        copy = lattice.with_weights(np.zeros(lattice.num_edges))
+        assert frame_depths(copy) is seeded
+    assert cyclic
 
 
 # ---------------------------------------------------------------------------

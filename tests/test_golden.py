@@ -2,12 +2,13 @@
 
 Every subcommand runs on the inputs of acceptance criterion 10,
 ``estimate`` also runs on a T=50, Q=10 chain lattice, once per estimator
-and loss, ``sample`` also draws 10,000 paths on a decoder where two edge
-paths carry the same words, and ``train`` also runs with three dev
-utterances, once per loss.  A change that moves any output bit fails
-here; such a change must refresh the digest in the commit that makes it
-and say why in CHANGES.md.  The digests hold for IEEE-754 doubles with numpy's default
-kernels on x86-64.
+and loss, and on a T=40, Q=12 bigram-decoder lattice, whose composition
+extrapolates repeated search levels, ``sample`` also draws 10,000 paths
+on a decoder where two edge paths carry the same words, and ``train``
+also runs with three dev utterances, once per loss.  A change that moves
+any output bit fails here; such a change must refresh the digest in the
+commit that makes it and say why in CHANGES.md.  The digests hold for
+IEEE-754 doubles with numpy's default kernels on x86-64.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import pytest
 from sampled_mbr import chain_decoder_graph, format_fst_text
 from sampled_mbr.cli import main
 
-from helpers import format_logits_csv, word_chain_decoder
+from helpers import bigram_decoder, format_logits_csv, word_chain_decoder
 
 CONFIG = (
     "steps = 6\nsamples_per_step = 25\nseed = 1\neval_interval = 3\n"
@@ -106,6 +107,12 @@ GOLDEN = {
             "7a35c8fd2d43a30429b0602a0a4aa522"
         ),
     },
+    "estimate-bigram": {
+        "bigram.json": (
+            "5ec43f0f004f4df41aa5b15ac37c80b3"
+            "dad77b28a9defb7226234208fdc2a3d6"
+        ),
+    },
     "estimate-chain-frame": {
         "chain-frame.json": (
             "fbd0aa926799f026201ff90a0e35bb75"
@@ -136,6 +143,12 @@ def _inputs(tmp_path):
     ) + "\n"
     files["chain_align.txt"] = " ".join(
         str(int(q)) for q in rng.integers(1, 11, size=50)
+    ) + "\n"
+    rng = np.random.default_rng(40)
+    files["bigram.fst"] = format_fst_text(bigram_decoder(rng, 12, 9))
+    files["bigram_z.csv"] = format_logits_csv(rng.normal(size=(40, 12)))
+    files["bigram_ref.txt"] = " ".join(
+        str(int(w)) for w in rng.integers(1, 10, size=25)
     ) + "\n"
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -188,6 +201,12 @@ def _argv(command, f, out):
             "estimate", "--fst", f["chain.fst"], "--logits", f["chain_z.csv"],
             "--ref", f["chain_ref.txt"], "--samples", "1000", "--seed", "3",
             "--no-variance-reduction", "--out", out["chain-plain.json"],
+        ],
+        "estimate-bigram": [
+            "estimate", "--fst", f["bigram.fst"],
+            "--logits", f["bigram_z.csv"], "--ref", f["bigram_ref.txt"],
+            "--samples", "500", "--seed", "9",
+            "--out", out["bigram.json"],
         ],
         "estimate-chain-frame": [
             "estimate", "--fst", f["chain.fst"], "--logits", f["chain_z.csv"],

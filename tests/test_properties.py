@@ -61,6 +61,7 @@ from helpers import (
     log_total_weight,
     occupancy_matrix,
     random_acyclic_wfst,
+    random_cyclic_decoder,
     reference_cdf_rows,
     reference_compose,
     reference_distinct_rows,
@@ -804,7 +805,9 @@ def _raised_or(expected_errors, run):
 @given(
     left_seed=st.integers(0, 2**32 - 1),
     right_seed=st.integers(0, 2**32 - 1),
-    left=st.sampled_from(["sausage", "dag", "dag without output epsilons"]),
+    left=st.sampled_from(
+        ["sausage", "long sausage", "dag", "dag without output epsilons"]
+    ),
     back_edge=st.sampled_from([None, "labelled", "epsilon input"]),
 )
 def test_compose_matches_reference_on_random_dags(
@@ -813,10 +816,15 @@ def test_compose_matches_reference_on_random_dags(
     # The right DAG has epsilons on both tapes, -inf edges and dead ends,
     # and some gain one backward edge, so a cycle: one with an epsilon
     # input also makes the composition cyclic.  A left DAG with epsilon
-    # outputs must be rejected by both.
+    # outputs must be rejected by both.  A long sausage meets a random
+    # cyclic decoder instead, whose search levels often repeat frame
+    # after frame, so that compose extrapolates them.
     rng = np.random.default_rng(left_seed)
-    if left == "sausage":
-        z = rng.normal(0.0, 2.0, size=rng.integers(1, 6, size=2))
+    right_rng = np.random.default_rng(right_seed)
+    if left.endswith("sausage"):
+        max_frames = 61 if left == "long sausage" else 6
+        z = rng.normal(0.0, 2.0, size=(rng.integers(1, max_frames),
+                                       rng.integers(1, 6)))
         z[rng.random(z.shape) < 0.1] = -math.inf
         a = build_score_fst(z)
     else:
@@ -826,9 +834,11 @@ def test_compose_matches_reference_on_random_dags(
                 Edge(e.src, e.dst, e.ilabel, e.olabel or 1, e.log_weight)
                 for e in a.edges
             ], final=a.final)
-    right_rng = np.random.default_rng(right_seed)
-    b = random_acyclic_wfst(right_rng, max_states=12)
-    if back_edge:
+    if left == "long sausage":
+        b = random_cyclic_decoder(right_rng, z.shape[1])
+    else:
+        b = random_acyclic_wfst(right_rng, max_states=12)
+    if back_edge and left != "long sausage":
         dst, src = sorted(right_rng.choice(b.final, size=2, replace=False))
         ilabel, olabel = right_rng.integers(1, 4, size=2).tolist()
         if back_edge == "epsilon input":

@@ -492,6 +492,15 @@ def test_dev_utterance_that_does_not_fit_its_graph_is_degenerate():
         run_experiment(dataset, _tiny_config())
 
 
+@pytest.mark.parametrize("kind", ["word-edit", "frame-error"])
+def test_dev_lattice_finds_word_sequences_only_for_word_edit(kind):
+    utt = _tiny_dataset()[0]
+    dev = _DevLattice(LatticeTopology(utt.decoder_graph, 3, 2))
+    EnumeratedObjective(utt, kind, dev)
+    words = {"word_inverse", "word_rows"}
+    assert words & set(vars(dev)) == (words if kind == "word-edit" else set())
+
+
 def test_frame_error_objective_rejects_alignment_of_wrong_length():
     utt = _tiny_dataset()[0]
     dev = _DevLattice(LatticeTopology(utt.decoder_graph, 3, 2))
