@@ -20,7 +20,6 @@ from .fst import (
     MAX_ENUMERATED_PATHS,
     NEG_INF,
     Wfst,
-    edge_id_matrix,
     edge_lists,
     enumerated_distribution,
     reverse_fold,
@@ -47,8 +46,8 @@ def expected_loss_exact(fst: Wfst, loss) -> float:
     times loss from 0.0 left to right.  Raises PathOverflowError past
     MAX_ENUMERATED_PATHS paths.
     """
-    paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    losses = loss.batch(fst, edge_id_matrix(paths))
+    edge_ids, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
+    losses = loss.batch(fst, edge_ids)
     # Not builtin sum, which compensates from Python 3.12 on.
     total = 0.0
     for p, value in zip(probs.tolist(), losses.tolist()):
@@ -67,8 +66,7 @@ def expected_loss_gradient_exact(
     over the enumerated paths, at most MAX_ENUMERATED_PATHS of them, which
     one ``loss.batch`` call scores.
     """
-    paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    edge_ids = edge_id_matrix(paths)
+    edge_ids, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
     losses = loss.batch(fst, edge_ids)
     gammas = path_occupancy(fst, edge_ids, num_frames, num_symbols)
     mean_loss = float(probs @ losses)

@@ -594,8 +594,9 @@ def enumerate_paths(fst: Wfst, max_paths: int) -> list[Path]:
 
 def enumerated_distribution(
     fst: Wfst, max_paths: int
-) -> tuple[list[Path], np.ndarray]:
-    """Every path (as from enumerate_paths) with its normalized probability.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every path (as from enumerate_paths), as the rows of one edge-id
+    matrix (``edge_id_matrix``), with its normalized probability.
 
     Raises DegenerateLatticeError when there is no complete path, the
     total weight is zero or a path weight overflows.
@@ -603,7 +604,8 @@ def enumerated_distribution(
     paths = enumerate_paths(fst, max_paths)
     if not paths:
         raise DegenerateLatticeError("no complete path")
-    return paths, normalized(np.array([p.log_weight for p in paths]))
+    probs = normalized(np.array([p.log_weight for p in paths]))
+    return edge_id_matrix(paths), probs
 
 
 def normalized(log_weights: np.ndarray) -> np.ndarray:
@@ -629,8 +631,8 @@ def path_distribution(fst: Wfst) -> dict[tuple[int, ...], float]:
     equals y.  Raises DegenerateLatticeError when the total weight is zero
     and PathOverflowError past MAX_ENUMERATED_PATHS paths.
     """
-    paths, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    rows = label_rows(fst.olabel, edge_id_matrix(paths))
+    edge_ids, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
+    rows = label_rows(fst.olabel, edge_ids)
     dist: dict[tuple[int, ...], float] = {}
     for words, p in zip(rows, probs.tolist()):
         dist[words] = dist.get(words, 0.0) + p

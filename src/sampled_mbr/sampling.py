@@ -10,8 +10,9 @@ indices 0..2^64-1, so sample i depends only on (seed, i), never on how
 samples are batched, and runs are reproducible under any scheduling.
 numpy's own ``Philox`` draws a block of a whole run of consecutive
 streams in one C call, whatever lattice walks them: ``stream_uniforms``
-draws the rows and ``walk_paths`` walks lattices over them, and
-``sample_paths`` composes the two, CHUNK_ROWS samples at a time.
+draws the rows of one such run, named by (seed, first stream, count),
+``walk_paths`` walks lattices over them, and ``sample_paths`` composes
+the two, CHUNK_ROWS samples at a time.
 """
 
 from __future__ import annotations
@@ -115,12 +116,14 @@ class SampleStream:
     order.  The stream index is the low counter word, so block b of
     consecutive streams is a run of consecutive counters:
     ``generator(i, b)``'s ``random`` yields block b of stream i, then block
-    b of stream i + 1, and so on.  ``stream_uniforms`` draws every row
-    from one such generator per call, repositioned by assigning its state.
+    b of stream i + 1, and so on.  ``stream_uniforms`` draws a run of
+    consecutive streams from one such generator per call, repositioned
+    once per block by assigning its state.  The seed is an int in
+    0..2^64-1: TypeError for a float, ValueError out of range.
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        seed = operator.index(seed)
         if not 0 <= seed < _TWO64:
             raise ValueError("seed must fit in 64 bits")
         self.seed = seed
@@ -146,58 +149,44 @@ def _counter(index: int, block: int) -> int:
 CHUNK_ROWS = 4096
 
 
-def _philox_uniforms(
-    stream: SampleStream, indices: np.ndarray, num_blocks: int
+def stream_uniforms(
+    seed: int, first: int, count: int, num_draws: int
 ) -> np.ndarray:
-    """The first 4*num_blocks uniforms of each uint64 stream index.
+    """The first ``num_draws`` uniforms in [0, 1) of ``count`` consecutive
+    sample streams.
 
-    One ``random`` call draws block b of a whole run of consecutive
-    indices.  One ``generator`` per call is moved to each (run, block) by
+    Row r holds the draws of stream index ``first + r`` under ``seed``,
+    laid out as ``SampleStream`` says: block b is numpy's ``Philox`` block
+    at counter (first + r, b, 0, 0) under key ``seed``.  Every argument
+    is an int (TypeError otherwise); the seed and every stream index of
+    the run must lie in 0..2^64-1, and ``count`` and ``num_draws`` must
+    be nonnegative (ValueError otherwise).  One ``random`` call draws
+    block b of every row, from one ``generator`` moved to each block by
     assigning its state: the counter ``generator(first, b)`` starts at,
-    with the block buffer spent, as in a new generator.  Index 0 always
-    starts a run, so counter word 0 never carries into the block word.
+    with the block buffer spent, as in a new generator.
     """
-    num_rows = len(indices)
-    draws = np.empty((num_blocks, num_rows, 4))
-    starts_run = np.ones(num_rows, dtype=bool)
-    starts_run[1:] = (np.diff(indices) != 1) | (indices[1:] == 0)
-    starts = np.flatnonzero(starts_run)
-    ends = np.append(starts[1:], num_rows).tolist()
-    generator = stream.generator(0)
+    generator = SampleStream(seed).generator(0)
+    first, count, num_draws = map(operator.index, (first, count, num_draws))
+    if count < 0 or num_draws < 0:
+        raise ValueError("count and num_draws must be nonnegative")
+    # A run that ends by 2^64 - 1 never carries counter word 0 into the
+    # block word.
+    if first < 0 or first + count > _TWO64:
+        raise ValueError("sample indices must lie in 0..2^64-1")
+    num_blocks = max(1, math.ceil(num_draws / 4))
+    draws = np.empty((num_blocks, count, 4))
     bits = generator.bit_generator
     state = bits.state
-    for lo, hi, first in zip(starts.tolist(), ends, indices[starts].tolist()):
-        for b in range(num_blocks):
-            counter = _counter(first, b + 1)
-            state["state"]["counter"] = np.array(
-                [counter % _TWO64, counter >> 64, 0, 0], dtype=np.uint64
-            )
-            state["buffer_pos"] = 4
-            bits.state = state
-            generator.random(out=draws[b, lo:hi])
-    return draws.transpose(1, 0, 2).reshape(num_rows, 4 * num_blocks)
-
-
-def stream_uniforms(seed: int, indices, num_draws: int) -> np.ndarray:
-    """The first ``num_draws`` uniforms in [0, 1) of each sample stream.
-
-    Row r holds the draws of stream index ``indices[r]`` under ``seed``,
-    laid out as ``SampleStream`` says: block b is numpy's ``Philox`` block
-    at counter (indices[r], b, 0, 0) under key ``seed``.  ``indices`` is a
-    uint64 array or a sequence of ints; the seed and every index must lie
-    in 0..2^64-1, and ``num_draws`` must be nonnegative (ValueError
-    otherwise).  One ``_philox_uniforms`` call draws every row.
-    """
-    stream = SampleStream(seed)
-    if num_draws < 0:
-        raise ValueError("num_draws must be nonnegative")
-    if not (isinstance(indices, np.ndarray) and indices.dtype == np.uint64):
-        values = [operator.index(i) for i in indices]
-        if values and not (min(values) >= 0 and max(values) < _TWO64):
-            raise ValueError("sample indices must lie in 0..2^64-1")
-        indices = np.array(values, dtype=np.uint64)
-    blocks = max(1, math.ceil(num_draws / 4))
-    return _philox_uniforms(stream, indices, blocks)[:, :num_draws]
+    for b in range(num_blocks):
+        counter = _counter(first, b + 1)
+        state["state"]["counter"] = np.array(
+            [counter % _TWO64, counter >> 64, 0, 0], dtype=np.uint64
+        )
+        state["buffer_pos"] = 4
+        bits.state = state
+        generator.random(out=draws[b])
+    uniforms = draws.transpose(1, 0, 2).reshape(count, 4 * num_blocks)
+    return uniforms[:, :num_draws]
 
 
 def walk_paths(lattices: Sequence[Wfst], uniforms: np.ndarray) -> np.ndarray:
@@ -283,8 +272,7 @@ def sampled_chunks(
 
     With no samples this yields one empty matrix.
     """
-    if not 0 <= seed < _TWO64:
-        raise ValueError("seed must fit in 64 bits")
+    SampleStream(seed)  # checks the seed before any walk
     if num_samples < 0:
         raise ValueError("num_samples must be nonnegative")
     stop = start_index + num_samples
@@ -295,8 +283,7 @@ def sampled_chunks(
     num_draws = max(1, walker.width)
     for first in range(start_index, stop, CHUNK_ROWS) or (start_index,):
         count = min(CHUNK_ROWS, stop - first)
-        indices = np.arange(count, dtype=np.uint64) + np.uint64(first)
-        yield walker.walk(stream_uniforms(seed, indices, num_draws))
+        yield walker.walk(stream_uniforms(seed, first, count, num_draws))
 
 
 def longest_path_edges(fst: Wfst) -> float:

@@ -399,9 +399,9 @@ def _training_uniforms(config: TrainConfig, num_draws: int):
     run = max(1, CHUNK_ROWS // (2 * samples))
     for first in range(0, config.steps, run):
         count = min(run, config.steps - first)
-        indices = np.arange(2 * samples * count, dtype=np.uint64)
-        indices += np.uint64(2 * samples * first)
-        rows = stream_uniforms(config.seed, indices, num_draws)
+        rows = stream_uniforms(
+            config.seed, 2 * samples * first, 2 * samples * count, num_draws
+        )
         yield from rows.reshape(count, 2 * samples, num_draws)[:, :batch]
         # Free this run's rows before the next draw.
         del rows
@@ -468,8 +468,7 @@ def run_experiment(
         # Dev utterance d of record r walks stream indices from
         # (r * len(dev) + d) * samples_per_step on.
         first = len(records) * len(dev) * samples
-        indices = np.arange(len(dev) * samples, dtype=np.uint64)
-        rows = stream_uniforms(dev_seed, indices + np.uint64(first), num_draws)
+        rows = stream_uniforms(dev_seed, first, len(dev) * samples, num_draws)
         rows = rows.reshape(len(dev), samples, num_draws)
         scores = [forward(model, u.features) for u in dev]
         exact = [o.expected_loss(z) for o, z in zip(objectives, scores)]

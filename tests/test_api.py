@@ -87,3 +87,14 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_test_extra_pins_the_versions_ci_installs():
+    # Derandomized property tests draw the same examples only under one
+    # hypothesis version, so a local install must match CI's.
+    pin = r'"((?:pytest|hypothesis)==[^"]+)"'
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    installed = re.findall(pin, workflow)
+    assert installed and set(installed) == set(re.findall(pin, extra))

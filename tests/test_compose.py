@@ -378,7 +378,7 @@ def test_topology_lattices_share_structure_and_record_score_ids():
 def test_topology_lattices_are_walked_and_scored_without_edge_objects():
     topology = LatticeTopology(word_chain_decoder(3, 4, 2), 3, 4)
     lattice = topology.at(np.random.default_rng(5).normal(size=(3, 4)))
-    edge_ids = walk_paths([lattice], stream_uniforms(0, range(50), 3))
+    edge_ids = walk_paths([lattice], stream_uniforms(0, 0, 50, 3))
     assert WordEditLoss([1, 2]).batch(lattice, edge_ids).shape == (50,)
     assert FrameErrorLoss([1, 2, 3]).batch(lattice, edge_ids).shape == (50,)
     assert path_occupancy(lattice, edge_ids, 3, 4).shape == (50, 3, 4)
@@ -391,7 +391,7 @@ def test_topology_lattices_share_one_list_view():
     topology = LatticeTopology(word_chain_decoder(3, 4, 2), 3, 4)
     rng = np.random.default_rng(8)
     lattices = [topology.at(rng.normal(size=(3, 4))) for _ in range(2)]
-    walk_paths(lattices, stream_uniforms(0, range(20), 3))
+    walk_paths(lattices, stream_uniforms(0, 0, 20, 3))
     for lattice in lattices:
         backward(lattice)
         expected_additive_loss(lattice, np.zeros(lattice.num_edges))
@@ -415,7 +415,7 @@ def test_topology_lattices_share_one_longest_path_count(monkeypatch):
 
     # With every backward pass cached, a fold now can only be a count.
     monkeypatch.setattr(sampling, "reverse_fold", refold)
-    walk_paths(lattices, stream_uniforms(0, range(20), 3))
+    walk_paths(lattices, stream_uniforms(0, 0, 20, 3))
     for lattice in (topology.lattice, *lattices):
         assert longest_path_edges(lattice) == 3
 

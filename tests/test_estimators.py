@@ -16,6 +16,7 @@ from sampled_mbr import (
     WordEditLoss,
     build_score_fst,
     edge_loss_annotation,
+    enumerate_paths,
     estimate_report,
     expected_additive_loss,
     expected_loss_exact,
@@ -144,7 +145,9 @@ def test_estimators_score_paths_through_batch_alone(base):
     loss = BatchOnlyLoss(base)
     # One batch call per oracle, and the value is still the left-to-right
     # sum of probability times path loss.
-    paths, probs = enumerated_distribution(lattice, 100)
+    paths = enumerate_paths(lattice, 100)
+    edge_ids, probs = enumerated_distribution(lattice, 100)
+    assert edge_ids.tolist() == [list(path.edges) for path in paths]
     value = float(sum(p * base(lattice, path) for path, p in zip(paths, probs)))
     assert expected_loss_exact(lattice, loss) == value
     assert loss.calls == 1

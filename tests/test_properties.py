@@ -103,9 +103,10 @@ def test_additive_matches_enumeration_on_random_dags(seed, data):
         )
     )
     log_z, value = expected_additive_loss(fst, costs)
-    paths, probs = enumerated_distribution(fst, 10_000)
+    edge_ids, probs = enumerated_distribution(fst, 10_000)
     brute = sum(
-        p * sum(costs[k] for k in path.edges) for path, p in zip(paths, probs)
+        p * sum(costs[k] for k in row if k >= 0)
+        for row, p in zip(edge_ids.tolist(), probs)
     )
     assert math.isclose(value, brute, rel_tol=1e-10, abs_tol=1e-12)
     assert log_z == log_total_weight(fst)
@@ -140,22 +141,57 @@ def test_sample_paths_match_reference_walk_on_random_dags(
         max_size=6,
     ),
     num_draws=st.integers(0, 13),
-    shuffle=st.randoms(use_true_random=False),
 )
-def test_stream_uniforms_match_numpy_philox_per_stream(
-    seed, runs, num_draws, shuffle
+def test_stream_uniforms_match_numpy_philox_per_stream(seed, runs, num_draws):
+    # Runs of consecutive indices, clipped at 2^64 - 1.
+    for first, n in runs:
+        count = min(n, 2**64 - first)
+        rows = stream_uniforms(seed, first, count, num_draws)
+        assert rows.shape == (count, num_draws)
+        for r, row in enumerate(rows.tolist()):
+            assert row == stream_draws(seed, first + r, num_draws)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**64 - 41),
+    count=st.integers(0, 40),
+    at_top=st.booleans(),
+    cuts=st.lists(st.integers(0, 40), max_size=4),
+    num_draws=st.integers(0, 13),
+)
+@example(seed=1, first=0, count=9, at_top=False, cuts=[4], num_draws=5)
+@example(seed=1, first=0, count=9, at_top=True, cuts=[8], num_draws=6)
+@example(seed=1, first=0, count=0, at_top=False, cuts=[], num_draws=3)
+@example(seed=1, first=0, count=0, at_top=True, cuts=[], num_draws=3)
+@example(seed=1, first=7, count=5, at_top=False, cuts=[2], num_draws=0)
+def test_stream_uniforms_run_equals_its_sub_runs(
+    seed, first, count, at_top, cuts, num_draws
 ):
-    # Runs of consecutive indices, clipped at 2^64 - 1, some shuffled into
-    # reversed or gapped order.
-    indices = [
-        i for first, n in runs for i in range(first, min(first + n, 2**64))
+    # A run is named by (seed, first, count) alone: any split into sub-runs
+    # draws the same rows, and row r is stream first + r.  at_top ends the
+    # run at 2^64 - 1.
+    if at_top:
+        first = 2**64 - count
+    rows = stream_uniforms(seed, first, count, num_draws)
+    assert rows.shape == (count, num_draws)
+    bounds = [0, *sorted(c % (count + 1) for c in cuts), count]
+    parts = [
+        stream_uniforms(seed, first + lo, hi - lo, num_draws)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    if shuffle.random() < 0.5:
-        shuffle.shuffle(indices)
-    rows = stream_uniforms(seed, indices, num_draws)
-    assert rows.shape == (len(indices), num_draws)
-    for row, index in zip(rows.tolist(), indices):
-        assert row == stream_draws(seed, index, num_draws)
+    assert np.concatenate(parts).tobytes() == rows.tobytes()
+    for r, row in enumerate(rows.tolist()):
+        assert row == stream_draws(seed, first + r, num_draws)
+    with pytest.raises(ValueError):
+        stream_uniforms(seed, first, 2**64 + 1 - first, num_draws)
+    with pytest.raises(ValueError):
+        stream_uniforms(seed, first, -1 - count, num_draws)
+    with pytest.raises(TypeError):
+        stream_uniforms(seed, float(first), count, num_draws)
+    with pytest.raises(TypeError):
+        stream_uniforms(seed, first, count, float(num_draws))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -194,12 +230,16 @@ def test_distinct_rows_match_dict_of_row_bytes(
 def test_walked_stream_rows_match_sample_paths_on_random_dags(
     seed, stream_seed, inner, shuffle
 ):
-    # Shuffled, gapped stream indices that include both ends of the range;
-    # rows are exactly as long as the longest path.
+    # Shuffled, gapped stream indices that include both ends of the range,
+    # each drawn as a run of one; rows are exactly as long as the longest
+    # path.
     fst = random_acyclic_wfst(np.random.default_rng(seed))
     indices = [0, 2**64 - 1] + inner
     shuffle.shuffle(indices)
-    rows = stream_uniforms(stream_seed, indices, longest_path_edges(fst))
+    width = longest_path_edges(fst)
+    rows = np.concatenate(
+        [stream_uniforms(stream_seed, i, 1, width) for i in indices]
+    )
     for index, row in zip(indices, walk_paths([fst], rows), strict=True):
         path = sample_paths(fst, stream_seed, 1, index)[0]
         assert tuple(row[row >= 0]) == path.edges
@@ -230,7 +270,7 @@ def test_walks_take_positive_edges_to_the_final_state_on_random_dags(
     except DegenerateLatticeError:
         return
     weight, src, dst = weights.tolist(), fst.src.tolist(), fst.dst.tolist()
-    rows = stream_uniforms(stream_seed, range(64), longest_path_edges(fst))
+    rows = stream_uniforms(stream_seed, 0, 64, longest_path_edges(fst))
     for row in walk_paths([fst], rows).tolist():
         edges = [k for k in row if k >= 0]
         assert row[len(edges):] == [-1] * (len(row) - len(edges))
@@ -296,7 +336,7 @@ def test_walking_reweighted_copies_together_equals_walking_each_alone(
         lattices.append(fst.with_weights(weights))
     width = longest_path_edges(fst) + spare_draws
     rows = stream_uniforms(
-        stream_seed, range(copies * rows_per_copy), width
+        stream_seed, 0, copies * rows_per_copy, width
     ).reshape(copies, rows_per_copy, width)
     alone = [
         _raised_or(DegenerateLatticeError, lambda: walk_paths([lat], block))

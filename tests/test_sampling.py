@@ -19,12 +19,13 @@ from sampled_mbr import (
     expected_loss_exact,
     path_output_labels,
     sample_paths,
+    sampled_estimate,
     stochasticity_deviation,
     stream_uniforms,
     walk_paths,
 )
 from sampled_mbr import sampling
-from sampled_mbr.sampling import CHUNK_ROWS, _philox_uniforms
+from sampled_mbr.sampling import CHUNK_ROWS
 
 from helpers import (
     log_total_weight,
@@ -257,6 +258,24 @@ def test_stream_validation():
             SampleStream(4).generator(0, block)
 
 
+def test_seeds_must_be_ints_not_floats():
+    # Truncating 2.9 to seed 2 would silently draw another seed's streams.
+    fst = two_path_fixture()
+    for seed in (2.9, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            SampleStream(seed)
+        with pytest.raises(TypeError):
+            sample_paths(fst, seed, 3)
+        with pytest.raises(TypeError):
+            stream_uniforms(seed, 0, 3, 2)
+        with pytest.raises(TypeError):
+            sampled_estimate(fst, WordEditLoss((1,)), 1, 2, 3, seed=seed)
+    # numpy integers are ints.
+    for seed in (np.uint64(2), np.int32(2)):
+        assert SampleStream(seed).seed == 2
+        assert sample_paths(fst, seed, 3) == sample_paths(fst, 2, 3)
+
+
 def test_sample_paths_rejects_indices_beyond_64_bits():
     fst = two_path_fixture()
     top = (1 << 64) - 1
@@ -265,6 +284,8 @@ def test_sample_paths_rejects_indices_beyond_64_bits():
     with pytest.raises(ValueError):
         sample_paths(fst, 4, 1, start_index=-1)
     last = sample_paths(fst, 4, 1, start_index=top)[0]
+    # An empty run may start at 2^64.
+    assert sample_paths(fst, 4, 0, start_index=top + 1) == []
     pushed = reweight_stochastic(fst)
     assert last.edges == sample_path(pushed, stream_draws(4, top, 4)).edges
 
@@ -287,27 +308,21 @@ def test_numpy_philox_gives_the_published_philox4x64_10_blocks():
 
 
 def test_philox_kernel_matches_numpy_philox():
-    # Reversed, gapped and repeated indices around both ends of the range;
-    # 2^64 - 1 followed by 0 must not run on into block 2 of stream 0.
+    # Runs at both ends of the range: a run that ends at 2^64 - 1 must not
+    # carry into the block word.
     top = (1 << 64) - 1
-    cases = [
-        [0, 1, 2, 3],
-        [3, 2, 1, 0],
-        [top - 1, top, 0, 1],
-        [top, 0, 0, 5, 7, 6, 8, 9, top],
-        [10, 12, 11, 13, 14, 15, 2],
-    ]
+    cases = [(0, 4), (top - 1, 2), (top, 1), (5, 5), (10, 6), (7, 0)]
     for seed in (0, 7, top):
-        for indices in cases:
-            rows = stream_uniforms(seed, indices, 13)
-            assert rows.shape == (len(indices), 13)
-            for row, index in zip(rows.tolist(), indices, strict=True):
-                assert row == stream_draws(seed, index, 13)
+        for first, count in cases:
+            rows = stream_uniforms(seed, first, count, 13)
+            assert rows.shape == (count, 13)
+            for r, row in enumerate(rows.tolist()):
+                assert row == stream_draws(seed, first + r, 13)
 
 
 def test_philox_kernel_builds_one_generator_per_call(monkeypatch):
-    # Ten gapped indices, each its own run, over 26 blocks: one generator
-    # repositioned 260 times draws what 260 fresh ones would.
+    # Ten streams up to 2^64 - 1 over 26 blocks: one generator
+    # repositioned 26 times draws what 26 fresh ones would.
     built = []
     generator = SampleStream.generator
 
@@ -315,14 +330,13 @@ def test_philox_kernel_builds_one_generator_per_call(monkeypatch):
         built.append((index, block))
         return generator(self, index, block)
 
-    top = (1 << 64) - 1
-    indices = [top, 0, 3, 9, 27, 81, 243, 729, 2187, top - 1]
+    first = (1 << 64) - 10
     monkeypatch.setattr(SampleStream, "generator", counting_generator)
-    rows = stream_uniforms(5, indices, 101)
+    rows = stream_uniforms(5, first, 10, 101)
     assert len(built) == 1
     monkeypatch.undo()
-    for row, index in zip(rows.tolist(), indices, strict=True):
-        assert row == stream_draws(5, index, 101)
+    for r, row in enumerate(rows.tolist()):
+        assert row == stream_draws(5, first + r, 101)
 
 
 def test_generator_draws_one_block_of_consecutive_streams():
@@ -338,41 +352,40 @@ def test_generator_draws_one_block_of_consecutive_streams():
 
 
 @pytest.mark.parametrize(
-    "seed, indices", [(-1, [0]), (1 << 64, [0]), (0, [-1]), (0, [0, 1 << 64])]
+    "seed, indices",
+    [(-1, range(1)), (1 << 64, range(1)), (0, range(-1, 0)),
+     (0, range((1 << 64) + 1))],
 )
 def test_stream_uniforms_rejects_out_of_range_seed_or_index(seed, indices):
     with pytest.raises(ValueError):
-        stream_uniforms(seed, indices, 4)
+        stream_uniforms(seed, indices.start, indices.stop - indices.start, 4)
 
 
 @pytest.mark.parametrize("num_draws", [-1, -5])
 def test_stream_uniforms_rejects_negative_num_draws(num_draws):
     with pytest.raises(ValueError, match="num_draws"):
-        stream_uniforms(0, [0, 1], num_draws)
-    assert stream_uniforms(0, [0, 1], 0).shape == (2, 0)
+        stream_uniforms(0, 0, 2, num_draws)
+    assert stream_uniforms(0, 0, 2, 0).shape == (2, 0)
 
 
 def test_stream_uniforms_runs_the_kernel_once_per_call(monkeypatch):
-    calls = []
+    # Runs of consecutive streams from 0 and up to 2^64 - 1, both longer
+    # than a walk chunk, each from one generator.
+    built = []
+    generator = SampleStream.generator
 
-    def counting_kernel(stream, indices, num_blocks):
-        calls.append(len(indices))
-        return _philox_uniforms(stream, indices, num_blocks)
+    def counting_generator(self, index, block=1):
+        built.append((index, block))
+        return generator(self, index, block)
 
-    monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
-    ascending = np.arange(CHUNK_ROWS + 1, dtype=np.uint64)
-    # Reversed indices, and one run of consecutive streams up to
-    # 2^64 - 1, both longer than a walk chunk.
-    for indices in (
-        ascending[::-1],
-        ascending + np.uint64((1 << 64) - CHUNK_ROWS - 1),
-    ):
-        calls.clear()
-        rows = stream_uniforms(9, indices, 5)
-        assert calls == [CHUNK_ROWS + 1]
+    monkeypatch.setattr(SampleStream, "generator", counting_generator)
+    for first in (0, (1 << 64) - CHUNK_ROWS - 1):
+        built.clear()
+        rows = stream_uniforms(9, first, CHUNK_ROWS + 1, 5)
+        assert len(built) == 1
         assert rows.shape == (CHUNK_ROWS + 1, 5)
         for r in (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS):
-            assert rows[r].tolist() == stream_draws(9, int(indices[r]), 5)
+            assert rows[r].tolist() == stream_draws(9, first + r, 5)
 
 
 def test_stream_is_schedule_independent():
@@ -458,7 +471,7 @@ def test_walk_paths_rejects_rows_one_draw_short():
         chain.edges + (Edge(0, 10, 3, 3, 0.0),),
         final=chain.final,
     )
-    rows = stream_uniforms(8, range(5), 10)
+    rows = stream_uniforms(8, 0, 5, 10)
     walked = [tuple(row[row >= 0]) for row in walk_paths([fst], rows)]
     assert walked == [p.edges for p in sample_paths(fst, 8, 5)]
     with pytest.raises(ValueError, match="longest path has 10 edges"):
@@ -469,7 +482,7 @@ def test_walk_paths_needs_lattices_of_one_topology():
     def lattice(*arcs, final=2):
         return Wfst(3, [Edge(p, q, 1, 1, w) for p, q, w in arcs], final=final)
 
-    rows = stream_uniforms(0, range(4), 2)
+    rows = stream_uniforms(0, 0, 4, 2)
     base = lattice((0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0))
     # Equal structures need not be the same objects; weights may differ.
     walk_paths([base, lattice((0, 1, 1.0), (1, 2, 0.0), (0, 2, -1.0))], rows)
@@ -509,7 +522,7 @@ def test_walk_memory_grows_with_edges_not_states_times_degree():
     edges += [Edge(0, final, 2, 2, 0.0)] * 2
     edges += [Edge(q, final, 3, 3, 0.0) for q in range(1, final)]
     fst = Wfst(num_states, edges, final=final)
-    rows = stream_uniforms(3, range(4096), 2)
+    rows = stream_uniforms(3, 0, 4096, 2)
     tracemalloc.start()
     try:
         walked = walk_paths([fst], rows)
@@ -593,4 +606,4 @@ def test_walk_reports_overflowing_path_weights():
     ):
         expected_loss_exact(fst, WordEditLoss((1,)))
     with pytest.raises(DegenerateLatticeError, match="overflows"):
-        walk_paths([fst, fst], stream_uniforms(0, range(4), 2))
+        walk_paths([fst, fst], stream_uniforms(0, 0, 4, 2))

@@ -16,6 +16,7 @@ from sampled_mbr import (
     LEARNING_RATE_RATIO,
     LatticeTopology,
     LinearModel,
+    SampleStream,
     TaskConfig,
     TrainConfig,
     Utterance,
@@ -60,7 +61,7 @@ def _tiny_dataset(num_utterances=10, seed=3):
 
 def _step_rows(seed, num_rows, num_draws):
     """Uniform rows of stream indices 0..num_rows-1 for one train_step."""
-    return stream_uniforms(seed, range(num_rows), num_draws)
+    return stream_uniforms(seed, 0, num_rows, num_draws)
 
 
 def _tiny_config(**overrides):
@@ -393,9 +394,7 @@ def test_word_edit_dev_record_scores_each_utterance_by_its_own_reference():
     for d, utterance in enumerate(dev):
         lattice = topology.at(forward(model, utterance.features))
         start = first + d * samples
-        rows = stream_uniforms(
-            config.seed + 1, range(start, start + samples), num_draws
-        )
+        rows = stream_uniforms(config.seed + 1, start, samples, num_draws)
         losses = WordEditLoss(utterance.reference).batch(
             lattice, walk_paths([lattice], rows)
         )
@@ -527,25 +526,34 @@ def test_training_rows_follow_each_steps_stream_indices(
     assert len(rows) == 3
     for step, got in enumerate(rows):
         first = 2 * step * samples
-        expected = stream_uniforms(5, range(first, first + batch), 3)
+        expected = stream_uniforms(5, first, batch, 3)
         assert got.tobytes() == expected.tobytes()
 
 
 def test_default_run_draws_uniforms_in_few_kernel_calls(monkeypatch):
     # One call per 20 training steps, whose 2 x 100 streams per step are
     # drawn as one run, and one per dev record: 21 in all, against one per
-    # sample_paths call (420) when each walk drew its own.
+    # sample_paths call (420) when each walk drew its own.  Each call
+    # builds one generator.
     calls = []
-    kernel = sampling._philox_uniforms
+    draw = sampling.stream_uniforms
 
-    def counting_kernel(stream, indices, num_blocks):
-        calls.append(len(indices))
-        return kernel(stream, indices, num_blocks)
+    def counting_draw(seed, first, count, num_draws):
+        calls.append(count)
+        return draw(seed, first, count, num_draws)
 
-    monkeypatch.setattr(sampling, "_philox_uniforms", counting_kernel)
+    built = []
+    generator = SampleStream.generator
+
+    def counting_generator(self, index, block=1):
+        built.append(index)
+        return generator(self, index, block)
+
+    monkeypatch.setattr(training, "stream_uniforms", counting_draw)
+    monkeypatch.setattr(SampleStream, "generator", counting_generator)
     train_config, task_config = parse_config("")
     run_experiment(build_task(train_config, task_config), train_config)
-    assert len(calls) <= 25
+    assert len(built) == len(calls) <= 25
     assert max(calls) <= CHUNK_ROWS
 
 
