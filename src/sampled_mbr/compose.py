@@ -26,9 +26,9 @@ from .fst import (
     edge_lists,
     empty_wfst,
     frame_depths,
+    longest_path_edges,
     out_edge_groups,
 )
-from .sampling import longest_path_edges
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -73,7 +73,8 @@ class LatticeTopology:
     scores to the weights as compose adds them, bit for bit.  The lattice
     builds its topological order, list view, out-degree groups and
     longest-path count here, before any copy, so every lattice ``at``
-    gives shares them.
+    gives shares them.  The list view is built on its own: the order and
+    count that compose's frame depths give do not build it.
     """
 
     def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
@@ -86,6 +87,7 @@ class LatticeTopology:
         inputs = lattice.ilabel[:-1]
         index = frame_depths(lattice)[lattice.src] * num_symbols + inputs - 1
         self.score_index = np.where(inputs != EPSILON, index, -1)
+        edge_lists(lattice)
         out_edge_groups(lattice)
         longest_path_edges(lattice)
 
@@ -125,7 +127,10 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     once a level provably repeats the one before it shifted by a frame
     (``_repeated_levels``), the levels up to the last frame are written
     as array shifts of it, numbered as the search would number them.
-    The result then carries its ``frame_depths``: each state's frame.
+    The result then carries its ``frame_depths``: each state's frame,
+    from which ``topological_order`` sorts it.  Where b's epsilon-input
+    edges enter only its final state, the result also carries its
+    ``longest_path_edges``: T, or T + 1 when it has such an edge.
     """
     if (a.olabel[:-1] == EPSILON).any():
         raise UnsupportedCompositionError(
@@ -241,6 +246,13 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
         depths = (_int_array(keys) // nb)[alive]
         depths.flags.writeable = False
         lattice._depths = depths
+        # An edge where b moves alone stays in its frame and every other
+        # edge advances one, so where b moves alone only into the final
+        # state, which no edge leaves, the lattice is acyclic and every
+        # path takes one edge per frame, then at most one such move.
+        moves_alone = ka < 0
+        if (dst[moves_alone] == final).all():
+            lattice._longest = int(a.final) + bool(moves_alone.any())
     return lattice
 
 

@@ -118,8 +118,9 @@ class Wfst:
             array.flags.writeable = False
         # Filled by the first successful edges, topological_order,
         # edge_lists, out_edge_groups, longest_path_edges, backward and
-        # frame_depths calls (or by compose); racing threads store equal
-        # values.
+        # frame_depths calls, or by compose, which seeds the frame depths
+        # and, where they prove the lattice acyclic, the longest-path
+        # count; racing threads store equal values.
         self._edges = self._order = self._lists = self._groups = None
         self._longest = self._beta = self._depths = None
 
@@ -478,11 +479,21 @@ def topological_order(fst: Wfst) -> tuple[int, ...]:
     """States in a topological order of the edge relation.
 
     Raises CyclicFstError when no such order exists.  Isolated states are
-    included; the order among incomparable states follows state id.  The
-    order is computed once per transducer and cached on it.
+    included.  Where ``frame_depths`` are cached (``compose`` seeds them),
+    the states sorted by frame, then by state id, are the order if every
+    edge runs forward in it, as one array compare checks; otherwise, and
+    where no depths are cached, Kahn's algorithm gives its FIFO order.
+    The order is computed once per transducer and cached on it.
     """
     if fst._order is not None:
         return fst._order
+    if fst._depths is not None:
+        order = np.argsort(fst._depths, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(fst.num_states)
+        if (position[fst.src] < position[fst.dst]).all():
+            fst._order = tuple(order.tolist())
+            return fst._order
     out, dst = edge_lists(fst)
     indeg = np.bincount(fst.dst, minlength=fst.num_states).tolist()
     # Kahn's algorithm; the order list is its own FIFO queue.
@@ -529,7 +540,8 @@ def frame_depths(fst: Wfst) -> np.ndarray:
     two routes reach at different depths, and CyclicFstError on cycles.
     Cached on the transducer and shared with later ``with_weights``
     copies; read-only.  ``compose`` seeds the cache of a sausage's
-    composition, and the order is still checked on every call."""
+    composition; the topological order is built before the cache is read,
+    so a cyclic composition still raises."""
     topological_order(fst)
     if fst._depths is not None:
         return fst._depths
@@ -555,6 +567,23 @@ def frame_depths(fst: Wfst) -> np.ndarray:
     depths.flags.writeable = False
     fst._depths = depths
     return depths
+
+
+def longest_path_edges(fst: Wfst) -> float:
+    """Edge count of the longest initial-to-final path (-inf when none).
+
+    Cached on the transducer and shared with later ``with_weights`` copies;
+    ``compose`` seeds the cache where a sausage's composition is acyclic by
+    its frames.
+    """
+    if fst._longest is None:
+        dst = edge_lists(fst)[1]
+        depth = reverse_fold(
+            fst, 0, NEG_INF,
+            lambda depth, q, ids: 1 + max(depth[dst[k]] for k in ids),
+        )
+        fst._longest = depth[fst.initial]
+    return fst._longest
 
 
 def count_paths(fst: Wfst) -> int:

@@ -30,6 +30,7 @@ from .fst import (
     Wfst,
     distinct_rows,
     edge_lists,
+    longest_path_edges,
     out_edge_groups,
     reverse_fold,
 )
@@ -284,21 +285,6 @@ def sampled_chunks(
     for first in range(start_index, stop, CHUNK_ROWS) or (start_index,):
         count = min(CHUNK_ROWS, stop - first)
         yield walker.walk(stream_uniforms(seed, first, count, num_draws))
-
-
-def longest_path_edges(fst: Wfst) -> float:
-    """Edge count of the longest initial-to-final path (-inf when none).
-
-    Cached on the transducer and shared with later ``with_weights`` copies.
-    """
-    if fst._longest is None:
-        dst = edge_lists(fst)[1]
-        depth = reverse_fold(
-            fst, 0, NEG_INF,
-            lambda depth, q, ids: 1 + max(depth[dst[k]] for k in ids),
-        )
-        fst._longest = depth[fst.initial]
-    return fst._longest
 
 
 class _Walker:

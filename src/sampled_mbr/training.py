@@ -45,15 +45,11 @@ from .fst import (
     distinct_rows,
     edge_id_matrix,
     enumerate_paths,
+    longest_path_edges,
     normalized,
 )
 from .losses import LOSS_KINDS, score_blocks
-from .sampling import (
-    CHUNK_ROWS,
-    longest_path_edges,
-    stream_uniforms,
-    walk_paths,
-)
+from .sampling import CHUNK_ROWS, stream_uniforms, walk_paths
 
 # Word-edit training tolerates (and needs) a larger step size than
 # frame-error training; the frame-error default is a fifth of this.

@@ -662,7 +662,8 @@ def reference_topological_order(fst: Wfst) -> tuple[int, ...]:
     """Kahn topological order with a deque queue, uncached (test oracle).
 
     Raises CyclicFstError when no such order exists.  Isolated states are
-    included; the order among incomparable states follows state id.
+    included.  The order is Kahn's FIFO order, as ``topological_order``
+    gives where no frame depths are cached.
     """
     indeg = [0] * fst.num_states
     for e in fst.edges:

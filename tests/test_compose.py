@@ -30,16 +30,17 @@ from sampled_mbr import (
     path_occupancy,
     path_output_labels,
     stream_uniforms,
+    topological_order,
     walk_paths,
 )
-from sampled_mbr import sampling
+from sampled_mbr import fst as fst_module
 from sampled_mbr.fst import (
     edge_id_matrix,
     edge_lists,
     frame_depths,
+    longest_path_edges,
     out_edge_groups,
 )
-from sampled_mbr.sampling import longest_path_edges
 
 from helpers import (
     bigram_decoder,
@@ -298,9 +299,10 @@ def test_compose_searches_other_left_operands_without_extrapolation(
     assert repeats == []
 
 
-def test_compose_seeds_the_frame_depths_of_sausage_compositions():
+def _sausage_compositions():
+    """Nonempty compositions of random sausages with random bigram
+    decoders and random cyclic decoders, in turn."""
     rng = np.random.default_rng(13)
-    cyclic = 0
     for case in range(80):
         num_frames = int(rng.integers(1, 30))
         num_symbols = int(rng.integers(1, 5))
@@ -310,8 +312,13 @@ def test_compose_seeds_the_frame_depths_of_sausage_compositions():
         else:
             decoder = random_cyclic_decoder(rng, num_symbols)
         lattice = compose(sausage, decoder)
-        if lattice == empty_wfst():
-            continue
+        if lattice != empty_wfst():
+            yield lattice
+
+
+def test_compose_seeds_the_frame_depths_of_sausage_compositions():
+    cyclic = 0
+    for lattice in _sausage_compositions():
         seeded = lattice._depths
         assert seeded is not None and not seeded.flags.writeable
         # A parsed copy has no cache, so frame_depths folds.
@@ -329,6 +336,63 @@ def test_compose_seeds_the_frame_depths_of_sausage_compositions():
         copy = lattice.with_weights(np.zeros(lattice.num_edges))
         assert frame_depths(copy) is seeded
     assert cyclic
+
+
+def test_sausage_compositions_take_their_order_and_longest_path_by_frame():
+    by_frame = kahn = longest = cyclic = 0
+    for lattice in _sausage_compositions():
+        # A parsed copy has no cache, so it takes Kahn's order and folds.
+        parsed = parse_fst_text(format_fst_text(lattice))
+        try:
+            kahn_order = topological_order(parsed)
+        except CyclicFstError:
+            assert lattice._longest is None
+            for run in (topological_order, longest_path_edges):
+                with pytest.raises(CyclicFstError):
+                    run(lattice)
+            cyclic += 1
+            continue
+        # States sorted by frame, then state id, where every edge runs
+        # forward in that order.
+        depths = lattice._depths.tolist()
+        sorted_ids = sorted(range(lattice.num_states), key=depths.__getitem__)
+        position = {q: i for i, q in enumerate(sorted_ids)}
+        forward = all(
+            position[e.src] < position[e.dst] for e in lattice.edges
+        )
+        order = topological_order(lattice)
+        if forward:
+            assert order == tuple(sorted_ids)
+            assert lattice._lists is None
+            by_frame += 1
+        else:
+            assert order == kahn_order
+            kahn += 1
+        seeded = lattice._longest
+        if seeded is not None:
+            assert type(seeded) is int
+            assert seeded == longest_path_edges(parsed)
+            longest += 1
+    assert by_frame and kahn and longest and cyclic
+
+
+def test_compose_orders_an_epsilon_move_to_a_lower_state_id_by_kahn():
+    # Decoder state 2 moves to state 1 on epsilon input, so lattice state
+    # 2, (frame 1, decoder 2), enters state 1, (frame 1, decoder 1), which
+    # the search found first: sorting by frame would put 1 before 2.
+    decoder = Wfst(4, [
+        Edge(0, 1, 1, 1, 0.0), Edge(0, 2, 2, 2, 0.0), Edge(2, 1, 0, 3, 0.0),
+        Edge(1, 3, 1, 1, 0.0),
+    ], final=3)
+    lattice = compose(build_score_fst(np.zeros((2, 2))), decoder)
+    assert [(e.src, e.dst, e.ilabel) for e in lattice.edges] == [
+        (0, 1, 1), (0, 2, 2), (1, 3, 1), (2, 1, 0),
+    ]
+    assert lattice._depths.tolist() == [0, 1, 1, 2]
+    assert lattice._longest is None
+    assert topological_order(lattice) == (0, 2, 1, 3)
+    assert lattice._lists is not None
+    assert longest_path_edges(lattice) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +468,28 @@ def test_topology_lattices_share_one_list_view():
 
 
 def test_topology_lattices_share_one_longest_path_count(monkeypatch):
-    topology = LatticeTopology(word_chain_decoder(3, 4, 2), 3, 4)
+    # compose seeds the chain's count; one epsilon-input edge between the
+    # first two frames leaves the other's to the topology's fold.
+    chain = word_chain_decoder(3, 4, 2)
+    inserted = Wfst(5, [
+        Edge(e.src + (e.src > 0), e.dst + (e.dst > 1), e.ilabel, e.olabel,
+             0.0)
+        for e in chain.edges
+    ] + [Edge(1, 2, 0, 3, 0.0)], final=4)
+    topologies = [(LatticeTopology(chain, 3, 4), 3),
+                  (LatticeTopology(inserted, 3, 4), 4)]
+    assert topologies[0][0].lattice._longest == 3
     rng = np.random.default_rng(8)
-    lattices = [topology.at(rng.normal(size=(3, 4))) for _ in range(2)]
-    for lattice in lattices:
-        backward(lattice)
 
     def refold(*args):
         raise AssertionError("longest path counted again")
 
-    # With every backward pass cached, a fold now can only be a count.
-    monkeypatch.setattr(sampling, "reverse_fold", refold)
-    walk_paths(lattices, stream_uniforms(0, 0, 20, 3))
-    for lattice in (topology.lattice, *lattices):
-        assert longest_path_edges(lattice) == 3
+    monkeypatch.setattr(fst_module, "reverse_fold", refold)
+    for topology, longest in topologies:
+        lattices = [topology.at(rng.normal(size=(3, 4))) for _ in range(2)]
+        walk_paths(lattices, stream_uniforms(0, 0, 20, longest))
+        for lattice in (topology.lattice, *lattices):
+            assert longest_path_edges(lattice) == longest
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,11 @@ from sampled_mbr.fst import (
     distinct_rows,
     edge_id_matrix,
     enumerated_distribution,
+    longest_path_edges,
     out_edge_groups,
 )
 from sampled_mbr.losses import _EditDistances, score_blocks
-from sampled_mbr.sampling import _Walker, longest_path_edges, sample_edge_ids
+from sampled_mbr.sampling import _Walker, sample_edge_ids
 
 from helpers import (
     ShiftedLoss,

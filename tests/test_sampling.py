@@ -25,6 +25,7 @@ from sampled_mbr import (
     walk_paths,
 )
 from sampled_mbr import sampling
+from sampled_mbr.fst import longest_path_edges
 from sampled_mbr.sampling import CHUNK_ROWS
 
 from helpers import (
@@ -320,9 +321,21 @@ def test_philox_kernel_matches_numpy_philox():
                 assert row == stream_draws(seed, first + r, 13)
 
 
-def test_philox_kernel_builds_one_generator_per_call(monkeypatch):
-    # Ten streams up to 2^64 - 1 over 26 blocks: one generator
-    # repositioned 26 times draws what 26 fresh ones would.
+@pytest.mark.parametrize(
+    "seed, first, count, num_draws",
+    [
+        # Ten streams up to 2^64 - 1 over 26 blocks: one generator
+        # repositioned 26 times draws what 26 fresh ones would.
+        (5, (1 << 64) - 10, 10, 101),
+        # Runs from 0 and up to 2^64 - 1, longer than a walk chunk.
+        (9, 0, CHUNK_ROWS + 1, 5),
+        (9, (1 << 64) - CHUNK_ROWS - 1, CHUNK_ROWS + 1, 5),
+    ],
+    ids=["10x101-to-top", "4097x5-from-0", "4097x5-to-top"],
+)
+def test_stream_uniforms_builds_one_generator_per_call(
+    monkeypatch, seed, first, count, num_draws
+):
     built = []
     generator = SampleStream.generator
 
@@ -330,13 +343,15 @@ def test_philox_kernel_builds_one_generator_per_call(monkeypatch):
         built.append((index, block))
         return generator(self, index, block)
 
-    first = (1 << 64) - 10
     monkeypatch.setattr(SampleStream, "generator", counting_generator)
-    rows = stream_uniforms(5, first, 10, 101)
+    rows = stream_uniforms(seed, first, count, num_draws)
     assert len(built) == 1
     monkeypatch.undo()
-    for r, row in enumerate(rows.tolist()):
-        assert row == stream_draws(5, first + r, 101)
+    assert rows.shape == (count, num_draws)
+    # Every row of the short run; of the long ones, the first ten rows and
+    # the two on either side of the first chunk's end.
+    for r in (*range(min(count, 10)), *range(CHUNK_ROWS - 1, count)):
+        assert rows[r].tolist() == stream_draws(seed, first + r, num_draws)
 
 
 def test_generator_draws_one_block_of_consecutive_streams():
@@ -368,26 +383,6 @@ def test_stream_uniforms_rejects_negative_num_draws(num_draws):
     assert stream_uniforms(0, 0, 2, 0).shape == (2, 0)
 
 
-def test_stream_uniforms_runs_the_kernel_once_per_call(monkeypatch):
-    # Runs of consecutive streams from 0 and up to 2^64 - 1, both longer
-    # than a walk chunk, each from one generator.
-    built = []
-    generator = SampleStream.generator
-
-    def counting_generator(self, index, block=1):
-        built.append((index, block))
-        return generator(self, index, block)
-
-    monkeypatch.setattr(SampleStream, "generator", counting_generator)
-    for first in (0, (1 << 64) - CHUNK_ROWS - 1):
-        built.clear()
-        rows = stream_uniforms(9, first, CHUNK_ROWS + 1, 5)
-        assert len(built) == 1
-        assert rows.shape == (CHUNK_ROWS + 1, 5)
-        for r in (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS):
-            assert rows[r].tolist() == stream_draws(9, first + r, 5)
-
-
 def test_stream_is_schedule_independent():
     fst = uniform_lattice(3, 2)
     whole = sample_paths(fst, 99, 8)
@@ -415,7 +410,7 @@ def test_sample_paths_matches_sample_path_on_materialized_fst():
     batch = sample_paths(fst, 41, 20)
     pushed = reweight_stochastic(fst)
     log_z = log_total_weight(fst)
-    width = sampling.longest_path_edges(fst)
+    width = longest_path_edges(fst)
     for i, expected in enumerate(batch):
         single = sample_path(pushed, stream_draws(41, i, width))
         assert single.edges == expected.edges

@@ -44,8 +44,12 @@ from sampled_mbr import (
 )
 from sampled_mbr import sampling, training
 from sampled_mbr.errors import DegenerateLatticeError, DimensionMismatchError
-from sampled_mbr.fst import normalized, path_output_labels
-from sampled_mbr.sampling import CHUNK_ROWS, longest_path_edges
+from sampled_mbr.fst import (
+    longest_path_edges,
+    normalized,
+    path_output_labels,
+)
+from sampled_mbr.sampling import CHUNK_ROWS
 from sampled_mbr.training import _DevLattice, make_loss
 
 from helpers import (
