@@ -325,17 +325,16 @@ def _repeated_levels(
     return num_frames - 1 - high if before == after else 0
 
 
-def path_occupancy(
+def occupied_cells(
     fst: Wfst, edge_ids: np.ndarray, num_frames: int, num_symbols: int
 ) -> np.ndarray:
-    """(N, T, Q) stack of which symbol each path used at each frame.
+    """(N, T) matrix of the flat (T, Q) cell each path occupies per frame.
 
     The paths are the rows of an edge-id matrix, padded with -1 (see
-    ``edge_id_matrix``).  Path n's frame t is one-hot at its t-th
-    non-epsilon input label.  For a lattice built from a (T, Q) score
-    matrix this is the gradient of the path's log-weight with respect to
-    the scores.  The labels are one gather, and the ones are set by one
-    fancy-indexed assignment.
+    ``edge_id_matrix``).  Path n's entry t is ``t * Q + q - 1``, where q
+    is its t-th non-epsilon input label.  Raises DimensionMismatchError,
+    for the first path that does not fit, unless every path consumes
+    exactly T labels in 1..Q.
     """
     inputs = fst.ilabel[edge_ids]
     consumed = inputs != EPSILON
@@ -346,13 +345,28 @@ def path_occupancy(
     if symbols.size and symbols.max() > num_symbols:
         _raise_occupancy_error(inputs, num_frames, num_symbols)
     del inputs, consumed
-    # Row-major (path, frame) order, so entry i is cell i of the stack's
-    # (N * T, Q) view; the flat one-hot index reuses the symbol buffer.
-    # With Q = 0 there is no symbol, and the step 1 makes an empty range.
-    flat = symbols.astype(np.intp, copy=False)
-    flat += np.arange(-1, flat.size * num_symbols - 1, num_symbols or 1)
+    # The labels come out in row-major (path, frame) order; the flat cell
+    # reuses their buffer.
+    shape = (len(edge_ids), num_frames)
+    cells = symbols.astype(np.intp, copy=False).reshape(shape)
+    cells += np.arange(num_frames) * num_symbols - 1
+    return cells
+
+
+def path_occupancy(
+    fst: Wfst, edge_ids: np.ndarray, num_frames: int, num_symbols: int
+) -> np.ndarray:
+    """(N, T, Q) stack of which symbol each path used at each frame.
+
+    Path n's frame t is one-hot at its ``occupied_cells`` entry, and the
+    same paths raise the same errors.  For a lattice built from a (T, Q)
+    score matrix this is the gradient of the path's log-weight with
+    respect to the scores.
+    """
+    cells = occupied_cells(fst, edge_ids, num_frames, num_symbols)
     gamma = np.zeros((len(edge_ids), num_frames, num_symbols))
-    gamma.ravel()[flat] = 1.0
+    flat = gamma.reshape(len(edge_ids), num_frames * num_symbols)
+    np.put_along_axis(flat, cells, 1.0, axis=1)
     return gamma
 
 

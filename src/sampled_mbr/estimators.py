@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compose import path_occupancy
+from .compose import occupied_cells
 from .fst import (
     MAX_ENUMERATED_PATHS,
     NEG_INF,
@@ -64,15 +64,32 @@ def expected_loss_gradient_exact(
     E[L * dlogw/dz] - E[L] * E[dlogw/dz], a covariance between the scalar
     loss and the occupancy matrix; both expectations are taken exactly
     over the enumerated paths, at most MAX_ENUMERATED_PATHS of them, which
-    one ``loss.batch`` call scores.
+    one ``loss.batch`` call scores.  Each expectation adds its terms in
+    path order from 0.0, per cell for the occupancies.
     """
     edge_ids, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    losses = loss.batch(fst, edge_ids)
-    gammas = path_occupancy(fst, edge_ids, num_frames, num_symbols)
-    mean_loss = float(probs @ losses)
-    mean_gamma = np.tensordot(probs, gammas, axes=1)
-    loss_gamma = np.tensordot(probs * losses, gammas, axes=1)
+    weighted = probs * loss.batch(fst, edge_ids)
+    cells = occupied_cells(fst, edge_ids, num_frames, num_symbols)
+    mean_loss = np.cumsum(weighted)[-1]
+    mean_gamma = _cell_sums(cells, probs, num_frames, num_symbols)
+    loss_gamma = _cell_sums(cells, weighted, num_frames, num_symbols)
     return loss_gamma - mean_loss * mean_gamma
+
+
+def _cell_sums(
+    cells: np.ndarray, weights: np.ndarray, num_frames: int, num_symbols: int
+) -> np.ndarray:
+    """(T, Q) matrix of the summed weights of the rows occupying each cell.
+
+    ``cells`` is an ``occupied_cells`` matrix with one weight per row.
+    Each cell adds its rows' weights in row order from 0.0: one weighted
+    ``bincount`` over the cells in row-major order, which calls no BLAS
+    and builds no (N, T, Q) stack, so the bits depend neither on the
+    BLAS kernel nor on its thread count.
+    """
+    size = num_frames * num_symbols
+    sums = np.bincount(cells.ravel(), np.repeat(weights, num_frames), size)
+    return sums.reshape(num_frames, num_symbols)
 
 
 def expected_additive_loss(
@@ -154,7 +171,8 @@ def estimate_from_paths(
 
     The expected loss is the mean loss over the samples.  With variance
     reduction every path is a sample, and the gradient is I/(I-1) times
-    the sample covariance between losses and occupancy matrices; the
+    the sample covariance between losses and occupancy matrices: per
+    cell, the sum of its paths' centered losses over I - 1.  The
     baseline is computed from min-shifted losses, which leaves the value
     unchanged in exact arithmetic and makes the result bit-for-bit
     invariant to any additive loss offset that keeps the shifted losses
@@ -165,24 +183,28 @@ def estimate_from_paths(
     samples and the gradient is mean_i L_i (G_i - Gbar), where Gbar is the
     mean occupancy of the second half, an independent batch; independence
     keeps the estimate unbiased, at the cost of sensitivity to loss
-    offsets.  ``seed`` is recorded on the estimate.
+    offsets.  It is formed as (sum_i L_i G_i - (sum_i L_i) Gbar) / I,
+    every sum adding its terms in path order from 0.0, per cell for the
+    occupancies.  ``seed`` is recorded on the estimate.
     """
     count = len(edge_ids) if variance_reduction else len(edge_ids) // 2
     if count < 1:
         raise ValueError("num_samples must be positive")
     losses = loss.batch(fst, edge_ids[:count])
-    gammas = path_occupancy(fst, edge_ids, num_frames, num_symbols)
-    gammas, baseline_gammas = gammas[:count], gammas[count:]
+    cells = occupied_cells(fst, edge_ids, num_frames, num_symbols)
+    shape = (num_frames, num_symbols)
     if variance_reduction:
         if count == 1:
-            gradient = np.zeros((num_frames, num_symbols))
+            gradient = np.zeros(shape)
         else:
             shifted = losses - losses.min()
             centered = shifted - shifted.mean()
-            gradient = np.tensordot(centered, gammas, axes=1) / (count - 1)
+            gradient = _cell_sums(cells, centered, *shape) / (count - 1)
     else:
-        baseline = baseline_gammas.mean(axis=0)
-        gradient = np.tensordot(losses, gammas - baseline, axes=1) / count
+        rest = cells[count:]
+        baseline = _cell_sums(rest, np.ones(len(rest)), *shape) / len(rest)
+        loss_gamma = _cell_sums(cells[:count], losses, *shape)
+        gradient = (loss_gamma - np.cumsum(losses)[-1] * baseline) / count
     mean = float(losses.mean())
     variance = float(losses.var(ddof=1)) if count > 1 else 0.0
     return MbrEstimate(

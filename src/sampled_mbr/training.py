@@ -62,7 +62,7 @@ DEV_PATH_BOUND = 100_000
 
 @dataclass
 class LinearModel:
-    """Per-frame linear scorer: scores_t = weights.T @ x_t + bias."""
+    """Per-frame linear scorer: z[t, q] = sum_d x[t, d] w[d, q] + b[q]."""
 
     weights: np.ndarray  # (feature_dim, num_symbols)
     bias: np.ndarray  # (num_symbols,)
@@ -122,12 +122,22 @@ class CurveRecord:
     wall_ms: float
 
 
-def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Per-frame scores: one matrix product plus bias broadcast.
+def _running_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis`` that adds the terms in order: the last entry of
+    their running sum (numpy's sum adds eight or more terms pairwise)."""
+    if not terms.shape[axis]:
+        return terms.sum(axis=axis)
+    return terms.cumsum(axis=axis).take(-1, axis=axis)
 
+
+def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
+    """Per-frame scores: the features times the weights, plus the bias.
+
+    Each score adds its feature terms left to right, where a BLAS
+    product's order would depend on the kernel and the thread count.
     Raises NonFiniteGradientError when a score overflows or is NaN, as
-    when training has diverged; numpy's overflow warning is silenced, since
-    the error reports it.
+    when training has diverged; numpy's overflow warning is silenced,
+    since the error reports it.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[0]:
@@ -136,7 +146,7 @@ def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
             f"(*, {model.weights.shape[0]})"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x @ model.weights + model.bias
+        z = _running_sum(x[:, :, None] * model.weights, axis=1) + model.bias
     if not np.isfinite(z).all():
         raise NonFiniteGradientError(
             "scores contain non-finite entries; training diverged"
@@ -167,11 +177,11 @@ def train_step(
     The lattice is ``topology`` at the current scores; the topology must
     be that of the utterance's decoder graph (ValueError otherwise).  The
     expected-loss gradient w.r.t. the scores chain-rules to the model:
-    the weight gradient is features.T @ G and the bias gradient is the
-    column sum of G.  A sampled step walks one path per row of
-    ``uniforms`` (see ``walk_paths``): the samples, followed without
-    variance reduction by as many baseline paths.  Exact steps ignore the
-    rows.  The estimate records ``config.seed``.
+    the weight gradient is sum_t x[t, d] G[t, q], added frame by frame,
+    and the bias gradient is the column sum of G.  A sampled step walks
+    one path per row of ``uniforms`` (see ``walk_paths``): the samples,
+    followed without variance reduction by as many baseline paths.  Exact
+    steps ignore the rows.  The estimate records ``config.seed``.
     """
     if topology.decoder_graph != utterance.decoder_graph:
         raise ValueError("topology is not of the utterance's decoder graph")
@@ -206,7 +216,9 @@ def train_step(
         raise NonFiniteGradientError(
             "score gradient contains non-finite entries; step aborted"
         )
-    grad_weights = utterance.features.T @ estimate.gradient
+    grad_weights = _running_sum(
+        utterance.features[:, :, None] * estimate.gradient[:, None, :], axis=0
+    )
     grad_bias = estimate.gradient.sum(axis=0)
     rate = config.effective_learning_rate()
     updated = LinearModel(
@@ -335,7 +347,8 @@ class EnumeratedObjective:
     path.  Re-evaluating at new scores gathers them frame-major, adds the
     T frame rows left to right from 0.0 (as numpy's row sum adds fewer
     than eight terms; it adds eight or more pairwise), then the offsets,
-    and takes a vectorized softmax.
+    takes a vectorized softmax and adds probability times loss left to
+    right.
     """
 
     def __init__(self, utterance: Utterance, loss_kind: str, dev: _DevLattice):
@@ -359,7 +372,7 @@ class EnumeratedObjective:
         for frame in z.ravel()[self.flat]:
             log_w += frame
         log_w += self.offsets
-        return float(normalized(log_w) @ self.losses)
+        return float(np.cumsum(normalized(log_w) * self.losses)[-1])
 
 
 def _dev_size(num_utterances: int) -> int:

@@ -158,6 +158,27 @@ def occupancy_matrix(
     return gamma
 
 
+def reference_cell_sums(
+    fst: Wfst, paths, weights, num_frames: int, num_symbols: int
+) -> np.ndarray:
+    """(T, Q) matrix whose cell (t, q) adds, in path order from 0.0, the
+    weight of each path that uses symbol q at frame t (test oracle)."""
+    sums = [[0.0] * num_symbols for _ in range(num_frames)]
+    for path, weight in zip(paths, weights):
+        gamma = occupancy_matrix(fst, path, num_frames, num_symbols)
+        for t, row in enumerate(gamma.tolist()):
+            sums[t][row.index(1.0)] += float(weight)
+    return np.array(sums).reshape(num_frames, num_symbols)
+
+
+def left_to_right_dot(a, b) -> float:
+    """Sum of a[i] * b[i] added in index order from 0.0 (test oracle)."""
+    total = 0.0
+    for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        total += x * y
+    return total
+
+
 def reweight_stochastic(fst: Wfst) -> Wfst:
     """Materialized copy whose out-weights sum to one at every live state.
 
@@ -797,4 +818,4 @@ class ReferenceEnumeratedObjective:
 
     def expected_loss(self, z: np.ndarray) -> float:
         log_w = self.offsets + z[self._frames, self.symbols].sum(axis=1)
-        return float(normalized(log_w) @ self.losses)
+        return left_to_right_dot(normalized(log_w), self.losses)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sampled_mbr import (
+    EPSILON,
     CyclicFstError,
     DegenerateLatticeError,
     Edge,
@@ -15,6 +17,7 @@ from sampled_mbr import (
     Wfst,
     WordEditLoss,
     build_score_fst,
+    compose,
     edge_loss_annotation,
     enumerate_paths,
     estimate_report,
@@ -26,12 +29,15 @@ from sampled_mbr import (
 )
 from sampled_mbr.estimators import estimate_from_paths
 from sampled_mbr.fst import enumerated_distribution
+from sampled_mbr.sampling import sample_edge_ids
 
 from helpers import (
     ShiftedLoss,
+    bigram_decoder,
+    left_to_right_dot,
     log_total_weight,
     loss_shift_check,
-    occupancy_matrix,
+    reference_cell_sums,
     two_path_lattice,
     uniform_lattice,
 )
@@ -264,6 +270,24 @@ def test_sampled_nonvr_gradient_unbiased_light():
     assert (np.abs(mean - exact) <= 4 * se + 1e-12).all()
 
 
+def _reference_sampled_gradient(fst, loss, paths, shape, variance_reduction):
+    """estimate_from_paths' gradient, each cell's terms added in path
+    order from 0.0 by Python floats."""
+    count = len(paths) if variance_reduction else len(paths) // 2
+    losses = np.array([loss(fst, p) for p in paths[:count]])
+    if variance_reduction:
+        if count == 1:
+            return np.zeros(shape)
+        shifted = losses - losses.min()
+        centered = shifted - shifted.mean()
+        return reference_cell_sums(fst, paths, centered, *shape) / (count - 1)
+    rest = paths[count:]
+    total = left_to_right_dot(losses, np.ones(count))
+    weighted = reference_cell_sums(fst, paths[:count], losses, *shape)
+    baseline = reference_cell_sums(fst, rest, np.ones(len(rest)), *shape)
+    return (weighted - total * (baseline / len(rest))) / count
+
+
 def test_plain_estimator_baseline_is_the_next_batch_of_indices():
     # Independent formula: paths [s, s+N) and baseline [s+N, s+2N), each
     # drawn by its own sample_paths call; the batch crosses a chunk edge.
@@ -277,15 +301,104 @@ def test_plain_estimator_baseline_is_the_next_batch_of_indices():
     paths = sample_paths(fst, 21, count, start)
     baseline_paths = sample_paths(fst, 21, count, start + count)
     losses = np.array([loss(fst, p) for p in paths])
-    gammas = np.stack([occupancy_matrix(fst, p, 5, 3) for p in paths])
-    baseline = np.mean(
-        [occupancy_matrix(fst, p, 5, 3) for p in baseline_paths], axis=0
+    gradient = _reference_sampled_gradient(
+        fst, loss, paths + baseline_paths, (5, 3), False
     )
-    gradient = np.tensordot(losses, gammas - baseline, axes=1) / count
     assert est.gradient.tobytes() == gradient.tobytes()
     assert est.per_sample_losses.tobytes() == losses.tobytes()
     assert est.expected_loss == float(losses.mean())
     assert est.loss_variance == float(losses.var(ddof=1))
+
+
+def _contraction_case(name):
+    """(lattice, loss, (T, Q)) of a named gradient-contraction case."""
+    rng = np.random.default_rng(40)
+    if name == "sausage":
+        fst = build_score_fst(rng.normal(size=(5, 3)))
+        return fst, FrameErrorLoss([1, 3, 2, 2, 1]), (5, 3)
+    if name == "bigram":
+        # Every path leaves its last context on an epsilon-input edge.
+        decoder = bigram_decoder(rng, 4, 3)
+        fst = compose(build_score_fst(rng.normal(size=(6, 4))), decoder)
+        assert (fst.ilabel[:-1] == EPSILON).any()
+        return fst, WordEditLoss((1, 2, 3)), (6, 4)
+    # The epsilon move from decoder state 2 to 1 makes paths of two and
+    # of three edges, so the shorter rows are padded with -1.
+    decoder = Wfst(4, [
+        Edge(0, 1, 1, 1, 0.0), Edge(0, 2, 2, 2, 0.0), Edge(2, 1, 0, 3, 0.0),
+        Edge(1, 3, 1, 1, 0.0),
+    ], final=3)
+    fst = compose(build_score_fst(rng.normal(size=(2, 2))), decoder)
+    assert (sample_edge_ids(fst, 4, 40) == -1).any()
+    return fst, WordEditLoss((1, 3)), (2, 2)
+
+
+CONTRACTION_CASES = ("sausage", "bigram", "padded")
+
+
+@pytest.mark.parametrize("count", [1, 2, 40])
+@pytest.mark.parametrize("variance_reduction", [True, False])
+@pytest.mark.parametrize("case", CONTRACTION_CASES)
+def test_sampled_gradient_adds_each_cell_in_path_order(
+    case, variance_reduction, count
+):
+    fst, loss, shape = _contraction_case(case)
+    est = sampled_estimate(
+        fst, loss, *shape, count, 4, 3, variance_reduction=variance_reduction
+    )
+    batch = count if variance_reduction else 2 * count
+    paths = sample_paths(fst, 4, batch, 3)
+    expected = _reference_sampled_gradient(
+        fst, loss, paths, shape, variance_reduction
+    )
+    assert est.gradient.shape == shape
+    assert est.gradient.tobytes() == expected.tobytes()
+    if count == 40:
+        assert est.gradient.any()
+
+
+def test_plain_estimator_baseline_takes_every_remaining_row():
+    # 41 rows: 20 samples and a baseline batch of 21.
+    fst, loss, shape = _contraction_case("sausage")
+    est = estimate_from_paths(
+        fst, loss, sample_edge_ids(fst, 4, 41), *shape, 4, False
+    )
+    paths = sample_paths(fst, 4, 41)
+    expected = _reference_sampled_gradient(fst, loss, paths, shape, False)
+    assert est.num_samples == 20
+    assert est.gradient.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", CONTRACTION_CASES)
+def test_exact_gradient_adds_each_cell_in_path_order(case):
+    fst, loss, shape = _contraction_case(case)
+    paths = enumerate_paths(fst, 10_000)
+    _, probs = enumerated_distribution(fst, 10_000)
+    losses = np.array([loss(fst, p) for p in paths])
+    mean_loss = left_to_right_dot(probs, losses)
+    expected = reference_cell_sums(
+        fst, paths, probs * losses, *shape
+    ) - mean_loss * reference_cell_sums(fst, paths, probs, *shape)
+    gradient = expected_loss_gradient_exact(fst, loss, *shape)
+    assert gradient.tobytes() == expected.tobytes()
+    assert gradient.any()
+
+
+@pytest.mark.parametrize("variance_reduction", [True, False])
+def test_estimate_from_paths_builds_no_occupancy_stack(variance_reduction):
+    # 1000 paths of 50 frames over 10 symbols: a (N, T, Q) occupancy stack
+    # of doubles alone would take 4 MB.
+    rng = np.random.default_rng(50)
+    fst = build_score_fst(rng.normal(size=(50, 10)))
+    loss = WordEditLoss(tuple(int(w) for w in rng.integers(1, 11, size=30)))
+    edge_ids = sample_edge_ids(fst, 3, 1000)
+    tracemalloc.start()
+    try:
+        estimate_from_paths(fst, loss, edge_ids, 50, 10, 3, variance_reduction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sampled_estimator_determinism_and_stream_reuse():

@@ -8,10 +8,17 @@ on a decoder where two edge paths carry the same words, and ``train``
 also runs with three dev utterances, once per loss.  A change that moves
 any output bit fails here; such a change must refresh the digest in the
 commit that makes it and say why in CHANGES.md.  The digests hold for
-IEEE-754 doubles with numpy's default kernels on x86-64.
+IEEE-754 doubles with numpy's default SIMD kernels on x86-64.  They do
+not depend on the BLAS kernel or its thread count, as no output path
+calls BLAS; a child process per OpenBLAS setting checks that.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +44,8 @@ DEV_CONFIG = (
 GOLDEN = {
     "estimate": {
         "est.json": (
-            "4739ce411c9d57f780846ed487eaa431"
-            "ec1feed6a7383908056d96e03bc347e5"
+            "917b4cbc84fe8c48edf9dcee31a5e26f"
+            "e3f459596f395f65768d68ef0c913d4c"
         ),
     },
     "gradcheck": {
@@ -65,28 +72,28 @@ GOLDEN = {
             "73d32a9ad02f29e52b4815cb7fad50f6"
         ),
         "model.txt": (
-            "e1a0f8b992a0f79909b2acc1093734b3"
-            "d50ba425c7e63afce1327a217a4006af"
+            "842ddb91c53e49212dd6efc3a9e9c747"
+            "9c40059a5b3e8a983e44887572b0d840"
         ),
     },
     "train-dev": {
         "curve-dev.csv": (
-            "de0d28e8d762d9998ec7e91b793bc28e"
-            "c69de6951b24527c81d15ba4c639faf1"
+            "4510d6bed4d9582cde857971d16fa0ef"
+            "7b4797899fcf4f9eca7bbc7b2e3b6def"
         ),
         "model-dev.txt": (
-            "f9aa1dbb2ccc1f3150d804c8c6e431c1"
-            "9a6120a1979aa3cd9501e64ee5a3ef03"
+            "f76e28e7c878d31029e1d2ec25c14f80"
+            "da67bd33002a24aa0e55ddf47fc30f25"
         ),
     },
     "train-frame": {
         "curve-frame.csv": (
-            "b47396177d02348bf9e568388b149e1b"
-            "82ce9bc5f67e538c36719bff77ee304b"
+            "edc326d5d55a067e1c02aaf97f6cbcd5"
+            "93205b3ad2d9ad98c1a325ec6f05cfce"
         ),
         "model-frame.txt": (
-            "5c3203e3247b87b1e530f94381914593"
-            "fe506b1d63f46b24ea1a239153e0492b"
+            "5d261d0d54bec7c96a6b59f0096aecbd"
+            "647271e4cf923222749c5e1ebb85704c"
         ),
     },
     "inspect": {
@@ -97,26 +104,26 @@ GOLDEN = {
     },
     "estimate-chain": {
         "chain.json": (
-            "4b7dffb8bfe19dc0cbe115d1238e1f94"
-            "902542f09b2df59724cb41011335f048"
+            "d5ea8008efdf3369cb4ca093423d8833"
+            "2c6691d3f33ba8a8e55ed2fd1df3d919"
         ),
     },
     "estimate-chain-plain": {
         "chain-plain.json": (
-            "dcf718fdc78c7a2edec5ec336f393e18"
-            "7a35c8fd2d43a30429b0602a0a4aa522"
+            "3b26f918a3c2c2cde111fe76eba03434"
+            "49937c62a072690052324910f8adfafe"
         ),
     },
     "estimate-bigram": {
         "bigram.json": (
-            "5ec43f0f004f4df41aa5b15ac37c80b3"
-            "dad77b28a9defb7226234208fdc2a3d6"
+            "32aa157cf6af6902fe896482ca04b75f"
+            "b299a932533d022b04d23ed7cefc9341"
         ),
     },
     "estimate-chain-frame": {
         "chain-frame.json": (
-            "fbd0aa926799f026201ff90a0e35bb75"
-            "63c737e67c041fb006bf981ead4b3cda"
+            "70c8ec6cceb95004a3ffa5214c3ccea0"
+            "65041e3c4220fd6e8cc1b1fff973854f"
         ),
     },
 }
@@ -217,16 +224,66 @@ def _argv(command, f, out):
     }[command]
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_digest(command, tmp_path, capsys):
+def _golden_digests(tmp_path, commands):
+    """Per command, the sha256 digests of its output files."""
     f = _inputs(tmp_path)
     out = {
         name: str(tmp_path / name) for files in GOLDEN.values() for name in files
     }
-    assert main(_argv(command, f, out)) == 0
+    digests = {}
+    for command in commands:
+        assert main(_argv(command, f, out)) == 0
+        digests[command] = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN[command]
+        }
+    return digests
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_digest(command, tmp_path, capsys):
+    digests = _golden_digests(tmp_path, [command])
     capsys.readouterr()
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN[command]
-    }
-    assert digests == GOLDEN[command]
+    assert digests[command] == GOLDEN[command]
+
+
+# OpenBLAS picks its kernels by CPU and splits work by its thread count.
+# Each setting selects another kernel or split than a default run on a
+# multi-core AVX-512 host: one thread, pre-AVX kernels, and the AVX2
+# kernels of CPUs without AVX-512.
+BLAS_SETTINGS = (
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+)
+
+# Runs every golden command in a child process and prints the digests.
+CHILD = """
+import contextlib, json, pathlib, sys
+from test_golden import GOLDEN, _golden_digests
+with contextlib.redirect_stdout(sys.stderr):
+    digests = _golden_digests(pathlib.Path(sys.argv[1]), sorted(GOLDEN))
+print(json.dumps(digests))
+"""
+
+
+def test_golden_digests_hold_under_other_blas_kernels_and_thread_counts(
+    tmp_path,
+):
+    # BLAS is imported with numpy, so each setting needs its own process;
+    # only the child's environment is set.  The children run side by side.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    children = []
+    for i, setting in enumerate(BLAS_SETTINGS):
+        (tmp_path / str(i)).mkdir()
+        env = {**os.environ, "PYTHONPATH": path, **setting}
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", CHILD, str(tmp_path / str(i))],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        ))
+    for setting, child in zip(BLAS_SETTINGS, children):
+        stdout, stderr = child.communicate(timeout=300)
+        assert child.returncode == 0, stderr
+        assert json.loads(stdout) == GOLDEN, setting

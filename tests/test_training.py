@@ -54,6 +54,7 @@ from sampled_mbr.training import _DevLattice, make_loss
 
 from helpers import (
     ReferenceEnumeratedObjective,
+    left_to_right_dot,
     parse_model_text,
     utterance_lattice,
 )
@@ -87,14 +88,17 @@ def test_forward_zero_model_gives_zero_scores():
 
 
 def test_forward_matches_manual_product():
+    # Nine features, so numpy's pairwise sum would differ from the order.
     rng = np.random.default_rng(11)
-    model = LinearModel(rng.normal(size=(4, 3)), rng.normal(size=3))
-    x = rng.normal(size=(6, 4))
+    model = LinearModel(rng.normal(size=(9, 3)), rng.normal(size=3))
+    x = rng.normal(size=(6, 9))
     z = forward(model, x)
     for t in range(6):
         for q in range(3):
-            manual = float(x[t] @ model.weights[:, q] + model.bias[q])
-            assert math.isclose(z[t, q], manual, rel_tol=1e-12)
+            manual = left_to_right_dot(x[t], model.weights[:, q])
+            assert z[t, q] == manual + model.bias[q]
+    empty = forward(LinearModel(np.zeros((0, 3)), model.bias), np.ones((2, 0)))
+    assert empty.tolist() == [model.bias.tolist()] * 2
 
 
 def test_forward_rejects_wrong_feature_dim():
@@ -176,6 +180,26 @@ def test_train_step_zero_rate_keeps_model():
     assert updated.weights.tobytes() == model.weights.tobytes()
     assert updated.bias.tobytes() == model.bias.tobytes()
     assert estimate.num_samples == 20
+
+
+def test_train_step_adds_the_weight_gradient_frame_by_frame():
+    # Nine frames, so numpy's pairwise sum would differ from the order.
+    utt = make_synthetic_task(2, 9, 2, 3, 1, 6, noise=0.2)[0]
+    rng = np.random.default_rng(12)
+    model = LinearModel(rng.normal(0, 0.1, size=(3, 2)), np.zeros(2))
+    config = _tiny_config(learning_rate=0.7)
+    topology = LatticeTopology(utt.decoder_graph, 9, 2)
+    updated, estimate = train_step(
+        model, utt, config, _step_rows(2, 20, 9), topology
+    )
+    g = estimate.gradient
+    assert g.any()
+    grad = np.array([
+        [left_to_right_dot(utt.features[:, d], g[:, q]) for q in range(2)]
+        for d in range(3)
+    ])
+    assert updated.weights.tobytes() == (model.weights - 0.7 * grad).tobytes()
+    assert updated.bias.tobytes() == (model.bias - 0.7 * g.sum(axis=0)).tobytes()
 
 
 def test_train_step_single_path_decoder_is_a_fixed_point():
@@ -376,7 +400,9 @@ def test_frame_major_scores_add_left_to_right_past_eight_frames():
                     if index >= 0:
                         total += float(z.ravel()[index])
                 log_w.append(total + path.log_weight)
-            expected = float(normalized(np.array(log_w)) @ objective.losses)
+            expected = left_to_right_dot(
+                normalized(np.array(log_w)), objective.losses
+            )
             assert objective.expected_loss(z) == expected
 
 
