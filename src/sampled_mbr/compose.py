@@ -20,15 +20,7 @@ from .errors import (
     FstParseError,
     UnsupportedCompositionError,
 )
-from .fst import (
-    EPSILON,
-    Wfst,
-    edge_lists,
-    empty_wfst,
-    frame_depths,
-    longest_path_edges,
-    out_edge_groups,
-)
+from .fst import EPSILON, Wfst, edge_lists, empty_wfst, frame_depths
 
 
 def build_score_fst(log_scores: np.ndarray) -> Wfst:
@@ -70,11 +62,9 @@ class LatticeTopology:
     graph's own weights.  Each edge that consumes a sausage edge keeps its
     id, frame t times Q plus symbol q - 1, the index of its score in
     ``z.ravel()``; epsilon-input edges keep -1.  ``at`` then adds the
-    scores to the weights as compose adds them, bit for bit.  The lattice
-    builds its topological order, list view, out-degree groups and
-    longest-path count here, before any copy, so every lattice ``at``
-    gives shares them.  The list view is built on its own: the order and
-    count that compose's frame depths give do not build it.
+    scores to the weights as compose adds them, bit for bit, in a
+    ``with_weights`` copy, so the order, list view and other structure
+    values are built once per topology, by whichever lattice first asks.
     """
 
     def __init__(self, decoder_graph: Wfst, num_frames: int, num_symbols: int):
@@ -87,9 +77,6 @@ class LatticeTopology:
         inputs = lattice.ilabel[:-1]
         index = frame_depths(lattice)[lattice.src] * num_symbols + inputs - 1
         self.score_index = np.where(inputs != EPSILON, index, -1)
-        edge_lists(lattice)
-        out_edge_groups(lattice)
-        longest_path_edges(lattice)
 
     def at(self, log_scores: np.ndarray) -> Wfst:
         """The lattice at score matrix ``log_scores``.
@@ -236,24 +223,25 @@ def compose(a: Wfst, b: Wfst) -> Wfst:
     # range is +inf, which the Wfst check rejects, without a warning.
     with np.errstate(over="ignore"):
         log_weight = np.append(a.log_weight, -0.0)[ka] + b.log_weight[kb]
-    lattice = Wfst._from_arrays(
-        len(queue), int(renumber[final]), renumber[src], renumber[dst],
-        a.ilabel[ka], b.olabel[kb], log_weight,
-    )
+    seeds = {}
     if num_symbols:
         # A pair's sausage state is its frame, so every route to the pair
         # consumes that many labels; every kept state is reachable.
         depths = (_int_array(keys) // nb)[alive]
         depths.flags.writeable = False
-        lattice._depths = depths
+        seeds["frame_depths"] = depths
         # An edge where b moves alone stays in its frame and every other
         # edge advances one, so where b moves alone only into the final
         # state, which no edge leaves, the lattice is acyclic and every
         # path takes one edge per frame, then at most one such move.
         moves_alone = ka < 0
         if (dst[moves_alone] == final).all():
-            lattice._longest = int(a.final) + bool(moves_alone.any())
-    return lattice
+            longest = int(a.final) + bool(moves_alone.any())
+            seeds["longest_path_edges"] = longest
+    return Wfst._from_arrays(
+        len(queue), int(renumber[final]), renumber[src], renumber[dst],
+        a.ilabel[ka], b.olabel[kb], log_weight, **seeds,
+    )
 
 
 def _int_array(column: list[int]) -> np.ndarray:

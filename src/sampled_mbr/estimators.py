@@ -43,16 +43,11 @@ def expected_loss_exact(fst: Wfst, loss) -> float:
     """Expected path loss by full enumeration of the lattice.
 
     One ``loss.batch`` call scores the paths; the value sums probability
-    times loss from 0.0 left to right.  Raises PathOverflowError past
-    MAX_ENUMERATED_PATHS paths.
+    times loss from 0.0 left to right, as a ``cumsum``.  Raises
+    PathOverflowError past MAX_ENUMERATED_PATHS paths.
     """
     edge_ids, probs = enumerated_distribution(fst, MAX_ENUMERATED_PATHS)
-    losses = loss.batch(fst, edge_ids)
-    # Not builtin sum, which compensates from Python 3.12 on.
-    total = 0.0
-    for p, value in zip(probs.tolist(), losses.tolist()):
-        total += p * value
-    return total
+    return float(np.cumsum(probs * loss.batch(fst, edge_ids))[-1])
 
 
 def expected_loss_gradient_exact(

@@ -79,8 +79,7 @@ class Wfst:
 
     __slots__ = (
         "num_states", "final", "src", "dst", "ilabel", "olabel", "log_weight",
-        "first_out", "out_ids", "_edges", "_order", "_lists", "_groups",
-        "_longest", "_beta", "_depths",
+        "first_out", "out_ids", "_edges", "_beta", "_structure",
     )
 
     initial = 0
@@ -92,10 +91,15 @@ class Wfst:
         self._edges = edges
 
     @classmethod
-    def _from_arrays(cls, num_states: int, final: int, *fields) -> Wfst:
-        """The transducer with these edge fields, in Edge's field order."""
+    def _from_arrays(cls, num_states, final, *fields, **seeds) -> Wfst:
+        """The transducer with these edge fields, in Edge's field order.
+
+        Each keyword seeds the value of the structure accessor it names,
+        as ``compose`` seeds ``frame_depths`` and ``longest_path_edges``.
+        """
         fst = object.__new__(cls)
         fst._store(num_states, final, *fields)
+        fst._structure.update(seeds)
         return fst
 
     def _store(self, num_states, final, src, dst, ilabel, olabel, log_weight):
@@ -116,20 +120,21 @@ class Wfst:
         self.out_ids = np.argsort(self.src, kind="stable")
         for array in (self.first_out, self.out_ids, *self._fields()):
             array.flags.writeable = False
-        # Filled by the first successful edges, topological_order,
-        # edge_lists, out_edge_groups, longest_path_edges, backward and
-        # frame_depths calls, or by compose, which seeds the frame depths
-        # and, where they prove the lattice acyclic, the longest-path
-        # count; racing threads store equal values.
-        self._edges = self._order = self._lists = self._groups = None
-        self._longest = self._beta = self._depths = None
+        # _edges and _beta depend on the weights and are filled by the
+        # first successful edges and backward calls.  _structure holds what
+        # the structure accessors (topological_order, edge_lists,
+        # out_edge_groups, frame_depths, longest_path_edges) build, keyed by
+        # name, for every with_weights copy.  Racing threads store equal
+        # values.
+        self._edges = self._beta = None
+        self._structure = {}
 
     def with_weights(self, log_weights: np.ndarray) -> Wfst:
         """This transducer's states and edges with new per-edge log-weights.
 
-        The copy shares every array but the weights, and the topological
-        order, list view, degree groups, longest-path count and frame
-        depths once built.
+        The copy shares every array but the weights, and the holder of
+        the structure accessors' values: whatever the source or any copy
+        builds, before or after the copy, every other one reads.
         Raises InvalidFstError for a vector of the wrong length and for a
         NaN or +inf weight, naming the first such edge as the constructor
         does: the shared edges passed its other checks at construction.
@@ -217,13 +222,14 @@ def _bad_weights(log_weights: np.ndarray) -> np.ndarray:
 
 def edge_lists(fst: Wfst) -> tuple[list[list[int]], list[int]]:
     """Per state its out-edge ids in edge-id order, and ``dst``: the one
-    list view, for loops in Python, of an edge structure.  Cached on the
-    transducer and shared with later ``with_weights`` copies; read-only."""
-    if fst._lists is None:
+    list view, for loops in Python, of an edge structure.  Built once per
+    edge structure and shared with ``with_weights`` copies; read-only."""
+    cache = fst._structure
+    if "edge_lists" not in cache:
         ids, first = fst.out_ids.tolist(), fst.first_out.tolist()
         out = [ids[start:stop] for start, stop in zip(first, first[1:])]
-        fst._lists = out, fst.dst.tolist()
-    return fst._lists
+        cache["edge_lists"] = out, fst.dst.tolist()
+    return cache["edge_lists"]
 
 
 def out_edge_groups(
@@ -234,10 +240,11 @@ def out_edge_groups(
     Per position in ``out_ids``, its edge's source and destination state;
     then the states that have out-edges, grouped by out-degree in
     increasing order, each group as its state ids and the (states, degree)
-    matrix of their out-edges' positions.  Cached on the transducer and
-    shared with later ``with_weights`` copies; read-only.
+    matrix of their out-edges' positions.  Built once per edge structure
+    and shared with ``with_weights`` copies; read-only.
     """
-    if fst._groups is None:
+    cache = fst._structure
+    if "out_edge_groups" not in cache:
         first = fst.first_out
         degrees = np.diff(first)
         by_degree = np.argsort(degrees, kind="stable")
@@ -252,8 +259,8 @@ def out_edge_groups(
         src_at, dst_at = fst.src[fst.out_ids], fst.dst[fst.out_ids]
         for array in (src_at, dst_at, *(a for g in groups for a in g)):
             array.flags.writeable = False
-        fst._groups = src_at, dst_at, tuple(groups)
-    return fst._groups
+        cache["out_edge_groups"] = src_at, dst_at, tuple(groups)
+    return cache["out_edge_groups"]
 
 
 def label_array(labels: Sequence[int]) -> np.ndarray:
@@ -483,17 +490,19 @@ def topological_order(fst: Wfst) -> tuple[int, ...]:
     the states sorted by frame, then by state id, are the order if every
     edge runs forward in it, as one array compare checks; otherwise, and
     where no depths are cached, Kahn's algorithm gives its FIFO order.
-    The order is computed once per transducer and cached on it.
+    The order is computed once per edge structure and shared with
+    ``with_weights`` copies.
     """
-    if fst._order is not None:
-        return fst._order
-    if fst._depths is not None:
-        order = np.argsort(fst._depths, kind="stable")
+    cache = fst._structure
+    if "topological_order" in cache:
+        return cache["topological_order"]
+    if "frame_depths" in cache:
+        order = np.argsort(cache["frame_depths"], kind="stable")
         position = np.empty_like(order)
         position[order] = np.arange(fst.num_states)
         if (position[fst.src] < position[fst.dst]).all():
-            fst._order = tuple(order.tolist())
-            return fst._order
+            cache["topological_order"] = tuple(order.tolist())
+            return cache["topological_order"]
     out, dst = edge_lists(fst)
     indeg = np.bincount(fst.dst, minlength=fst.num_states).tolist()
     # Kahn's algorithm; the order list is its own FIFO queue.
@@ -506,8 +515,8 @@ def topological_order(fst: Wfst) -> tuple[int, ...]:
                 order.append(j)
     if len(order) != fst.num_states:
         raise CyclicFstError("transducer contains a cycle")
-    fst._order = tuple(order)
-    return fst._order
+    cache["topological_order"] = tuple(order)
+    return cache["topological_order"]
 
 
 def is_acyclic(fst: Wfst) -> bool:
@@ -538,13 +547,14 @@ def frame_depths(fst: Wfst) -> np.ndarray:
     from the initial state consumes, by one forward topological sweep; -1
     where no route reaches.  Raises UnsupportedTopologyError naming a state
     two routes reach at different depths, and CyclicFstError on cycles.
-    Cached on the transducer and shared with later ``with_weights``
-    copies; read-only.  ``compose`` seeds the cache of a sausage's
-    composition; the topological order is built before the cache is read,
-    so a cyclic composition still raises."""
+    Built once per edge structure and shared with ``with_weights`` copies;
+    read-only.  ``compose`` seeds the depths of a sausage's composition;
+    the topological order is built before the cache is read, so a cyclic
+    composition still raises."""
     topological_order(fst)
-    if fst._depths is not None:
-        return fst._depths
+    cache = fst._structure
+    if "frame_depths" in cache:
+        return cache["frame_depths"]
     out, dst = edge_lists(fst)
     consumes = (fst.ilabel[:-1] != EPSILON).tolist()
     depth = [-1] * fst.num_states
@@ -565,25 +575,26 @@ def frame_depths(fst: Wfst) -> np.ndarray:
                 depth[j] = advanced
     depths = np.array(depth)
     depths.flags.writeable = False
-    fst._depths = depths
+    cache["frame_depths"] = depths
     return depths
 
 
 def longest_path_edges(fst: Wfst) -> float:
     """Edge count of the longest initial-to-final path (-inf when none).
 
-    Cached on the transducer and shared with later ``with_weights`` copies;
-    ``compose`` seeds the cache where a sausage's composition is acyclic by
-    its frames.
+    Built once per edge structure and shared with ``with_weights`` copies;
+    ``compose`` seeds it where a sausage's composition is acyclic by its
+    frames.
     """
-    if fst._longest is None:
+    cache = fst._structure
+    if "longest_path_edges" not in cache:
         dst = edge_lists(fst)[1]
         depth = reverse_fold(
             fst, 0, NEG_INF,
             lambda depth, q, ids: 1 + max(depth[dst[k]] for k in ids),
         )
-        fst._longest = depth[fst.initial]
-    return fst._longest
+        cache["longest_path_edges"] = depth[fst.initial]
+    return cache["longest_path_edges"]
 
 
 def count_paths(fst: Wfst) -> int:

@@ -15,6 +15,7 @@ from sampled_mbr import (
     FstParseError,
     LatticeTopology,
     UnsupportedCompositionError,
+    UnsupportedTopologyError,
     Wfst,
     WordEditLoss,
     backward,
@@ -48,6 +49,7 @@ from helpers import (
     identity_decoder,
     log_total_weight,
     make_path,
+    random_acyclic_wfst,
     random_cyclic_decoder,
     reference_compose,
     uniform_lattice,
@@ -319,7 +321,7 @@ def _sausage_compositions():
 def test_compose_seeds_the_frame_depths_of_sausage_compositions():
     cyclic = 0
     for lattice in _sausage_compositions():
-        seeded = lattice._depths
+        seeded = lattice._structure.get("frame_depths")
         assert seeded is not None and not seeded.flags.writeable
         # A parsed copy has no cache, so frame_depths folds.
         try:
@@ -346,7 +348,7 @@ def test_sausage_compositions_take_their_order_and_longest_path_by_frame():
         try:
             kahn_order = topological_order(parsed)
         except CyclicFstError:
-            assert lattice._longest is None
+            assert "longest_path_edges" not in lattice._structure
             for run in (topological_order, longest_path_edges):
                 with pytest.raises(CyclicFstError):
                     run(lattice)
@@ -354,7 +356,7 @@ def test_sausage_compositions_take_their_order_and_longest_path_by_frame():
             continue
         # States sorted by frame, then state id, where every edge runs
         # forward in that order.
-        depths = lattice._depths.tolist()
+        depths = lattice._structure["frame_depths"].tolist()
         sorted_ids = sorted(range(lattice.num_states), key=depths.__getitem__)
         position = {q: i for i, q in enumerate(sorted_ids)}
         forward = all(
@@ -363,12 +365,12 @@ def test_sausage_compositions_take_their_order_and_longest_path_by_frame():
         order = topological_order(lattice)
         if forward:
             assert order == tuple(sorted_ids)
-            assert lattice._lists is None
+            assert "edge_lists" not in lattice._structure
             by_frame += 1
         else:
             assert order == kahn_order
             kahn += 1
-        seeded = lattice._longest
+        seeded = lattice._structure.get("longest_path_edges")
         if seeded is not None:
             assert type(seeded) is int
             assert seeded == longest_path_edges(parsed)
@@ -388,11 +390,53 @@ def test_compose_orders_an_epsilon_move_to_a_lower_state_id_by_kahn():
     assert [(e.src, e.dst, e.ilabel) for e in lattice.edges] == [
         (0, 1, 1), (0, 2, 2), (1, 3, 1), (2, 1, 0),
     ]
-    assert lattice._depths.tolist() == [0, 1, 1, 2]
-    assert lattice._longest is None
+    assert lattice._structure["frame_depths"].tolist() == [0, 1, 1, 2]
+    assert "longest_path_edges" not in lattice._structure
     assert topological_order(lattice) == (0, 2, 1, 3)
-    assert lattice._lists is not None
+    assert "edge_lists" in lattice._structure
     assert longest_path_edges(lattice) == 3
+
+
+STRUCTURE_ACCESSORS = (
+    topological_order, edge_lists, out_edge_groups, frame_depths,
+    longest_path_edges,
+)
+
+
+def test_copies_share_each_structure_value_whichever_builds_it_first():
+    # Per accessor and first caller, a fresh transducer with the case's
+    # edges and compose's seeds, a copy and a copy of that copy, made
+    # before the first call, and two copies made after it.
+    rng = np.random.default_rng(29)
+    cases = [random_acyclic_wfst(rng) for _ in range(20)]
+    cases += _sausage_compositions()
+    shared = raised = 0
+    for case in cases:
+        seeds = dict(case._structure)
+        fields = (case.src, case.dst, case.ilabel[:-1], case.olabel[:-1])
+        for accessor in STRUCTURE_ACCESSORS:
+            for first in range(3):
+                source = Wfst._from_arrays(
+                    case.num_states, case.final, *fields, case.log_weight,
+                    **seeds,
+                )
+                copy = source.with_weights(np.zeros(case.num_edges))
+                lattices = [source, copy, copy.with_weights(source.log_weight)]
+                try:
+                    value = accessor(lattices[first])
+                except (CyclicFstError, UnsupportedTopologyError) as error:
+                    for lattice in lattices:
+                        with pytest.raises(type(error)):
+                            accessor(lattice)
+                    raised += 1
+                    continue
+                lattices += [
+                    lattices[first].with_weights(np.ones(case.num_edges)),
+                    source.with_weights(source.log_weight),
+                ]
+                assert all(accessor(lattice) is value for lattice in lattices)
+                shared += 1
+    assert shared and raised
 
 
 # ---------------------------------------------------------------------------
@@ -469,27 +513,35 @@ def test_topology_lattices_share_one_list_view():
 
 def test_topology_lattices_share_one_longest_path_count(monkeypatch):
     # compose seeds the chain's count; one epsilon-input edge between the
-    # first two frames leaves the other's to the topology's fold.
+    # first two frames leaves the other's to one fold, by whichever of
+    # the topology's lattices first asks for it.
     chain = word_chain_decoder(3, 4, 2)
     inserted = Wfst(5, [
         Edge(e.src + (e.src > 0), e.dst + (e.dst > 1), e.ilabel, e.olabel,
              0.0)
         for e in chain.edges
     ] + [Edge(1, 2, 0, 3, 0.0)], final=4)
-    topologies = [(LatticeTopology(chain, 3, 4), 3),
-                  (LatticeTopology(inserted, 3, 4), 4)]
-    assert topologies[0][0].lattice._longest == 3
     rng = np.random.default_rng(8)
+    folds = []
+    fold = fst_module.reverse_fold
 
-    def refold(*args):
-        raise AssertionError("longest path counted again")
+    def counted_fold(*args):
+        folds.append(args[0])
+        return fold(*args)
 
-    monkeypatch.setattr(fst_module, "reverse_fold", refold)
-    for topology, longest in topologies:
+    monkeypatch.setattr(fst_module, "reverse_fold", counted_fold)
+    for decoder, longest, seeded, num_folds in (
+        (chain, 3, 3, 0), (inserted, 4, None, 1)
+    ):
+        folds.clear()
+        topology = LatticeTopology(decoder, 3, 4)
+        cache = topology.lattice._structure
+        assert cache.get("longest_path_edges") == seeded
         lattices = [topology.at(rng.normal(size=(3, 4))) for _ in range(2)]
         walk_paths(lattices, stream_uniforms(0, 0, 20, longest))
         for lattice in (topology.lattice, *lattices):
             assert longest_path_edges(lattice) == longest
+        assert len(folds) == num_folds
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,26 @@ def test_with_weights_rejects_bad_vectors_as_the_constructor_does():
     assert [e.log_weight for e in copy.edges] == [-math.inf, 0.0, 1.0]
 
 
+def test_edges_are_cached_and_not_shared_by_reweighted_copies():
+    # The Edge views carry the weights, so each copy builds its own,
+    # whether it was made before or after its source built them.
+    fst = Wfst(
+        3,
+        [Edge(0, 1, 1, 1, 0.0), Edge(0, 1, 2, 2, -1.5), Edge(1, 2, 3, 3, 0.5)],
+        final=2,
+    )
+    early = fst.with_weights([1.0, 2.0, 3.0])
+    edges = fst.edges
+    assert fst.edges is edges
+    late = fst.with_weights([-math.inf, 0.0, 1.0])
+    for copy, weights in (
+        (early, [1.0, 2.0, 3.0]), (late, [-math.inf, 0.0, 1.0])
+    ):
+        assert copy.edges is copy.edges and copy.edges is not edges
+        assert [e.log_weight for e in copy.edges] == weights
+    assert [e.log_weight for e in fst.edges] == [0.0, -1.5, 0.5]
+
+
 def test_equal_transducers_hash_equal_whatever_their_store():
     # run_experiment keys its topologies by decoder graph: graphs equal
     # edge for edge must be one key, with -0.0 equal to 0.0 and labels
@@ -163,7 +183,7 @@ def test_out_edges_follow_edge_id_order():
     assert fst.out_edge_ids(2) == ()
     # The reference oracles in tests/helpers.py read out_edge_ids, so it
     # slices the arrays itself and never reads the kernels' list view.
-    assert fst._lists is None
+    assert "edge_lists" not in fst._structure
     assert edge_lists(fst)[0] == [[0, 1], [2], []]
 
 
@@ -468,10 +488,10 @@ def test_out_edge_groups_are_built_once_and_shared_by_copies():
             q: list(range(fst.first_out[q], fst.first_out[q + 1]))
             for q in range(fst.num_states) if fst.out_edge_ids(q)
         }
-    # A copy made before the groups are built builds its own.
+    # A copy made before the groups are built shares them too.
     fst = random_acyclic_wfst(rng)
     copy = fst.with_weights(fst.log_weight)
-    assert out_edge_groups(copy) is not out_edge_groups(fst)
+    assert out_edge_groups(copy) is out_edge_groups(fst)
 
 
 def test_enumeration_matches_brute_force_recount():
